@@ -13,12 +13,12 @@ from prefnet import (
     RngPolicy,
     Rule,
     Scenario,
+    analyze,
     ba_target,
     degree_distribution,
     generate_network,
     js_divergence,
     make_population,
-    summarize,
 )
 
 
@@ -52,8 +52,9 @@ def main():
     print("-" * len(header))
     for rule in Rule:
         net = build(base.with_overrides(rule=rule))
-        stats = summarize(net)
-        js = js_divergence(degree_distribution(net), target)
+        patterns = analyze(net)
+        stats = patterns.summary
+        js = js_divergence(patterns.degree, target)
         print(f"{rule.value:>5} {stats.edge_count:>6} {stats.unconnected_count:>9} "
               f"{stats.clustering_avg:>11.3f} {stats.path_avg:>9.2f} {js:>10.3f}")
 

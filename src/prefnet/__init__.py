@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .scenario import (
     AgeShape,
     CounterStream,
-    derive_stream,
     load_scenario,
     PH_FITTED,
     Preference,
@@ -54,14 +53,13 @@ from .netgen import (
     Traits,
 )
 from .netmetrics import (
-    clustering_distribution,
+    analyze,
     clustering_values,
     degree_distribution,
     js_divergence,
+    NetworkPatterns,
     PatternDistribution,
-    shortest_path_lengths,
     shortest_path_matrix,
-    summarize,
     SummaryStats,
 )
 from .epidemic import (
@@ -90,13 +88,12 @@ from .optimizer import (
 __all__ = [
     "__version__",
     "AgeShape",
+    "analyze",
     "ba_target",
     "Candidate",
-    "clustering_distribution",
     "clustering_values",
     "CounterStream",
     "degree_distribution",
-    "derive_stream",
     "edge_strength",
     "EpidemicTrace",
     "EvalRecord",
@@ -112,6 +109,7 @@ __all__ = [
     "load_scenario",
     "make_population",
     "multi_source_distances",
+    "NetworkPatterns",
     "NetworkSnapshot",
     "node_traits",
     "optimize",
@@ -143,9 +141,7 @@ __all__ = [
     "ScenarioValidationError",
     "SeedRule",
     "select_seeds",
-    "shortest_path_lengths",
     "shortest_path_matrix",
-    "summarize",
     "SummaryStats",
     "Susceptibility",
     "Traits",

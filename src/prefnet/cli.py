@@ -39,13 +39,12 @@ from .features import (
 )
 from .netgen import ba_target, generate_network, load_edge_list, save_network, NetworkSnapshot
 from .netmetrics import (
-    clustering_distribution,
+    analyze,
     degree_distribution,
     distribution_to_csv,
     js_divergence,
+    NetworkPatterns,
     PatternDistribution,
-    shortest_path_lengths,
-    summarize,
     summary_to_json,
 )
 from .optimizer import log_to_csv, optimize, result_to_json
@@ -209,7 +208,7 @@ def _parse_taus(text: str | None) -> list[float]:
 
 def _generate_artifacts(
     out: Path, scenario: Scenario
-) -> tuple[NetworkSnapshot, Population, list[str]]:
+) -> tuple[NetworkSnapshot, Population, NetworkPatterns, list[str]]:
     """Grow the replicate-0 network and write population, edge list,
     summary and the three pattern distributions."""
     policy = RngPolicy(scenario.master_seed)
@@ -236,11 +235,11 @@ def _generate_artifacts(
         },
     )
     save_network(net, out / "network.csv", out / "network_meta.json")
-    summary_to_json(summarize(net), out / "summary.json")
-    distribution_to_csv(degree_distribution(net), out / "degree_distribution.csv")
-    distribution_to_csv(clustering_distribution(net), out / "clustering_distribution.csv")
-    spl_dist, _ = shortest_path_lengths(net)
-    distribution_to_csv(spl_dist, out / "path_length_distribution.csv")
+    patterns = analyze(net)
+    summary_to_json(patterns.summary, out / "summary.json")
+    distribution_to_csv(patterns.degree, out / "degree_distribution.csv")
+    distribution_to_csv(patterns.clustering, out / "clustering_distribution.csv")
+    distribution_to_csv(patterns.path_length, out / "path_length_distribution.csv")
     outputs = [
         "scenario.txt",
         "population.csv",
@@ -252,7 +251,7 @@ def _generate_artifacts(
         "clustering_distribution.csv",
         "path_length_distribution.csv",
     ]
-    return net, population, outputs
+    return net, population, patterns, outputs
 
 
 def _infection_table_to_csv(table: np.ndarray, path: Path) -> None:
@@ -289,7 +288,7 @@ def cmd_generate(args) -> int:
     scenario = _resolve_scenario(args)
     out = _resolve_out(args)
     t0 = time.perf_counter()
-    net, _, outputs = _generate_artifacts(out, scenario)
+    net, _, patterns, outputs = _generate_artifacts(out, scenario)
     manifest = RunManifest(
         command="generate",
         scenario_hash=scenario.scenario_hash(),
@@ -299,7 +298,7 @@ def cmd_generate(args) -> int:
         runtimes={"generate": time.perf_counter() - t0},
     )
     manifest.write(out)
-    stats = summarize(net)
+    stats = patterns.summary
     print(
         f"generate: {net.edge_count} edges, mean degree {stats.degree_avg:.2f}, "
         f"{stats.unconnected_count} unconnected -> {out}"
@@ -311,7 +310,7 @@ def cmd_epidemic(args) -> int:
     scenario = _resolve_scenario(args)
     out = _resolve_out(args)
     t0 = time.perf_counter()
-    net, population, outputs = _generate_artifacts(out, scenario)
+    net, population, _, outputs = _generate_artifacts(out, scenario)
     t1 = time.perf_counter()
     report, epi_outputs = _epidemic_artifacts(out, net, population, scenario)
     manifest = RunManifest(
@@ -339,12 +338,12 @@ def _run_sweep_cell(payload: dict) -> dict:
     )
     cell_dir = Path(payload["cell_dir"])
     cell_dir.mkdir(parents=True, exist_ok=True)
-    net, population, outputs = _generate_artifacts(cell_dir, scenario)
+    net, population, patterns, outputs = _generate_artifacts(cell_dir, scenario)
     target = PatternDistribution(
         "degree", np.array(payload["target_support"]), np.array(payload["target_mass"])
     )
-    js = js_divergence(degree_distribution(net), target)
-    stats = summarize(net)
+    js = js_divergence(patterns.degree, target)
+    stats = patterns.summary
     par_rows = []
     for tau in payload["taus"]:
         sc_tau = scenario.with_overrides(transmissibility=float(tau))
@@ -373,6 +372,8 @@ def _run_sweep_cell(payload: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"jobs: must be at least 1, got {args.jobs}")
     scenario = _resolve_scenario(args)
     out = _resolve_out(args)
     shapes = _parse_axis(args.shapes, SHAPE_CODES, "shapes")

@@ -29,16 +29,6 @@ from .features import GROUP_COUNT, GROUP_WIDTH, Population
 from .netgen import NetworkSnapshot
 from .scenario import CounterStream, Scenario
 
-# Condition evaluators: (population | None, exposures, infected | None) -> value
-# vector. A susceptibility condition is met when its value equals its
-# threshold exactly.
-_CONDITIONS: dict = {}
-
-
-def register_condition(name: str, fn) -> None:
-    """Register a named condition evaluator usable in Susceptibility."""
-    _CONDITIONS[name] = fn
-
 
 def _cond_exposed(population, exposures, infected):
     return (np.asarray(exposures) >= 1).astype(np.int64)
@@ -56,9 +46,14 @@ def _cond_susceptible(population, exposures, infected):
     return (~np.asarray(infected, dtype=bool)).astype(np.int64)
 
 
-register_condition("exposed", _cond_exposed)
-register_condition("age_group", _cond_age_group)
-register_condition("susceptible", _cond_susceptible)
+# Condition evaluators: (population | None, exposures, infected | None) -> value
+# vector. A susceptibility condition is met when its value equals its
+# threshold exactly.
+_CONDITIONS = {
+    "exposed": _cond_exposed,
+    "age_group": _cond_age_group,
+    "susceptible": _cond_susceptible,
+}
 
 
 @dataclass(frozen=True)

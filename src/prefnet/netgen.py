@@ -316,23 +316,27 @@ def save_network(net: NetworkSnapshot, path, meta_path=None) -> None:
 
 
 def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
-    """Read an edge list CSV with columns i,j[,gamma]; a header row is
-    optional. Node count defaults to max id + 1."""
+    """Read an edge list CSV with columns i,j[,gamma]; the first non-empty
+    row may be a header. Node count defaults to max id + 1."""
     rows: list[tuple[int, int, float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for record in csv.reader(fh):
-            if not record or not record[0].strip():
-                continue
-            first = record[0].strip()
-            if not first.lstrip("-").isdigit():
-                continue  # header
-            i, j = int(first), int(record[1])
+        reader = csv.reader(fh)
+        records = [(reader.line_num, r) for r in reader if r and r[0].strip()]
+    if records and not records[0][1][0].strip().lstrip("-").isdigit():
+        records = records[1:]  # header
+    for line, record in records:
+        try:
+            i, j = int(record[0]), int(record[1])
             g = float(record[2]) if len(record) > 2 and record[2].strip() else 1.0
-            if i == j:
-                raise ValueError(f"self-loop {i},{j} in edge list")
-            if i > j:
-                i, j = j, i
-            rows.append((i, j, g))
+        except (IndexError, ValueError):
+            raise ValueError(
+                f"{path}: line {line}: expected i,j[,gamma], got {','.join(record)!r}"
+            ) from None
+        if i == j:
+            raise ValueError(f"self-loop {i},{j} in edge list")
+        if i > j:
+            i, j = j, i
+        rows.append((i, j, g))
     if rows:
         edges = np.array([(i, j) for i, j, _ in rows], dtype=np.int64)
         gamma = np.array([g for _, _, g in rows])

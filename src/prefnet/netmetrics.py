@@ -1,6 +1,7 @@
 """Structural patterns of a network and distances between them.
 
-Three pattern extractors turn a network into normalised distributions:
+`analyze` turns a network into three normalised distributions and a
+summary table, from one clustering pass and one all-pairs path pass:
 node degree (support 0..n-1), local clustering coefficient (20 equal bins
 on [0, 1]) and pairwise shortest path length. Unreachable pairs are real
 information here, not missing data: they enter the path-length pattern at
@@ -9,7 +10,7 @@ possible real path, and are tallied separately as fake paths.
 
 Distributions are compared with the Jensen-Shannon divergence in base 2,
 so the distance lives in [0, 1] whatever the supports are; supports are
-first unified by zero-padding. A summary table mirrors the usual
+first unified by zero-padding. The summary table mirrors the usual
 connectivity / degree / clustering / path statistics.
 """
 
@@ -65,23 +66,13 @@ def degree_distribution(net: NetworkSnapshot) -> PatternDistribution:
 def clustering_values(net: NetworkSnapshot) -> np.ndarray:
     """Local clustering coefficient per node; nodes of degree < 2 get 0."""
     adj = net.adjacency.astype(np.float64)
-    closed = np.einsum("ij,jk,ki->i", adj, adj, adj)  # 2 * triangles per node
+    closed = ((adj @ adj) * adj).sum(axis=1)  # 2 * triangles per node
     deg = net.degrees.astype(np.float64)
     denom = deg * (deg - 1)
     values = np.zeros(net.node_count)
     ok = denom > 0
     values[ok] = closed[ok] / denom[ok]
     return values
-
-
-def clustering_distribution(net: NetworkSnapshot) -> PatternDistribution:
-    """Histogram of clustering coefficients over 20 equal bins on [0, 1],
-    labelled by bin index."""
-    values = clustering_values(net)
-    counts, _ = np.histogram(values, bins=CLUSTERING_BINS, range=(0.0, 1.0))
-    return PatternDistribution(
-        "clustering", np.arange(CLUSTERING_BINS), counts / net.node_count
-    )
 
 
 def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
@@ -100,26 +91,6 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
         np.fill_diagonal(dist, 0.0)
     dist[np.isinf(dist)] = n
     return dist.astype(np.int64)
-
-
-def shortest_path_lengths(net: NetworkSnapshot) -> tuple[PatternDistribution, np.ndarray]:
-    """Distribution of pairwise path lengths (sentinel included) plus the
-    full matrix. The fake-path count is len(support where value == n) mass
-    times the pair count; summarize() reports it directly."""
-    matrix = shortest_path_matrix(net)
-    n = net.node_count
-    iu, ju = np.triu_indices(n, 1)
-    lengths = matrix[iu, ju]
-    support, counts = np.unique(lengths, return_counts=True)
-    mass = counts / lengths.shape[0] if lengths.size else counts.astype(np.float64)
-    return PatternDistribution("path_length", support, mass), matrix
-
-
-def fake_path_count(net: NetworkSnapshot) -> int:
-    """Number of unordered pairs with no connecting path."""
-    matrix = shortest_path_matrix(net)
-    iu, ju = np.triu_indices(net.node_count, 1)
-    return int((matrix[iu, ju] == net.node_count).sum())
 
 
 def js_divergence(p: PatternDistribution, q: PatternDistribution) -> float:
@@ -172,17 +143,33 @@ class SummaryStats:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def summarize(net: NetworkSnapshot) -> SummaryStats:
-    """Summary statistics over nodes (degree, clustering) and unordered
-    pairs (path lengths, with unreachable pairs at the sentinel length)."""
+@dataclass(frozen=True)
+class NetworkPatterns:
+    """Summary statistics and the three pattern distributions of a network."""
+
+    summary: SummaryStats
+    degree: PatternDistribution
+    clustering: PatternDistribution
+    path_length: PatternDistribution
+
+
+def analyze(net: NetworkSnapshot) -> NetworkPatterns:
+    """Summary and pattern distributions from one clustering pass and one
+    all-pairs path pass. Degree and clustering statistics run over nodes,
+    path statistics over unordered pairs, with unreachable pairs at the
+    sentinel length."""
+    n = net.node_count
     deg = net.degrees
     cc = clustering_values(net)
-    matrix = shortest_path_matrix(net)
-    n = net.node_count
-    iu, ju = np.triu_indices(n, 1)
-    lengths = matrix[iu, ju]
+    lengths = shortest_path_matrix(net)[np.triu_indices(n, 1)]
     have_pairs = lengths.size > 0
-    return SummaryStats(
+
+    cc_counts, _ = np.histogram(cc, bins=CLUSTERING_BINS, range=(0.0, 1.0))
+    path_support, path_counts = np.unique(lengths, return_counts=True)
+    path_mass = (
+        path_counts / lengths.shape[0] if have_pairs else path_counts.astype(np.float64)
+    )
+    summary = SummaryStats(
         node_count=n,
         edge_count=net.edge_count,
         connected_count=int((deg > 0).sum()),
@@ -200,6 +187,14 @@ def summarize(net: NetworkSnapshot) -> SummaryStats:
         path_std=float(lengths.std()) if have_pairs else 0.0,
         path_max=int(lengths.max()) if have_pairs else 0,
         path_min=int(lengths.min()) if have_pairs else 0,
+    )
+    return NetworkPatterns(
+        summary=summary,
+        degree=degree_distribution(net),
+        clustering=PatternDistribution(
+            "clustering", np.arange(CLUSTERING_BINS), cc_counts / n
+        ),
+        path_length=PatternDistribution("path_length", path_support, path_mass),
     )
 
 

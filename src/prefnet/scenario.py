@@ -20,6 +20,7 @@ saved file is byte-stable and diffs cleanly.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -171,9 +172,9 @@ class Scenario:
             raise ScenarioValidationError(
                 f"encounter_rate: must be in [0, 1], got {self.encounter_rate!r}"
             )
-        if self.noise_sigma < 0.0:
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ScenarioValidationError(
-                f"noise_sigma: must be non-negative, got {self.noise_sigma!r}"
+                f"noise_sigma: must be finite and non-negative, got {self.noise_sigma!r}"
             )
         if not isinstance(self.age_shape, AgeShape):
             raise ScenarioValidationError(
@@ -482,8 +483,3 @@ class RngPolicy:
         """Counter-addressable substream (used for infection draws)."""
         seq = np.random.SeedSequence(self._entropy(label, indices))
         return CounterStream(seq.generate_state(2, dtype=np.uint64))
-
-
-def derive_stream(policy: RngPolicy, label: str, *indices: int) -> np.random.Generator:
-    """Convenience wrapper around RngPolicy.stream."""
-    return policy.stream(label, *indices)

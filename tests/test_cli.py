@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from prefnet import netmetrics
 from prefnet.cli import main
 from prefnet.scenario import load_scenario, Preference, Rule
 
@@ -84,6 +85,12 @@ def test_bad_override_value(tmp_path):
     assert main(["generate", "--out", str(tmp_path), "--set", "node_count=-2"]) == 1
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_noise_sigma_rejected(tmp_path, capsys, value):
+    assert main(["generate", "--out", str(tmp_path), "--set", f"noise_sigma={value}"]) == 1
+    assert "noise_sigma" in capsys.readouterr().err
+
+
 def test_missing_scenario_file_is_io_error(tmp_path):
     code = main(["generate", "--scenario", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o")])
@@ -143,6 +150,29 @@ def test_sweep_parallel_matches_serial(tmp_path):
     _assert_identical_runs(serial, parallel)
 
 
+def test_sweep_jobs_below_one_rejected(tmp_path, capsys):
+    assert main(SMALL_SWEEP + ["--out", str(tmp_path), "--jobs", "0"]) == 1
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_metric_kernels_run_once_per_network(tmp_path, monkeypatch):
+    calls = {"clustering_values": [], "shortest_path_matrix": []}
+    for name, seen in calls.items():
+        kernel = getattr(netmetrics, name)
+
+        def counted(net, kernel=kernel, seen=seen):
+            seen.append(net)  # held, so ids stay distinct
+            return kernel(net)
+
+        monkeypatch.setattr(netmetrics, name, counted)
+    assert main(["generate", "--out", str(tmp_path / "gen"), "--set", "node_count=30",
+                 "--set", "edge_budget=100"]) == 0
+    assert main(SMALL_SWEEP + ["--out", str(tmp_path / "sweep")]) == 0
+    for seen in calls.values():
+        assert len(seen) == 3  # one generated network plus two sweep cells
+        assert len({id(net) for net in seen}) == 3
+
+
 def test_sweep_bad_axis_values(tmp_path):
     assert main(["sweep", "--shapes", "Q", "--out", str(tmp_path)]) == 1
     assert main(["sweep", "--taus", "0.2,nope", "--out", str(tmp_path)]) == 1
@@ -192,6 +222,15 @@ def test_optimize_edgelist_target(tmp_path):
          "--target", f"edgelist:{net_csv}", "--budget", "2", "--replicates", "1"]
     )
     assert code == 0
+
+
+def test_optimize_malformed_edgelist_target(tmp_path, capsys):
+    net_csv = tmp_path / "target.csv"
+    net_csv.write_text("i,j\n0,1\n2\n", encoding="utf-8")
+    code = main(["optimize", "--out", str(tmp_path / "opt"),
+                 "--target", f"edgelist:{net_csv}", "--budget", "2", "--replicates", "1"])
+    assert code == 1
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_optimize_bad_target(tmp_path):

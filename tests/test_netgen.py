@@ -310,3 +310,19 @@ def test_edge_list_rejects_self_loop(tmp_path):
     path.write_text("i,j\n2,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_edge_list(path)
+
+
+def test_edge_list_rejects_short_row(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("i,j\n0,1\n2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3"):
+        load_edge_list(path)
+
+
+def test_edge_list_header_only_on_first_row(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("\ni,j\n0,1\nsource,target\n1,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4"):
+        load_edge_list(path)
+    path.write_text("\ni,j\n0,1\n1,2\n", encoding="utf-8")
+    assert load_edge_list(path).edge_count == 2

@@ -9,15 +9,12 @@ import pytest
 from prefnet.features import make_population
 from prefnet.netgen import ba_target, generate_network, NetworkSnapshot
 from prefnet.netmetrics import (
-    clustering_distribution,
+    analyze,
     clustering_values,
     degree_distribution,
-    fake_path_count,
     js_divergence,
     PatternDistribution,
-    shortest_path_lengths,
     shortest_path_matrix,
-    summarize,
 )
 from prefnet.scenario import RngPolicy, Scenario
 
@@ -82,11 +79,11 @@ def test_clustering_matches_networkx_on_generated_net():
 
 def test_clustering_distribution_bins():
     net = _net(3, [(0, 1), (1, 2), (0, 2)])
-    dist = clustering_distribution(net)
+    dist = analyze(net).clustering
     assert dist.support.shape == (20,)
     assert dist.mass[-1] == 1.0  # coefficient 1.0 falls in the closed last bin
     path3 = _net(3, [(0, 1), (1, 2)])
-    dist = clustering_distribution(path3)
+    dist = analyze(path3).clustering
     assert dist.mass[0] == 1.0
 
 
@@ -98,15 +95,17 @@ def test_shortest_paths_path_graph():
     )
     assert np.array_equal(matrix, expected)
     assert (matrix == matrix.T).all()
-    assert fake_path_count(net) == 0
+    assert analyze(net).summary.fake_paths == 0
 
 
 def test_shortest_paths_disconnected_sentinel():
     # two disjoint edges: 4 cross pairs have no path
     net = _net(4, [(0, 1), (2, 3)])
-    dist, matrix = shortest_path_lengths(net)
+    matrix = shortest_path_matrix(net)
+    patterns = analyze(net)
+    dist = patterns.path_length
     assert matrix[0, 2] == 4 and matrix[1, 3] == 4  # sentinel = node count
-    assert fake_path_count(net) == 4
+    assert patterns.summary.fake_paths == 4
     assert np.array_equal(dist.support, [1, 4])
     assert np.allclose(dist.mass, [2 / 6, 4 / 6])
 
@@ -158,7 +157,7 @@ def test_js_divergence_kind_mismatch():
 def test_summarize_empty_graph():
     n = 6
     net = _net(n, [])
-    stats = summarize(net)
+    stats = analyze(net).summary
     assert stats.connected_count == 0
     assert stats.unconnected_count == n
     assert stats.degree_avg == 0.0 and stats.degree_max == 0
@@ -172,7 +171,7 @@ def test_summarize_empty_graph():
 def test_summarize_complete_graph():
     n = 5
     net = _net(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    stats = summarize(net)
+    stats = analyze(net).summary
     assert stats.unconnected_count == 0
     assert stats.degree_avg == n - 1
     assert stats.degree_std == 0.0
@@ -183,7 +182,8 @@ def test_summarize_complete_graph():
 
 def test_summarize_matches_networkx_on_generated_net():
     net = _sample_net(7)
-    stats = summarize(net)
+    patterns = analyze(net)
+    stats = patterns.summary
     g = _to_nx(net)
     degrees = np.array([d for _, d in g.degree()])
     assert stats.degree_avg == pytest.approx(degrees.mean(), abs=1e-9)
@@ -200,6 +200,12 @@ def test_summarize_matches_networkx_on_generated_net():
     ]
     assert stats.path_avg == pytest.approx(np.mean(pair_lengths), abs=1e-9)
     assert stats.fake_paths == sum(1 for x in pair_lengths if x == n)
+    # the distributions come from the same pass as the summary
+    support, counts = np.unique(pair_lengths, return_counts=True)
+    assert np.array_equal(patterns.path_length.support, support)
+    assert np.allclose(patterns.path_length.mass, counts / len(pair_lengths))
+    assert np.array_equal(patterns.degree.mass, degree_distribution(net).mass)
+    assert patterns.clustering.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degree_distribution_of_full_scale_net_sums_to_one():
