@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -158,7 +159,8 @@ class NetworkSnapshot:
             if (self.edges[:, 0] >= self.edges[:, 1]).any():
                 raise ValueError("edges must satisfy i < j")
             keys = self.edges[:, 0] * self.node_count + self.edges[:, 1]
-            if np.unique(keys).shape[0] != keys.shape[0]:
+            # Strictly increasing keys (the usual, sorted case) are unique.
+            if not (keys[1:] > keys[:-1]).all() and np.unique(keys).shape[0] != keys.shape[0]:
                 raise ValueError("duplicate edges")
 
     @property
@@ -176,15 +178,22 @@ class NetworkSnapshot:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        deg = np.bincount(self.edges.ravel(), minlength=self.node_count)
+        return deg.astype(np.int64, copy=False)
 
 
 def _sorted_edge_order(edges: np.ndarray) -> np.ndarray:
     return np.lexsort((edges[:, 1], edges[:, 0]))
+
+
+@lru_cache(maxsize=1)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (i, j) indices of all unordered pairs, shared read-only
+    between calls for the same node count."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def generate_network(
@@ -199,11 +208,15 @@ def generate_network(
     Unordered pairs are enumerated lexicographically; the encounter stream
     supplies one uniform per pair in that order, then the noise stream
     supplies one Gaussian per pair (skipped entirely when the jitter width
-    is zero). The edge budget keeps the highest-scoring encountered pairs,
-    ranked by (score desc, i asc, j asc). If fewer pairs encounter than the
-    budget asks for, all of them are linked and a shortfall warning is
-    recorded. Edge strength is (score + 2 l) / (4 l), an order-preserving
-    map into (0, 1] for the typical score range.
+    is zero). The edge budget keeps the k = min(budget, met) highest-scoring
+    encountered pairs, ranked by (score desc, i asc, j asc). The ranking is
+    a partial top-k: a partition finds the k-th largest met score, every
+    met pair above it is kept, and the remaining slots go to the pairs tied
+    at it, lowest pair index (and so lowest (i, j)) first. Kept pairs stay
+    in pair order, so edge rows come out sorted. If fewer pairs encounter
+    than the budget asks for, all of them are linked and a shortfall
+    warning is recorded. Edge strength is (score + 2 l) / (4 l), an
+    order-preserving map into (0, 1] for the typical score range.
     """
     n = population.size
     if n != scenario.node_count:
@@ -211,15 +224,17 @@ def generate_network(
             f"population size {n} does not match scenario node_count {scenario.node_count}"
         )
     l = population.feature_count
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _pair_indices(n)
     pair_count = iu.shape[0]
 
     f = population.features
     a = population.level * population.level_weight
     b = population.difference * population.difference_weight
-    level_term = (f[ju] * a[iu] + f[iu] * a[ju]).sum(axis=1) / (2 * l) + 1.0
-    gap = np.abs(f[iu] - f[ju])
-    diff_term = (gap * b[iu] + gap * b[ju]).sum(axis=1) / (2 * l) + 1.0
+    level_term = (
+        f.take(ju, axis=0) * a.take(iu, axis=0) + f.take(iu, axis=0) * a.take(ju, axis=0)
+    ).sum(axis=1) / (2 * l) + 1.0
+    gap = np.abs(f.take(iu, axis=0) - f.take(ju, axis=0))
+    diff_term = (gap * b.take(iu, axis=0) + gap * b.take(ju, axis=0)).sum(axis=1) / (2 * l) + 1.0
 
     encountered = encounter_stream.random(pair_count) < scenario.encounter_rate
     if scenario.noise_sigma > 0:
@@ -236,12 +251,14 @@ def generate_network(
             f"of {scenario.edge_budget}; linking all of them",
             stacklevel=2,
         )
-    order = np.lexsort((ju[met], iu[met], -score[met]))
-    chosen = met[order[: scenario.edge_budget]]
+    k = min(scenario.edge_budget, met.shape[0])
+    met_score = score[met]
+    kth = np.partition(met_score, -k)[-k] if k else np.inf
+    keep = met_score > kth
+    tied = np.flatnonzero(met_score == kth)
+    keep[tied[: k - np.count_nonzero(keep)]] = True
+    chosen = met[keep]
 
-    edges = np.column_stack((iu[chosen], ju[chosen]))
-    gamma = edge_strength(score[chosen], l)
-    row_order = _sorted_edge_order(edges) if edges.size else np.zeros(0, dtype=np.int64)
     provenance = {
         "kind": "generated",
         "scenario": scenario.scenario_hash(),
@@ -252,8 +269,8 @@ def generate_network(
         provenance.update(provenance_extra)
     return NetworkSnapshot(
         node_count=n,
-        edges=edges[row_order],
-        gamma=gamma[row_order],
+        edges=np.column_stack((iu[chosen], ju[chosen])),
+        gamma=edge_strength(score[chosen], l),
         provenance=provenance,
     )
 
@@ -315,14 +332,23 @@ def save_network(net: NetworkSnapshot, path, meta_path=None) -> None:
             fh.write("\n")
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
     """Read an edge list CSV with columns i,j[,gamma]; the first non-empty
-    row may be a header. Node count defaults to max id + 1."""
+    row is a header when its first cell is not a number. Gamma must be
+    finite. Node count defaults to max id + 1."""
     rows: list[tuple[int, int, float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         records = [(reader.line_num, r) for r in reader if r and r[0].strip()]
-    if records and not records[0][1][0].strip().lstrip("-").isdigit():
+    if records and not _is_number(records[0][1][0]):
         records = records[1:]  # header
     for line, record in records:
         try:
@@ -332,6 +358,8 @@ def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
             raise ValueError(
                 f"{path}: line {line}: expected i,j[,gamma], got {','.join(record)!r}"
             ) from None
+        if not math.isfinite(g):
+            raise ValueError(f"{path}: line {line}: gamma must be finite, got {record[2]!r}")
         if i == j:
             raise ValueError(f"self-loop {i},{j} in edge list")
         if i > j:

@@ -233,6 +233,15 @@ def test_optimize_malformed_edgelist_target(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_optimize_non_finite_edgelist_target(tmp_path, capsys):
+    net_csv = tmp_path / "target.csv"
+    net_csv.write_text("i,j,gamma\n0,1,1.0\n1,2,nan\n", encoding="utf-8")
+    code = main(["optimize", "--out", str(tmp_path / "opt"),
+                 "--target", f"edgelist:{net_csv}", "--budget", "2", "--replicates", "1"])
+    assert code == 1
+    assert "line 3: gamma must be finite" in capsys.readouterr().err
+
+
 def test_optimize_bad_target(tmp_path):
     assert main(["optimize", "--out", str(tmp_path), "--target", "ba:90"]) == 1
     assert main(["optimize", "--out", str(tmp_path), "--target", "magic:1"]) == 1

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefnet.features import make_population, Population
 from prefnet.netgen import (
     ba_target,
+    edge_strength,
     generate_network,
     homophily_score,
     load_edge_list,
+    NetworkSnapshot,
     node_traits,
     pair_score,
     preferential_score,
@@ -165,6 +168,94 @@ def test_h_minus_score_strictly_decreasing_in_gap():
                 assert scores[a] > scores[b]
 
 
+def _reference_network(population, scenario, encounter_stream, noise_stream):
+    """Edges and gamma ranked by a full lexsort of every met pair on
+    (score desc, i asc, j asc), then re-sorted by (i, j)."""
+    n, l = population.size, population.feature_count
+    iu, ju = np.triu_indices(n, 1)
+    f = population.features
+    a = population.level * population.level_weight
+    b = population.difference * population.difference_weight
+    level_term = (f[ju] * a[iu] + f[iu] * a[ju]).sum(axis=1) / (2 * l) + 1.0
+    gap = np.abs(f[iu] - f[ju])
+    diff_term = (gap * b[iu] + gap * b[ju]).sum(axis=1) / (2 * l) + 1.0
+    encountered = encounter_stream.random(iu.shape[0]) < scenario.encounter_rate
+    if scenario.noise_sigma > 0:
+        noise = noise_stream.normal(0.0, scenario.noise_sigma, iu.shape[0])
+    else:
+        noise = np.zeros(iu.shape[0])
+    score = 0.5 * level_term + 0.5 * diff_term + noise
+    met = np.flatnonzero(encountered)
+    order = np.lexsort((ju[met], iu[met], -score[met]))
+    chosen = met[order[: scenario.edge_budget]]
+    edges = np.column_stack((iu[chosen], ju[chosen]))
+    rows = np.lexsort((edges[:, 1], edges[:, 0]))
+    return edges[rows], edge_strength(score[chosen], l)[rows], met.shape[0]
+
+
+@st.composite
+def _growth_cases(draw):
+    n = draw(st.integers(2, 30))
+    pairs = n * (n - 1) // 2
+    budget = draw(st.one_of(st.just(0), st.just(pairs), st.integers(0, pairs)))
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    preference = Preference(
+        draw(st.sampled_from([-1, 0, 1])), draw(weight),
+        draw(st.sampled_from([-1, 0, 1])), draw(weight),
+    )
+    return Scenario(
+        node_count=n,
+        edge_budget=budget,
+        encounter_rate=draw(st.sampled_from([0.3, 0.5, 0.8, 1.0])),
+        noise_sigma=draw(st.sampled_from([0.0, 0.005])),
+        age_shape=draw(st.sampled_from(list(AgeShape))),
+        preference=preference,
+        master_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:only .* pairs encountered")
+@settings(max_examples=150, deadline=None)
+@given(_growth_cases())
+def test_generate_matches_full_lexsort_reference(sc):
+    policy = RngPolicy(sc.master_seed)
+    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
+                          policy.stream("feature-gen"))
+    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    edges, gamma, met = _reference_network(
+        pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
+    )
+    assert np.array_equal(net.edges, edges)
+    assert net.gamma.tobytes() == gamma.tobytes()
+    assert net.edge_count == min(sc.edge_budget, met)
+    assert net.degrees.sum() == 2 * net.edge_count
+    assert (net.edges[:, 0] < net.edges[:, 1]).all()
+    keys = net.edges[:, 0] * sc.node_count + net.edges[:, 1]
+    assert (np.diff(keys) > 0).all()
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_generate_matches_reference_for_per_node_traits(columns):
+    rng = np.random.default_rng(columns)
+    n = 25
+    signs, weights = [-1.0, 0.0, 1.0], [0.0, 0.5, 1.0]
+    pop = Population(
+        ages=rng.integers(0, 90, n),
+        level=rng.choice(signs, (n, columns)),
+        level_weight=rng.choice(weights, (n, columns)),
+        difference=rng.choice(signs, (n, columns)),
+        difference_weight=rng.choice(weights, (n, columns)),
+    )
+    sc = Scenario(node_count=n, edge_budget=150, encounter_rate=0.8, noise_sigma=0.0)
+    policy = RngPolicy(columns)
+    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    edges, gamma, _ = _reference_network(
+        pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
+    )
+    assert np.array_equal(net.edges, edges)
+    assert net.gamma.tobytes() == gamma.tobytes()
+
+
 def test_generate_deterministic_and_replicate_sensitive():
     sc = Scenario(master_seed=8)
     policy = RngPolicy(sc.master_seed)
@@ -286,6 +377,21 @@ def test_snapshot_rejects_bad_edges():
         NetworkSnapshot(3, np.array([[0, 1]]), np.array([1.0, 2.0]))  # gamma len
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1), (0, 1), (1, 2)], [(1, 2), (0, 1), (1, 2)]],
+    ids=["sorted", "unsorted"],
+)
+def test_snapshot_rejects_duplicate_edges(edges):
+    with pytest.raises(ValueError, match="duplicate edges"):
+        NetworkSnapshot(3, np.array(edges), np.ones(len(edges)))
+
+
+def test_snapshot_accepts_unsorted_unique_edges():
+    net = NetworkSnapshot(3, np.array([(1, 2), (0, 2), (0, 1)]), np.ones(3))
+    assert net.degrees.tolist() == [2, 2, 2]
+
+
 def test_edge_list_round_trip(tmp_path):
     net = ba_target(12, 3, RngPolicy(4).stream("optimizer", 0))
     path = tmp_path / "net.csv"
@@ -326,3 +432,20 @@ def test_edge_list_header_only_on_first_row(tmp_path):
         load_edge_list(path)
     path.write_text("\ni,j\n0,1\n1,2\n", encoding="utf-8")
     assert load_edge_list(path).edge_count == 2
+
+
+def test_edge_list_numeric_first_row_is_data(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("1.5,2\n0,1\n1,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: expected i,j"):
+        load_edge_list(path)
+    path.write_text("+3,1\n0,2\n", encoding="utf-8")
+    assert [tuple(e) for e in load_edge_list(path).edges] == [(0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_edge_list_rejects_non_finite_gamma(tmp_path, gamma):
+    path = tmp_path / "raw.csv"
+    path.write_text(f"i,j,gamma\n0,1,0.5\n1,2,{gamma}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"raw.csv: line 3: gamma must be finite, got '{gamma}'"):
+        load_edge_list(path)
