@@ -207,10 +207,12 @@ def _parse_taus(text: str | None) -> list[float]:
 
 
 def _generate_artifacts(
-    out: Path, scenario: Scenario
+    out: Path, scenario: Scenario, runtimes: dict
 ) -> tuple[NetworkSnapshot, Population, NetworkPatterns, list[str]]:
     """Grow the replicate-0 network and write population, edge list,
-    summary and the three pattern distributions."""
+    summary and the three pattern distributions. Records the seconds spent
+    growing, writing the edge list and analysing in runtimes."""
+    t0 = time.perf_counter()
     policy = RngPolicy(scenario.master_seed)
     population = make_population(
         scenario.age_shape,
@@ -225,6 +227,7 @@ def _generate_artifacts(
         policy.stream("noise", 0),
         provenance_extra={"replicate": 0},
     )
+    runtimes["grow"] = time.perf_counter() - t0
     save_scenario(scenario, out / "scenario.txt")
     population_to_csv(population, out / "population.csv")
     _write_json(
@@ -234,8 +237,13 @@ def _generate_artifacts(
             "counts": [int(c) for c in group_counts(scenario.age_shape, scenario.node_count)],
         },
     )
+    t0 = time.perf_counter()
     save_network(net, out / "network.csv", out / "network_meta.json")
+    t1 = time.perf_counter()
     patterns = analyze(net)
+    t2 = time.perf_counter()
+    runtimes["write_network"] = t1 - t0
+    runtimes["analyze"] = t2 - t1
     summary_to_json(patterns.summary, out / "summary.json")
     distribution_to_csv(patterns.degree, out / "degree_distribution.csv")
     distribution_to_csv(patterns.clustering, out / "clustering_distribution.csv")
@@ -287,15 +295,17 @@ def _epidemic_artifacts(
 def cmd_generate(args) -> int:
     scenario = _resolve_scenario(args)
     out = _resolve_out(args)
+    runtimes: dict = {}
     t0 = time.perf_counter()
-    net, _, patterns, outputs = _generate_artifacts(out, scenario)
+    net, _, patterns, outputs = _generate_artifacts(out, scenario, runtimes)
+    runtimes["generate"] = time.perf_counter() - t0
     manifest = RunManifest(
         command="generate",
         scenario_hash=scenario.scenario_hash(),
         master_seed=scenario.master_seed,
         version=__version__,
         outputs=outputs,
-        runtimes={"generate": time.perf_counter() - t0},
+        runtimes=runtimes,
     )
     manifest.write(out)
     stats = patterns.summary
@@ -309,17 +319,20 @@ def cmd_generate(args) -> int:
 def cmd_epidemic(args) -> int:
     scenario = _resolve_scenario(args)
     out = _resolve_out(args)
+    runtimes: dict = {}
     t0 = time.perf_counter()
-    net, population, _, outputs = _generate_artifacts(out, scenario)
+    net, population, _, outputs = _generate_artifacts(out, scenario, runtimes)
     t1 = time.perf_counter()
     report, epi_outputs = _epidemic_artifacts(out, net, population, scenario)
+    runtimes["generate"] = t1 - t0
+    runtimes["epidemic"] = time.perf_counter() - t1
     manifest = RunManifest(
         command="epidemic",
         scenario_hash=scenario.scenario_hash(),
         master_seed=scenario.master_seed,
         version=__version__,
         outputs=outputs + epi_outputs,
-        runtimes={"generate": t1 - t0, "epidemic": time.perf_counter() - t1},
+        runtimes=runtimes,
     )
     manifest.write(out)
     print(
@@ -338,7 +351,7 @@ def _run_sweep_cell(payload: dict) -> dict:
     )
     cell_dir = Path(payload["cell_dir"])
     cell_dir.mkdir(parents=True, exist_ok=True)
-    net, population, patterns, outputs = _generate_artifacts(cell_dir, scenario)
+    net, population, patterns, outputs = _generate_artifacts(cell_dir, scenario, {})
     target = PatternDistribution(
         "degree", np.array(payload["target_support"]), np.array(payload["target_mass"])
     )

@@ -316,11 +316,10 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
 def save_network(net: NetworkSnapshot, path, meta_path=None) -> None:
     """Write an i,j,gamma edge list (and optionally a JSON side file with
     node count and provenance)."""
+    rows = zip(net.edges[:, 0].tolist(), net.edges[:, 1].tolist(), net.gamma.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "gamma"])
-        for (i, j), g in zip(net.edges, net.gamma):
-            writer.writerow([int(i), int(j), repr(float(g))])
+        fh.write("i,j,gamma\n")
+        fh.writelines(f"{i},{j},{g!r}\n" for i, j, g in rows)
     if meta_path is not None:
         meta = {
             "node_count": net.node_count,
@@ -343,8 +342,11 @@ def _is_number(text: str) -> bool:
 def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
     """Read an edge list CSV with columns i,j[,gamma]; the first non-empty
     row is a header when its first cell is not a number. Gamma must be
-    finite. Node count defaults to max id + 1."""
+    finite; self-loops, repeated pairs (in either orientation), negative
+    ids and ids at or beyond node_count are errors that name the line.
+    Node count defaults to max id + 1."""
     rows: list[tuple[int, int, float]] = []
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         records = [(reader.line_num, r) for r in reader if r and r[0].strip()]
@@ -361,9 +363,21 @@ def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
         if not math.isfinite(g):
             raise ValueError(f"{path}: line {line}: gamma must be finite, got {record[2]!r}")
         if i == j:
-            raise ValueError(f"self-loop {i},{j} in edge list")
+            raise ValueError(f"{path}: line {line}: self-loop {i},{j}")
+        if min(i, j) < 0:
+            raise ValueError(f"{path}: line {line}: node ids must be non-negative, got {i},{j}")
+        if node_count is not None and max(i, j) >= node_count:
+            raise ValueError(
+                f"{path}: line {line}: node id {max(i, j)} out of range for "
+                f"node_count {node_count}"
+            )
         if i > j:
             i, j = j, i
+        if (i, j) in first_line:
+            raise ValueError(
+                f"{path}: lines {first_line[i, j]} and {line}: repeated edge {i},{j}"
+            )
+        first_line[i, j] = line
         rows.append((i, j, g))
     if rows:
         edges = np.array([(i, j) for i, j, _ in rows], dtype=np.int64)

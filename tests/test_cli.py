@@ -1,9 +1,14 @@
 """Command-line behaviour: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prefnet
 from prefnet import netmetrics
 from prefnet.cli import main
 from prefnet.scenario import load_scenario, Preference, Rule
@@ -64,6 +69,29 @@ def test_generate_preset_and_overrides(tmp_path):
     assert sc.age_shape.value == "Bell"
     assert sc.rule is Rule.H_MINUS
     assert sc.master_seed == 5
+
+
+@pytest.mark.parametrize("command", ["generate", "epidemic"])
+def test_manifest_records_stage_runtimes(tmp_path, command):
+    out = tmp_path / command
+    assert main([command, "--out", str(out), "--set", "node_count=30",
+                 "--set", "edge_budget=100"]) == 0
+    stages = ["grow", "write_network", "analyze", "generate"]
+    if command == "epidemic":
+        stages.append("epidemic")
+    runtimes = _read_json(out / "manifest.json")["runtimes"]
+    assert sorted(runtimes) == sorted(stages)
+    assert all(isinstance(v, float) and v >= 0 for v in runtimes.values())
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(prefnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, prefnet.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_out_env_fallback(tmp_path, monkeypatch):
@@ -240,6 +268,15 @@ def test_optimize_non_finite_edgelist_target(tmp_path, capsys):
                  "--target", f"edgelist:{net_csv}", "--budget", "2", "--replicates", "1"])
     assert code == 1
     assert "line 3: gamma must be finite" in capsys.readouterr().err
+
+
+def test_optimize_repeated_edgelist_row_names_both_lines(tmp_path, capsys):
+    net_csv = tmp_path / "dup.csv"
+    net_csv.write_text("i,j\n0,1\n1,2\n0,1\n", encoding="utf-8")
+    code = main(["optimize", "--out", str(tmp_path / "opt"),
+                 "--target", f"edgelist:{net_csv}", "--budget", "2", "--replicates", "1"])
+    assert code == 1
+    assert f"{net_csv}: lines 2 and 4: repeated edge 0,1" in capsys.readouterr().err
 
 
 def test_optimize_bad_target(tmp_path):

@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefnet.epidemic import (
     EpidemicTrace,
@@ -21,7 +22,7 @@ from prefnet.epidemic import (
     Susceptibility,
     transition_probability,
 )
-from prefnet.features import make_population, Population
+from prefnet.features import AGE_SPAN, make_population, Population
 from prefnet.netgen import generate_network, NetworkSnapshot
 from prefnet.scenario import Preference, RngPolicy, Scenario
 
@@ -251,6 +252,49 @@ def test_run_si_horizon_prefix_stable():
     long = run_si(net, pop, sc.with_overrides(horizon=6),
                   policy.counter_stream("infection", 0))
     assert np.array_equal(short.status, long.status[:4])
+
+
+@st.composite
+def _si_cases(draw):
+    """A random graph, population and scenario for run_si, plus a longer
+    horizon to compare prefixes against."""
+    n = draw(st.integers(1, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    ages = draw(st.lists(st.integers(0, AGE_SPAN - 1), min_size=n, max_size=n))
+    sc = Scenario(
+        node_count=n,
+        edge_budget=len(edges),
+        transmissibility=draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])),
+        horizon=draw(st.integers(0, 6)),
+        distance_cap=draw(st.integers(0, 6)),
+        seed_count=draw(st.integers(0, min(n, 3))),
+        master_seed=draw(st.integers(0, 2**16)),
+    )
+    extra = draw(st.integers(1, 4))
+    return _net(n, edges), Population.homogeneous(np.array(ages), PREF), sc, extra
+
+
+@settings(max_examples=100, deadline=None)
+@given(_si_cases())
+def test_run_si_invariants(case):
+    net, pop, sc, extra = case
+    stream = RngPolicy(sc.master_seed).counter_stream("infection", 0)
+    trace = run_si(net, pop, sc, stream)
+    n, h = net.node_count, sc.horizon
+    assert trace.status.shape == (h + 1, n)
+    # row 0 is exactly the seeds: the seed_count highest degrees, ties to lower id
+    top = sorted(range(n), key=lambda v: (-int(net.degrees[v]), v))[: sc.seed_count]
+    assert trace.seeds.tolist() == sorted(top)
+    assert set(np.flatnonzero(trace.status[0])) == set(top)
+    # rows are nested, and by step t nothing is beyond t hops or the cap
+    assert (trace.status[1:] >= trace.status[:-1]).all()
+    for t in range(h + 1):
+        ball = _bfs_ball(net.edges, n, top, min(t, sc.distance_cap))
+        assert set(np.flatnonzero(trace.status[t])) <= ball
+    # a longer horizon extends the same trajectory
+    longer = run_si(net, pop, sc.with_overrides(horizon=h + extra), stream)
+    assert np.array_equal(longer.status[: h + 1], trace.status)
 
 
 # ---------------------------------------------------------------------------

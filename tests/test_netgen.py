@@ -414,8 +414,32 @@ def test_edge_list_normalises_unordered_rows(tmp_path):
 def test_edge_list_rejects_self_loop(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("i,j\n2,2\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="raw.csv: line 2: self-loop 2,2"):
         load_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "rows, node_count, message",
+    [
+        ("0,1\n1,2\n0,1\n", None, "raw.csv: lines 2 and 4: repeated edge 0,1"),
+        ("0,1\n1,2\n1,0\n", None, "raw.csv: lines 2 and 4: repeated edge 0,1"),
+        ("0,1\n-1,2\n", None, "raw.csv: line 3: node ids must be non-negative, got -1,2"),
+        ("0,1\n1,5\n", 5, "raw.csv: line 3: node id 5 out of range for node_count 5"),
+    ],
+    ids=["repeat", "repeat-reversed", "negative", "beyond-node-count"],
+)
+def test_edge_list_bad_rows_name_file_and_line(tmp_path, rows, node_count, message):
+    path = tmp_path / "raw.csv"
+    path.write_text("i,j\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_edge_list(path, node_count=node_count)
+
+
+def test_save_network_writes_repr_rows(tmp_path):
+    net = NetworkSnapshot(4, np.array([(0, 1), (1, 3)]), np.array([0.1 + 0.2, 1e-05]))
+    path = tmp_path / "net.csv"
+    save_network(net, path)
+    assert path.read_bytes() == b"i,j,gamma\n0,1,0.30000000000000004\n1,3,1e-05\n"
 
 
 def test_edge_list_rejects_short_row(tmp_path):

@@ -5,6 +5,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from prefnet.features import make_population
 from prefnet.netgen import ba_target, generate_network, NetworkSnapshot
@@ -16,7 +17,7 @@ from prefnet.netmetrics import (
     PatternDistribution,
     shortest_path_matrix,
 )
-from prefnet.scenario import RngPolicy, Scenario
+from prefnet.scenario import RngPolicy, Rule, Scenario
 
 
 def _net(node_count, edges):
@@ -119,6 +120,73 @@ def test_shortest_paths_match_networkx():
         for j in range(n):
             expected = lengths[i].get(j, n)  # unreachable -> sentinel
             assert matrix[i, j] == expected
+
+
+def _nx_path_matrix(net):
+    """networkx all-pairs BFS lengths, sentinel n where unreachable."""
+    n = net.node_count
+    expected = np.full((n, n), n, dtype=np.int64)
+    for source, lengths in nx.all_pairs_shortest_path_length(_to_nx(net)):
+        expected[source, list(lengths)] = list(lengths.values())
+    return expected
+
+
+def _random_graph(n, kind, density, isolate, seed):
+    """Graph on n nodes: 'random' keeps each pair with the given density,
+    'pieces' does too but never across a random split into three parts,
+    'chain' is one path through all nodes in random order, 'empty' has no
+    edges. isolate cuts every edge of a random third of the nodes."""
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        order = rng.permutation(n)
+        pairs = np.column_stack((order[:-1], order[1:]))
+    else:
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(iu.shape[0]) < (0.0 if kind == "empty" else density)
+        if kind == "pieces":
+            part = rng.integers(0, 3, n)
+            keep &= part[iu] == part[ju]
+        pairs = np.column_stack((iu[keep], ju[keep]))
+    if isolate:
+        cut = rng.random(n) < 1 / 3
+        pairs = pairs[~(cut[pairs[:, 0]] | cut[pairs[:, 1]])]
+    return _net(n, pairs.tolist())
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 2, 63, 64, 65, 128, 129]), st.integers(0, 150)),
+    kind=st.sampled_from(["random", "pieces", "chain", "empty"]),
+    density=st.sampled_from([0.005, 0.02, 0.05, 0.2, 0.6]),
+    isolate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=63, kind="random", density=0.05, isolate=False, seed=1)
+@example(n=64, kind="pieces", density=0.2, isolate=True, seed=2)
+@example(n=65, kind="chain", density=0.0, isolate=False, seed=3)
+@example(n=128, kind="random", density=0.02, isolate=True, seed=4)
+@example(n=129, kind="chain", density=0.0, isolate=True, seed=5)
+@example(n=150, kind="chain", density=0.0, isolate=False, seed=6)
+@example(n=0, kind="empty", density=0.0, isolate=False, seed=7)
+@example(n=100, kind="empty", density=0.0, isolate=False, seed=8)
+def test_shortest_path_matrix_matches_networkx(n, kind, density, isolate, seed):
+    net = _random_graph(n, kind, density, isolate, seed)
+    matrix = shortest_path_matrix(net)
+    assert matrix.dtype == np.int64 and matrix.shape == (n, n)
+    assert np.array_equal(matrix, _nx_path_matrix(net))
+
+
+def test_shortest_path_matrix_on_sparse_h_minus_net():
+    # the H- rule links similar ages, so a budget of one edge per node
+    # grows long chains, many pieces and isolated nodes
+    sc = Scenario(node_count=300, edge_budget=300, rule=Rule.H_MINUS, master_seed=0)
+    policy = RngPolicy(0)
+    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
+                          policy.stream("feature-gen"))
+    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    matrix = shortest_path_matrix(net)
+    assert np.array_equal(matrix, _nx_path_matrix(net))
+    assert matrix[matrix < 300].max() > 15 and (matrix == 300).any()
 
 
 def test_js_divergence_identical_and_disjoint():
