@@ -19,6 +19,7 @@ from prefnet import (
     generate_network,
     js_divergence,
     make_population,
+    pair_draws,
 )
 
 
@@ -30,9 +31,8 @@ def build(scenario):
         scenario.resolved_preference(),
         policy.stream("feature-gen"),
     )
-    return generate_network(
-        population, scenario, policy.stream("encounter", 0), policy.stream("noise", 0)
-    )
+    draws = pair_draws(scenario, policy.stream("encounter", 0), policy.stream("noise", 0))
+    return generate_network(population, scenario, draws)
 
 
 def main():

@@ -15,6 +15,7 @@ from prefnet import (
     generate_network,
     infection_by_distance,
     make_population,
+    pair_draws,
     par,
     par_by_group,
     run_si,
@@ -34,9 +35,8 @@ def main():
         sc.age_shape, sc.node_count, sc.resolved_preference(),
         policy.stream("feature-gen"),
     )
-    net = generate_network(
-        population, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
-    )
+    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(population, sc, draws)
     trace = run_si(net, population, sc,
                    policy.counter_stream("infection", args.replicate))
 

@@ -16,6 +16,7 @@ from prefnet import (
     degree_distribution,
     evaluate,
     optimize,
+    replicate_draws,
 )
 
 
@@ -44,9 +45,10 @@ def main():
           f"(std {best.objective_std:.4f} over {best.replicates} replicates)")
 
     print()
-    print("pure rules on the same target, same replicate streams:")
+    print("pure rules on the same target, same replicate draws:")
+    draws = replicate_draws(sc, args.replicates)
     for rule, pref in RULE_PREFERENCES.items():
-        mean, _ = evaluate(pref, target, sc, replicates=args.replicates)
+        mean, _ = evaluate(pref, target, sc, draws)
         marker = "  <- beaten" if best.objective < mean else ""
         print(f"  {rule.value:>3}: {mean:.4f}{marker}")
 

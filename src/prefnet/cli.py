@@ -11,8 +11,8 @@ the PREFNET_OUT environment variable). Every run writes a manifest
 listing its outputs; apart from the recorded runtimes, reruns of the same
 command are byte-identical.
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error,
-3 internal invariant violation.
+Exit codes: 0 success, 1 validation or usage error or a closed stdout,
+2 I/O error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ from .features import (
     population_to_csv,
     Population,
 )
-from .netgen import ba_target, generate_network, load_edge_list, save_network, NetworkSnapshot
+from .netgen import (
+    ba_target,
+    generate_network,
+    load_edge_list,
+    pair_draws,
+    save_network,
+    NetworkSnapshot,
+)
 from .netmetrics import (
     analyze,
     degree_distribution,
@@ -68,6 +75,18 @@ DEFAULT_TAUS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 class _UsageError(Exception):
     pass
+
+
+class _ClosedStdout(Exception):
+    """Whoever read stdout closed it before the result line was out."""
+
+
+def _emit(line: str) -> None:
+    """Print a command's result line to stdout, flushed."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        raise _ClosedStdout from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,8 +242,7 @@ def _generate_artifacts(
     net = generate_network(
         population,
         scenario,
-        policy.stream("encounter", 0),
-        policy.stream("noise", 0),
+        pair_draws(scenario, policy.stream("encounter", 0), policy.stream("noise", 0)),
         provenance_extra={"replicate": 0},
     )
     runtimes["grow"] = time.perf_counter() - t0
@@ -309,7 +327,7 @@ def cmd_generate(args) -> int:
     )
     manifest.write(out)
     stats = patterns.summary
-    print(
+    _emit(
         f"generate: {net.edge_count} edges, mean degree {stats.degree_avg:.2f}, "
         f"{stats.unconnected_count} unconnected -> {out}"
     )
@@ -335,7 +353,7 @@ def cmd_epidemic(args) -> int:
         runtimes=runtimes,
     )
     manifest.write(out)
-    print(
+    _emit(
         f"epidemic: seeds {report['seeds']}, infected {report['infected_total']}"
         f"/{scenario.node_count} by step {scenario.horizon} -> {out}"
     )
@@ -501,9 +519,7 @@ def cmd_sweep(args) -> int:
         runtimes={"sweep": time.perf_counter() - t0},
     )
     manifest.write(out)
-    print(
-        f"sweep: {len(results)} cells x {len(taus)} transmissibilities -> {out}"
-    )
+    _emit(f"sweep: {len(results)} cells x {len(taus)} transmissibilities -> {out}")
     return 0
 
 
@@ -511,9 +527,12 @@ def cmd_optimize(args) -> int:
     scenario = _resolve_scenario(args)
     out = _resolve_out(args)
     target, target_info = _resolve_target(args.target, scenario)
+    runtimes: dict = {}
     t0 = time.perf_counter()
-    result = optimize(scenario, target, budget=args.budget, replicates=args.replicates)
-    elapsed = time.perf_counter() - t0
+    result = optimize(
+        scenario, target, budget=args.budget, replicates=args.replicates, runtimes=runtimes
+    )
+    runtimes["optimize"] = time.perf_counter() - t0
     save_scenario(scenario, out / "scenario.txt")
     distribution_to_csv(target, out / "target_degree_distribution.csv")
     log_to_csv(result.log, out / "eval_log.csv")
@@ -532,11 +551,11 @@ def cmd_optimize(args) -> int:
             "best.json",
             "fitted.scenario",
         ],
-        runtimes={"optimize": elapsed},
+        runtimes=runtimes,
     )
     manifest.write(out)
     pref = result.best.preference
-    print(
+    _emit(
         f"optimize: best (level {pref.level} w {pref.level_weight!r}, "
         f"difference {pref.difference} w {pref.difference_weight!r}) "
         f"js {result.best.objective:.4f} after {result.evaluations} evaluations "
@@ -593,7 +612,7 @@ def cmd_report(args) -> int:
             f"(share {risk['final_share']:.3f})"
         )
     _write_json(run_dir / "report.json", report)
-    print("\n".join(lines))
+    _emit("\n".join(lines))
     return 0
 
 
@@ -674,6 +693,11 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
+    except _ClosedStdout:
+        # Send what is still buffered to /dev/null, so that the interpreter
+        # does not report the closed pipe again when it flushes at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ScenarioError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

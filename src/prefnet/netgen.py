@@ -6,7 +6,10 @@ level weight) and a difference term (does each side like the feature gap,
 scaled by its difference weight). Both terms are centred at 1 so that a
 node with zeroed weights is indifferent rather than hostile. The pair
 total averages the two terms, adds Gaussian jitter, and is gated by a
-Bernoulli encounter: pairs that never meet score zero and can never link.
+Bernoulli encounter: pairs that never meet can never link. The encounters
+and jitter of a network are drawn apart from its scoring (`pair_draws`),
+so a fit can draw them once per replicate and grow every candidate's
+network from the same draws.
 
 The edge budget selects the top-scoring encountered pairs; ties break
 lexicographically by node ids so runs are exactly reproducible. Each edge
@@ -21,7 +24,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -186,78 +189,106 @@ def _sorted_edge_order(edges: np.ndarray) -> np.ndarray:
     return np.lexsort((edges[:, 1], edges[:, 0]))
 
 
-@lru_cache(maxsize=1)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (i, j) indices of all unordered pairs, shared read-only
-    between calls for the same node count."""
-    iu, ju = np.triu_indices(n, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+@dataclass(frozen=True)
+class PairDraws:
+    """The random part of growing one network: which pairs met, and their
+    jitter.
+
+    i and j (int32) are the endpoints of the met pairs in pair order,
+    which is (i, j) order; noise holds each met pair's Gaussian jitter
+    (zeros when the jitter width is zero). Pairs that never met are not
+    kept, so the draws cost O(met pairs), not O(all pairs).
+    """
+
+    node_count: int
+    i: np.ndarray
+    j: np.ndarray
+    noise: np.ndarray
+
+    @property
+    def met_count(self) -> int:
+        return int(self.i.shape[0])
+
+
+def pair_draws(
+    scenario: Scenario,
+    encounter_stream: np.random.Generator,
+    noise_stream: np.random.Generator,
+) -> PairDraws:
+    """Draw the encounters and jitter of one network.
+
+    Unordered pairs are enumerated lexicographically; the encounter stream
+    supplies one uniform per pair in that order, then the noise stream
+    supplies one Gaussian per pair (skipped entirely when the jitter width
+    is zero). Only the met pairs are kept.
+    """
+    n = scenario.node_count
+    encountered = encounter_stream.random(n * (n - 1) // 2) < scenario.encounter_rate
+    if scenario.noise_sigma > 0:
+        noise = noise_stream.normal(0.0, scenario.noise_sigma, encountered.shape[0])[encountered]
+    else:
+        noise = np.zeros(np.count_nonzero(encountered))
+    # A boolean mask fills the upper triangle in row-major order, which is
+    # pair order, and nonzero() reads the met pairs back in the same order.
+    met = np.zeros((n, n), dtype=bool)
+    met[np.triu(np.ones((n, n), dtype=bool), 1)] = encountered
+    i, j = np.nonzero(met)
+    return PairDraws(n, i.astype(np.int32), j.astype(np.int32), noise)
 
 
 def generate_network(
     population: Population,
     scenario: Scenario,
-    encounter_stream: np.random.Generator,
-    noise_stream: np.random.Generator,
+    draws: PairDraws,
     provenance_extra: dict | None = None,
 ) -> NetworkSnapshot:
-    """Grow a network by scoring all pairs and keeping the budgeted best.
+    """Grow a network by scoring the met pairs and keeping the budgeted best.
 
-    Unordered pairs are enumerated lexicographically; the encounter stream
-    supplies one uniform per pair in that order, then the noise stream
-    supplies one Gaussian per pair (skipped entirely when the jitter width
-    is zero). The edge budget keeps the k = min(budget, met) highest-scoring
-    encountered pairs, ranked by (score desc, i asc, j asc). The ranking is
-    a partial top-k: a partition finds the k-th largest met score, every
-    met pair above it is kept, and the remaining slots go to the pairs tied
-    at it, lowest pair index (and so lowest (i, j)) first. Kept pairs stay
-    in pair order, so edge rows come out sorted. If fewer pairs encounter
-    than the budget asks for, all of them are linked and a shortfall
-    warning is recorded. Edge strength is (score + 2 l) / (4 l), an
-    order-preserving map into (0, 1] for the typical score range.
+    `draws` (from `pair_draws`) fixes which pairs met and their jitter; a
+    met pair scores the mean of its level and difference terms plus its
+    jitter. The edge budget keeps the k = min(budget, met) highest-scoring
+    met pairs, ranked by (score desc, i asc, j asc). The ranking is a
+    partial top-k: a partition finds the k-th largest score, every pair
+    above it is kept, and the remaining slots go to the pairs tied at it,
+    lowest (i, j) first. Kept pairs stay in pair order, so edge rows come
+    out sorted. If fewer pairs met than the budget asks for, all of them
+    are linked and a shortfall warning is recorded. Edge strength is
+    (score + 2 l) / (4 l), an order-preserving map into (0, 1] for the
+    typical score range.
     """
     n = population.size
     if n != scenario.node_count:
         raise ValueError(
             f"population size {n} does not match scenario node_count {scenario.node_count}"
         )
+    if draws.node_count != n:
+        raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
     l = population.feature_count
-    iu, ju = _pair_indices(n)
-    pair_count = iu.shape[0]
+    i, j = draws.i, draws.j
 
-    f = population.features
+    f_i = population.features.take(i, axis=0)
+    f_j = population.features.take(j, axis=0)
     a = population.level * population.level_weight
     b = population.difference * population.difference_weight
-    level_term = (
-        f.take(ju, axis=0) * a.take(iu, axis=0) + f.take(iu, axis=0) * a.take(ju, axis=0)
-    ).sum(axis=1) / (2 * l) + 1.0
-    gap = np.abs(f.take(iu, axis=0) - f.take(ju, axis=0))
-    diff_term = (gap * b.take(iu, axis=0) + gap * b.take(ju, axis=0)).sum(axis=1) / (2 * l) + 1.0
+    level_term = (f_j * a.take(i, axis=0) + f_i * a.take(j, axis=0)).sum(axis=1) / (2 * l) + 1.0
+    gap = np.abs(f_i - f_j)
+    diff_term = (gap * b.take(i, axis=0) + gap * b.take(j, axis=0)).sum(axis=1) / (2 * l) + 1.0
+    score = 0.5 * level_term + 0.5 * diff_term + draws.noise
 
-    encountered = encounter_stream.random(pair_count) < scenario.encounter_rate
-    if scenario.noise_sigma > 0:
-        noise = noise_stream.normal(0.0, scenario.noise_sigma, pair_count)
-    else:
-        noise = np.zeros(pair_count)
-    score = 0.5 * level_term + 0.5 * diff_term + noise
-
-    met = np.flatnonzero(encountered)
-    shortfall = met.shape[0] < scenario.edge_budget
+    met = draws.met_count
+    shortfall = met < scenario.edge_budget
     if shortfall:
         warnings.warn(
-            f"only {met.shape[0]} pairs encountered, below the edge budget "
+            f"only {met} pairs encountered, below the edge budget "
             f"of {scenario.edge_budget}; linking all of them",
             stacklevel=2,
         )
-    k = min(scenario.edge_budget, met.shape[0])
-    met_score = score[met]
-    kth = np.partition(met_score, -k)[-k] if k else np.inf
-    keep = met_score > kth
-    tied = np.flatnonzero(met_score == kth)
+    k = min(scenario.edge_budget, met)
+    kth = np.partition(score, -k)[-k] if k else np.inf
+    keep = score > kth
+    tied = np.flatnonzero(score == kth)
     keep[tied[: k - np.count_nonzero(keep)]] = True
-    chosen = met[keep]
+    chosen = np.flatnonzero(keep)
 
     provenance = {
         "kind": "generated",
@@ -269,8 +300,8 @@ def generate_network(
         provenance.update(provenance_extra)
     return NetworkSnapshot(
         node_count=n,
-        edges=np.column_stack((iu[chosen], ju[chosen])),
-        gamma=edge_strength(score[chosen], l),
+        edges=np.column_stack((i.take(chosen), j.take(chosen))),
+        gamma=edge_strength(score.take(chosen), l),
         provenance=provenance,
     )
 

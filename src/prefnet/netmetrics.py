@@ -148,11 +148,14 @@ def js_divergence(p: PatternDistribution, q: PatternDistribution) -> float:
     """
     if p.kind != q.kind:
         raise ValueError(f"cannot compare {p.kind!r} with {q.kind!r} patterns")
-    union = np.union1d(p.support, q.support)
-    a = np.zeros(union.shape[0])
-    b = np.zeros(union.shape[0])
-    a[np.searchsorted(union, p.support)] = p.mass
-    b[np.searchsorted(union, q.support)] = q.mass
+    if np.array_equal(p.support, q.support):  # degree patterns share 0..n-1
+        a, b = p.mass, q.mass
+    else:
+        union = np.union1d(p.support, q.support)
+        a = np.zeros(union.shape[0])
+        b = np.zeros(union.shape[0])
+        a[np.searchsorted(union, p.support)] = p.mass
+        b[np.searchsorted(union, q.support)] = q.mass
     m = 0.5 * (a + b)
 
     def _half(x: np.ndarray) -> float:

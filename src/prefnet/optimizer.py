@@ -5,7 +5,10 @@ between the degree distribution of networks grown under it and a target
 distribution, averaged over R replicate networks. Replicates use common
 random numbers: replicate r of every candidate shares the same encounter
 and noise streams, so objective differences reflect the preferences, not
-the draws, and a rerun of the whole search is bit-identical.
+the draws, and a rerun of the whole search is bit-identical. The search
+therefore draws each replicate's encounters and jitter once
+(`replicate_draws`) and grows every candidate's replicate r from the same
+draws.
 
 The search is two-phase: a coarse scan over all sign combinations crossed
 with a small weight ladder, then a local pattern search on the two weights
@@ -20,12 +23,14 @@ from __future__ import annotations
 
 import csv
 import json
+import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import group_counts, make_population, sample_ages, Population
-from .netgen import generate_network
+from .netgen import generate_network, pair_draws, PairDraws
 from .netmetrics import PatternDistribution, degree_distribution, js_divergence
 from .scenario import Preference, RngPolicy, Scenario
 
@@ -64,38 +69,47 @@ class OptimizeResult:
     evaluations: int
 
 
+def replicate_draws(scenario: Scenario, replicates: int) -> list[PairDraws]:
+    """Pair draws of replicates 0..R-1; replicate r uses the encounter and
+    noise substreams indexed r."""
+    if replicates < 1:
+        raise ValueError(f"replicates must be positive, got {replicates}")
+    policy = RngPolicy(scenario.master_seed)
+    return [
+        pair_draws(scenario, policy.stream("encounter", r), policy.stream("noise", r))
+        for r in range(replicates)
+    ]
+
+
 def evaluate(
     preference: Preference,
     target: PatternDistribution,
     scenario: Scenario,
-    replicates: int = 5,
+    draws: Sequence[PairDraws],
     ages: np.ndarray | None = None,
 ) -> tuple[float, list[float]]:
     """Mean and per-replicate degree-pattern divergence from the target for
-    networks grown under `preference`.
+    networks grown under `preference`, one network per replicate's draws.
 
-    Replicate r always uses the encounter and noise substreams indexed r,
-    whatever the candidate, so candidates are compared under common random
-    numbers. Ages can be passed in to avoid resampling them per call (they
-    do not depend on the preference)."""
-    if replicates < 1:
-        raise ValueError(f"replicates must be positive, got {replicates}")
-    policy = RngPolicy(scenario.master_seed)
+    Passing the same draws (see `replicate_draws`) for every candidate
+    compares candidates under common random numbers. Ages can be passed in
+    to avoid resampling them per call (they do not depend on the
+    preference)."""
+    if not draws:
+        raise ValueError("evaluate needs the draws of at least one replicate")
     if ages is None:
         population = make_population(
-            scenario.age_shape, scenario.node_count, preference, policy.stream("feature-gen")
+            scenario.age_shape,
+            scenario.node_count,
+            preference,
+            RngPolicy(scenario.master_seed).stream("feature-gen"),
         )
     else:
         population = Population.homogeneous(ages, preference)
-    values = []
-    for r in range(replicates):
-        net = generate_network(
-            population,
-            scenario,
-            policy.stream("encounter", r),
-            policy.stream("noise", r),
-        )
-        values.append(js_divergence(degree_distribution(net), target))
+    values = [
+        js_divergence(degree_distribution(generate_network(population, scenario, d)), target)
+        for d in draws
+    ]
     return float(np.mean(values)), values
 
 
@@ -108,18 +122,23 @@ def optimize(
     target: PatternDistribution,
     budget: int,
     replicates: int = 5,
+    runtimes: dict | None = None,
 ) -> OptimizeResult:
     """Search for the preference whose networks best match the target
-    degree pattern, spending at most `budget` objective evaluations."""
+    degree pattern, spending at most `budget` objective evaluations.
+
+    The ages and the replicates' pair draws are drawn once for the whole
+    search. If `runtimes` is given, the seconds spent drawing them and
+    searching are recorded in it as "draws" and "search"."""
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be positive, got {replicates}")
-    policy = RngPolicy(scenario.master_seed)
+    t0 = time.perf_counter()
     ages = sample_ages(
         group_counts(scenario.age_shape, scenario.node_count),
-        policy.stream("feature-gen"),
+        RngPolicy(scenario.master_seed).stream("feature-gen"),
     )
+    draws = replicate_draws(scenario, replicates)
+    t1 = time.perf_counter()
 
     log: list[EvalRecord] = []
     cache: dict[tuple, tuple[float, float]] = {}
@@ -139,7 +158,7 @@ def optimize(
         if spent >= budget:
             return None
         spent += 1
-        mean, values = evaluate(pref, target, scenario, replicates, ages=ages)
+        mean, values = evaluate(pref, target, scenario, draws, ages=ages)
         for r, v in enumerate(values):
             log.append(
                 EvalRecord(
@@ -205,6 +224,9 @@ def optimize(
         else:
             step /= 2.0
 
+    if runtimes is not None:
+        runtimes["draws"] = t1 - t0
+        runtimes["search"] = time.perf_counter() - t1
     return OptimizeResult(
         best=Candidate(best_pref, best[0], best[1], replicates),
         log=tuple(log),

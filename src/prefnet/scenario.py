@@ -23,6 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -246,6 +247,11 @@ class Scenario:
 
     def scenario_hash(self) -> str:
         """Stable hex digest of the canonical form, for run manifests."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # Computed once per instance: the fields never change.
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 

@@ -30,10 +30,11 @@ from prefnet.netgen import (
     edge_strength,
     generate_network,
     homophily_score,
+    pair_draws,
     preferential_score,
 )
 from prefnet.netmetrics import clustering_values, degree_distribution, js_divergence
-from prefnet.optimizer import evaluate, optimize
+from prefnet.optimizer import evaluate, optimize, replicate_draws
 from prefnet.scenario import (
     RULE_PREFERENCES,
     AgeShape,
@@ -75,8 +76,8 @@ def _build(shape, rule, master_seed, **overrides):
         policy = RngPolicy(sc.master_seed)
         pop = make_population(sc.age_shape, sc.node_count,
                               sc.resolved_preference(), policy.stream("feature-gen"))
-        net = generate_network(pop, sc, policy.stream("encounter", 0),
-                               policy.stream("noise", 0))
+        draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+        net = generate_network(pop, sc, draws)
         _BUILT[key] = (sc, pop, net)
     return _BUILT[key]
 
@@ -177,8 +178,9 @@ def test_criterion_05_divergence_dominance():
         assert elapsed < 300.0, f"optimisation took {elapsed:.1f}s"
         assert result.evaluations <= 700
         assert result.best.objective <= 0.45
+        draws = replicate_draws(sc, 5)
         for rule, pref in RULE_PREFERENCES.items():
-            pure_mean, _ = evaluate(pref, target, sc, replicates=5)
+            pure_mean, _ = evaluate(pref, target, sc, draws)
             assert result.best.objective < pure_mean, (rule, pure_mean)
 
 

@@ -71,14 +71,22 @@ def test_generate_preset_and_overrides(tmp_path):
     assert sc.master_seed == 5
 
 
-@pytest.mark.parametrize("command", ["generate", "epidemic"])
-def test_manifest_records_stage_runtimes(tmp_path, command):
+STAGES = {
+    "generate": ["grow", "write_network", "analyze", "generate"],
+    "epidemic": ["grow", "write_network", "analyze", "generate", "epidemic"],
+    "optimize": ["draws", "search", "optimize"],
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "epidemic", "optimize"])
+def test_manifest_records_stage_runtimes(tmp_path, command, capsys):
     out = tmp_path / command
+    extra = ["--budget", "3", "--replicates", "2"] if command == "optimize" else []
     assert main([command, "--out", str(out), "--set", "node_count=30",
-                 "--set", "edge_budget=100"]) == 0
-    stages = ["grow", "write_network", "analyze", "generate"]
-    if command == "epidemic":
-        stages.append("epidemic")
+                 "--set", "edge_budget=100", *extra]) == 0
+    stages = STAGES[command]
+    # stage timings stay out of stdout
+    assert not any(stage in capsys.readouterr().out.split() for stage in stages)
     runtimes = _read_json(out / "manifest.json")["runtimes"]
     assert sorted(runtimes) == sorted(stages)
     assert all(isinstance(v, float) and v >= 0 for v in runtimes.values())
@@ -92,6 +100,25 @@ def test_cli_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
+    src = str(Path(prefnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "prefnet.cli", "generate", "--out", str(tmp_path / "run"),
+            "--set", "node_count=30", "--set", "edge_budget=100"]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()  # the reader goes away before the result line is printed
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == ""
+    assert (tmp_path / "run" / "manifest.json").is_file()
 
 
 def test_out_env_fallback(tmp_path, monkeypatch):

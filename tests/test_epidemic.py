@@ -23,7 +23,7 @@ from prefnet.epidemic import (
     transition_probability,
 )
 from prefnet.features import AGE_SPAN, make_population, Population
-from prefnet.netgen import generate_network, NetworkSnapshot
+from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws
 from prefnet.scenario import Preference, RngPolicy, Scenario
 
 PREF = Preference(-1, 0.05, 1, 0.08)
@@ -56,7 +56,8 @@ def _generated(seed=0, **overrides):
     policy = RngPolicy(seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, draws)
     return sc, policy, pop, net
 
 

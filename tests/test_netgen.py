@@ -13,6 +13,7 @@ from prefnet.netgen import (
     load_edge_list,
     NetworkSnapshot,
     node_traits,
+    pair_draws,
     pair_score,
     preferential_score,
     save_network,
@@ -23,6 +24,10 @@ from prefnet.scenario import AgeShape, Preference, RngPolicy, Scenario
 P_PLUS = Preference(1, 1.0, 1, 0.0)
 P_MINUS = Preference(-1, 1.0, 1, 0.0)
 H_MINUS = Preference(1, 0.0, -1, 1.0)
+
+
+def _draws(sc, policy, replicate=0):
+    return pair_draws(sc, policy.stream("encounter", replicate), policy.stream("noise", replicate))
 
 
 def _traits(level, level_weight, difference, difference_weight):
@@ -127,7 +132,7 @@ def test_generate_full_encounter_exact_budget():
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, _draws(sc, policy))
     assert net.edge_count == 1400
     assert net.degrees.mean() == pytest.approx(2 * 1400 / 90, abs=1e-12)
     assert net.degrees.sum() == 2800
@@ -139,7 +144,7 @@ def test_generate_matches_enumeration_oracle_for_p_plus():
     pop = Population.homogeneous(ages, P_PLUS)
     sc = Scenario(node_count=10, edge_budget=20, encounter_rate=1.0, noise_sigma=0.0)
     policy = RngPolicy(0)
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, _draws(sc, policy))
     f = ages / 90
     scored = sorted(
         ((i, j) for i in range(10) for j in range(i + 1, 10)),
@@ -221,7 +226,7 @@ def test_generate_matches_full_lexsort_reference(sc):
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, _draws(sc, policy))
     edges, gamma, met = _reference_network(
         pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
     )
@@ -248,7 +253,7 @@ def test_generate_matches_reference_for_per_node_traits(columns):
     )
     sc = Scenario(node_count=n, edge_budget=150, encounter_rate=0.8, noise_sigma=0.0)
     policy = RngPolicy(columns)
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, _draws(sc, policy))
     edges, gamma, _ = _reference_network(
         pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
     )
@@ -261,9 +266,9 @@ def test_generate_deterministic_and_replicate_sensitive():
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    a = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-    b = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-    c = generate_network(pop, sc, policy.stream("encounter", 1), policy.stream("noise", 1))
+    a = generate_network(pop, sc, _draws(sc, policy))
+    b = generate_network(pop, sc, _draws(sc, policy))
+    c = generate_network(pop, sc, _draws(sc, policy, 1))
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.gamma, b.gamma)
     assert not np.array_equal(a.edges, c.edges)
@@ -275,7 +280,7 @@ def test_generate_shortfall_links_all_encounters_and_warns():
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
     with pytest.warns(UserWarning, match="edge budget"):
-        net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+        net = generate_network(pop, sc, _draws(sc, policy))
     # replay the encounter draws to count how many pairs actually met
     met = (RngPolicy(sc.master_seed).stream("encounter", 0).random(45) < 0.2).sum()
     assert net.edge_count == met < 40
@@ -288,9 +293,24 @@ def test_generate_zero_sigma_skips_noise_draws():
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
     noise_stream = policy.stream("noise", 0)
-    generate_network(pop, sc, policy.stream("encounter", 0), noise_stream)
+    draws = pair_draws(sc, policy.stream("encounter", 0), noise_stream)
     untouched = RngPolicy(sc.master_seed).stream("noise", 0).random()
     assert noise_stream.random() == untouched
+    assert draws.noise.shape == (draws.met_count,) and not draws.noise.any()
+    assert generate_network(pop, sc, draws).edge_count == sc.edge_budget
+
+
+def test_pair_draws_keep_met_pairs_in_pair_order():
+    sc = Scenario(node_count=12, edge_budget=10, encounter_rate=0.6, master_seed=7)
+    policy = RngPolicy(sc.master_seed)
+    draws = _draws(sc, policy)
+    iu, ju = np.triu_indices(12, 1)
+    met = RngPolicy(7).stream("encounter", 0).random(66) < 0.6
+    noise = RngPolicy(7).stream("noise", 0).normal(0.0, sc.noise_sigma, 66)
+    assert draws.i.dtype == draws.j.dtype == np.int32
+    assert draws.met_count == met.sum() < 66
+    assert draws.i.tolist() == iu[met].tolist() and draws.j.tolist() == ju[met].tolist()
+    assert draws.noise.tobytes() == noise[met].tobytes()
 
 
 def test_edge_strength_formula_and_range():
@@ -298,7 +318,7 @@ def test_edge_strength_formula_and_range():
     pop = Population.homogeneous(ages, P_MINUS)
     sc = Scenario(node_count=10, edge_budget=15, encounter_rate=1.0, noise_sigma=0.0)
     policy = RngPolicy(0)
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, _draws(sc, policy))
     f = pop.features
     for (i, j), g in zip(net.edges, net.gamma):
         t_i, t_j = node_traits(pop, int(i)), node_traits(pop, int(j))
@@ -314,7 +334,10 @@ def test_generate_population_size_mismatch():
     sc = Scenario(node_count=4, edge_budget=3)
     policy = RngPolicy(0)
     with pytest.raises(ValueError):
-        generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+        generate_network(pop, sc, _draws(sc, policy))
+    fitting = Scenario(node_count=3, edge_budget=3)
+    with pytest.raises(ValueError, match="pair draws for 4 nodes"):
+        generate_network(pop, fitting, _draws(sc, policy))
 
 
 def test_ba_target_edge_count_and_mean():
@@ -356,7 +379,7 @@ def test_adjacency_and_degrees_consistent():
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, _draws(sc, policy))
     adj = net.adjacency
     assert (adj == adj.T).all()
     assert not adj.diagonal().any()

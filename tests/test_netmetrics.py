@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from prefnet.features import make_population
-from prefnet.netgen import ba_target, generate_network, NetworkSnapshot
+from prefnet.netgen import ba_target, generate_network, NetworkSnapshot, pair_draws
 from prefnet.netmetrics import (
     analyze,
     clustering_values,
@@ -30,7 +30,8 @@ def _sample_net(seed=0):
     policy = RngPolicy(seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    return generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    return generate_network(pop, sc, draws)
 
 
 def _to_nx(net):
@@ -183,7 +184,8 @@ def test_shortest_path_matrix_on_sparse_h_minus_net():
     policy = RngPolicy(0)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, sc, draws)
     matrix = shortest_path_matrix(net)
     assert np.array_equal(matrix, _nx_path_matrix(net))
     assert matrix[matrix < 300].max() > 15 and (matrix == 300).any()

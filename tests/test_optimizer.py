@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from prefnet import optimizer
 from prefnet.features import make_population
-from prefnet.netgen import ba_target, generate_network
+from prefnet.netgen import ba_target, generate_network, pair_draws
 from prefnet.netmetrics import degree_distribution
 from prefnet.optimizer import (
     evaluate,
     LEVEL_GRID,
     log_to_csv,
     optimize,
+    replicate_draws,
     result_to_json,
     WEIGHT_GRID,
 )
@@ -37,8 +39,8 @@ def test_weight_grid_includes_pure_rule_weights():
 def test_evaluate_deterministic_common_random_numbers():
     target = _small_target()
     pref = Preference(-1, 0.05, 1, 0.08)
-    mean_a, values_a = evaluate(pref, target, SMALL, replicates=3)
-    mean_b, values_b = evaluate(pref, target, SMALL, replicates=3)
+    mean_a, values_a = evaluate(pref, target, SMALL, replicate_draws(SMALL, 3))
+    mean_b, values_b = evaluate(pref, target, SMALL, replicate_draws(SMALL, 3))
     assert values_a == values_b
     assert mean_a == pytest.approx(np.mean(values_a), abs=1e-12)
     assert len(values_a) == 3
@@ -51,16 +53,18 @@ def test_evaluate_zero_against_own_degree_pattern():
     policy = RngPolicy(SMALL.master_seed)
     pop = make_population(SMALL.age_shape, SMALL.node_count, pref,
                           policy.stream("feature-gen"))
-    net = generate_network(pop, SMALL, policy.stream("encounter", 0),
-                           policy.stream("noise", 0))
+    draws = pair_draws(SMALL, policy.stream("encounter", 0), policy.stream("noise", 0))
+    net = generate_network(pop, SMALL, draws)
     target = degree_distribution(net)
-    _, values = evaluate(pref, target, SMALL, replicates=1)
+    _, values = evaluate(pref, target, SMALL, replicate_draws(SMALL, 1))
     assert values[0] == 0.0
 
 
 def test_evaluate_validation():
     with pytest.raises(ValueError):
-        evaluate(Preference(1, 1.0, 1, 0.0), _small_target(), SMALL, replicates=0)
+        evaluate(Preference(1, 1.0, 1, 0.0), _small_target(), SMALL, [])
+    with pytest.raises(ValueError):
+        replicate_draws(SMALL, 0)
 
 
 def test_optimize_budget_validation():
@@ -68,6 +72,31 @@ def test_optimize_budget_validation():
         optimize(SMALL, _small_target(), budget=0)
     with pytest.raises(ValueError):
         optimize(SMALL, _small_target(), budget=10, replicates=0)
+
+
+def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
+    built, grown, evaluations = [], [], []
+
+    def counting(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "pair_draws", counting(optimizer.pair_draws, built))
+    monkeypatch.setattr(optimizer, "generate_network",
+                        counting(optimizer.generate_network, grown))
+    monkeypatch.setattr(optimizer, "evaluate", counting(optimizer.evaluate, evaluations))
+    runtimes = {}
+    result = optimize(SMALL, _small_target(), budget=12, replicates=3, runtimes=runtimes)
+    assert len(built) == 3
+    assert len(evaluations) == result.evaluations == 12
+    assert len(grown) == 12 * 3
+    # every evaluation grows replicate r from the same draws
+    draws = [d for _, _, d in grown]
+    assert all(draws[e * 3 + r] is draws[r] for e in range(12) for r in range(3))
+    assert sorted(runtimes) == ["draws", "search"]
+    assert all(v >= 0 for v in runtimes.values())
 
 
 def test_optimize_budget_one_single_evaluation():
@@ -107,7 +136,7 @@ def test_optimize_dominates_pure_rules():
     result = optimize(SMALL, target, budget=full_grid, replicates=2)
     assert result.evaluations == full_grid
     for pref in RULE_PREFERENCES.values():
-        mean, _ = evaluate(pref, target, SMALL, replicates=2)
+        mean, _ = evaluate(pref, target, SMALL, replicate_draws(SMALL, 2))
         assert result.best.objective <= mean + 1e-12
 
 

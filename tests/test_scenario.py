@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefnet.scenario import (
     AgeShape,
@@ -215,6 +216,48 @@ def test_scenario_hash_stability():
     c = Scenario(master_seed=2)
     assert a.scenario_hash() == b.scenario_hash()
     assert a.scenario_hash() != c.scenario_hash()
+
+
+def test_scenario_hash_computed_once(monkeypatch):
+    sc = Scenario(master_seed=9)
+    digest = sc.scenario_hash()
+    monkeypatch.setattr(Scenario, "canonical", lambda self: pytest.fail("hashed twice"))
+    assert sc.scenario_hash() == digest
+
+
+_RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.one_of(st.integers(1, 5), st.integers(1, 3000)))
+    pairs = n * (n - 1) // 2
+    preference = draw(st.one_of(st.none(), st.builds(
+        Preference, st.sampled_from([-1, 0, 1]), _RATE, st.sampled_from([-1, 0, 1]), _RATE,
+    )))
+    return Scenario(
+        node_count=n,
+        edge_budget=draw(st.one_of(st.sampled_from([0, pairs]), st.integers(0, pairs))),
+        encounter_rate=draw(_RATE),
+        noise_sigma=draw(st.one_of(st.just(0.0), st.floats(0.0, allow_infinity=False))),
+        age_shape=draw(st.sampled_from(list(AgeShape))),
+        rule=draw(st.sampled_from(list(Rule))),
+        preference=preference,
+        transmissibility=draw(_RATE),
+        horizon=draw(st.integers(0, 50)),
+        distance_cap=draw(st.integers(0, 50)),
+        seed_count=draw(st.integers(0, n)),
+        master_seed=draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenarios())
+def test_canonical_text_round_trips(sc):
+    back = parse_scenario(sc.canonical())
+    assert back == sc
+    assert back.canonical() == sc.canonical()
+    assert back.scenario_hash() == sc.scenario_hash()
 
 
 def test_stream_labels():
