@@ -42,17 +42,11 @@ from .netgen import (
     ba_target,
     edge_strength,
     generate_network,
-    homophily_score,
     load_edge_list,
     NetworkSnapshot,
-    node_traits,
     pair_draws,
-    pair_score,
     PairDraws,
-    PairScore,
-    preferential_score,
     save_network,
-    Traits,
 )
 from .netmetrics import (
     analyze,
@@ -77,7 +71,6 @@ from .epidemic import (
     SeedRule,
     select_seeds,
     Susceptibility,
-    transition_probability,
 )
 from .optimizer import (
     Candidate,
@@ -105,7 +98,6 @@ __all__ = [
     "group_counts",
     "hill_number",
     "hill_profile",
-    "homophily_score",
     "infection_by_distance",
     "js_divergence",
     "load_edge_list",
@@ -114,13 +106,10 @@ __all__ = [
     "multi_source_distances",
     "NetworkPatterns",
     "NetworkSnapshot",
-    "node_traits",
     "optimize",
     "OptimizeResult",
     "pair_draws",
-    "pair_score",
     "PairDraws",
-    "PairScore",
     "par",
     "par_by_group",
     "par_exact",
@@ -129,7 +118,6 @@ __all__ = [
     "PH_FITTED",
     "Population",
     "Preference",
-    "preferential_score",
     "preset",
     "PRESET_NAMES",
     "replicate_draws",
@@ -150,6 +138,4 @@ __all__ = [
     "shortest_path_matrix",
     "SummaryStats",
     "Susceptibility",
-    "Traits",
-    "transition_probability",
 ]

@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +203,8 @@ def _parse_axis(text: str | None, codes: dict, label: str) -> list:
         else:
             options = "/".join(list(codes) + list(by_value))
             raise ScenarioError(f"{label}: unknown value {token!r}; expected {options}")
+        if values[-1] in values[:-1]:
+            raise ScenarioError(f"{label}: {values[-1].value} is listed twice")
     return values
 
 
@@ -215,9 +217,11 @@ def _parse_taus(text: str | None) -> list[float]:
         raise ScenarioError(f"taus: expected comma-separated numbers, got {text!r}") from None
     if not taus:
         raise ScenarioError("taus: need at least one value")
-    for tau in taus:
+    for k, tau in enumerate(taus):
         if not 0.0 <= tau <= 1.0:
             raise ScenarioError(f"taus: values must lie in [0, 1], got {tau!r}")
+        if tau in taus[:k]:
+            raise ScenarioError(f"taus: {tau!r} is listed twice")
     return taus
 
 
@@ -416,18 +420,9 @@ def cmd_sweep(args) -> int:
     save_scenario(scenario, out / "scenario.txt")
     distribution_to_csv(target, out / "target_degree_distribution.csv")
     base_fields = {
-        f: getattr(scenario, f)
-        for f in (
-            "node_count",
-            "edge_budget",
-            "encounter_rate",
-            "noise_sigma",
-            "transmissibility",
-            "horizon",
-            "distance_cap",
-            "seed_count",
-            "master_seed",
-        )
+        f.name: getattr(scenario, f.name)
+        for f in fields(Scenario)
+        if f.name not in ("age_shape", "rule", "preference")
     }
     code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
     payloads = []

@@ -106,29 +106,6 @@ class Susceptibility:
         return prob
 
 
-def transition_probability(
-    node: int,
-    susceptibility: Susceptibility,
-    exposures: int,
-    population: Population | None = None,
-    infected: np.ndarray | None = None,
-) -> float:
-    """Probability that a susceptible node converts this step given its
-    count of infected neighbours: 1 - (1 - p1)^exposures, 0 when there are
-    no exposures."""
-    if exposures < 0:
-        raise ValueError(f"exposures must be non-negative, got {exposures}")
-    if exposures == 0:
-        return 0.0
-    if population is not None:
-        evec = np.zeros(population.size, dtype=np.int64)
-        evec[node] = exposures
-        p1 = susceptibility.per_exposure(evec, population, infected)[node]
-    else:
-        p1 = susceptibility.per_exposure(np.array([exposures]), None, infected)[0]
-    return float(1.0 - (1.0 - p1) ** exposures)
-
-
 @dataclass(frozen=True)
 class SeedRule:
     """Scoring rule for initial spreaders.

@@ -7,6 +7,11 @@ shapes; each shape is a fixed 9-group template at the reference size of 90
 nodes, rescaled to other sizes by largest-remainder rounding so the counts
 always sum exactly to the population size.
 
+One connection preference applies to the whole population, so the base
+score of a pair depends only on the two ages. A population therefore
+scores pairs from a 90 x 90 age table (`pair_score_table`), built once
+and shared by every network grown from it.
+
 Diversity of the group histogram is measured with Hill numbers: order q = 0
 counts occupied groups, q = 1 is the exponential of Shannon entropy, and
 larger q weighs dominant groups more heavily.
@@ -17,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,42 +90,49 @@ def sample_ages(counts: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts).astype(np.int64)
 
 
+def pair_score_table(preference: Preference) -> np.ndarray:
+    """Base score of every pair of ages: entry a * 90 + b scores a pair of
+    nodes aged a and b (before the pair's jitter is added).
+
+    With f = age / 90, the score averages a level term,
+    (f_b * A + f_a * A) / 2 + 1 with A = level * level_weight (each side
+    rates the other's feature value), and a difference term,
+    (|f_a - f_b| * B + |f_a - f_b| * B) / 2 + 1 with B = difference *
+    difference_weight (each side rates the gap). Both terms are centred
+    at 1, so a zero weight makes that half indifferent rather than hostile.
+    """
+    # Each side's term is kept apart, as in the per-pair formula, so that
+    # table scores equal per-pair scores bit for bit.
+    f = np.arange(AGE_SPAN) / AGE_SPAN
+    f_a, f_b = f[:, None], f[None, :]
+    a = preference.level * preference.level_weight
+    b = preference.difference * preference.difference_weight
+    level_term = (f_b * a + f_a * a) / 2 + 1.0
+    gap = np.abs(f_a - f_b)
+    diff_term = (gap * b + gap * b) / 2 + 1.0
+    return (0.5 * level_term + 0.5 * diff_term).ravel()
+
+
 @dataclass
 class Population:
-    """Nodes with ages and connection-preference traits.
+    """Nodes with ages, all sharing one connection preference.
 
     ages holds integer years; features is the normalised (n, 1) feature
-    matrix used by the scoring functions. The four trait arrays have the
-    same (n, 1) shape so that heterogeneous populations are possible, even
-    though scenario-driven runs apply one Preference to every node.
+    matrix; score_table is `pair_score_table(preference)`, built on first
+    use and kept for every network grown from this population.
     """
 
     ages: np.ndarray
-    level: np.ndarray
-    level_weight: np.ndarray
-    difference: np.ndarray
-    difference_weight: np.ndarray
+    preference: Preference
 
     def __post_init__(self) -> None:
         self.ages = np.asarray(self.ages, dtype=np.int64)
-        n = self.ages.shape[0]
-        for name in ("level", "level_weight", "difference", "difference_weight"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.shape[0] != n:
-                raise ValueError(f"{name}: expected {n} rows, got {arr.shape[0]}")
-            setattr(self, name, arr)
         if (self.ages < 0).any() or (self.ages >= AGE_SPAN).any():
             raise ValueError(f"ages must lie in [0, {AGE_SPAN})")
 
     @property
     def size(self) -> int:
         return int(self.ages.shape[0])
-
-    @property
-    def feature_count(self) -> int:
-        return int(self.level.shape[1])
 
     @property
     def features(self) -> np.ndarray:
@@ -130,18 +143,9 @@ class Population:
     def groups(self) -> np.ndarray:
         return self.ages // GROUP_WIDTH
 
-    @classmethod
-    def homogeneous(cls, ages: np.ndarray, preference: Preference) -> "Population":
-        """Population where every node carries the same preference."""
-        n = len(ages)
-        ones = np.ones((n, 1))
-        return cls(
-            ages=np.asarray(ages),
-            level=ones * preference.level,
-            level_weight=ones * preference.level_weight,
-            difference=ones * preference.difference,
-            difference_weight=ones * preference.difference_weight,
-        )
+    @cached_property
+    def score_table(self) -> np.ndarray:
+        return pair_score_table(self.preference)
 
 
 def make_population(
@@ -151,8 +155,7 @@ def make_population(
     stream: np.random.Generator,
 ) -> Population:
     """Sample a population of the given shape with one shared preference."""
-    ages = sample_ages(group_counts(shape, node_count), stream)
-    return Population.homogeneous(ages, preference)
+    return Population(sample_ages(group_counts(shape, node_count), stream), preference)
 
 
 def hill_number(counts, q: float) -> float:

@@ -4,17 +4,20 @@ Every unordered pair of nodes gets a score built from two ingredients: a
 level term (does each side like the other's feature value, scaled by its
 level weight) and a difference term (does each side like the feature gap,
 scaled by its difference weight). Both terms are centred at 1 so that a
-node with zeroed weights is indifferent rather than hostile. The pair
+zeroed weight makes a node indifferent rather than hostile. The pair
 total averages the two terms, adds Gaussian jitter, and is gated by a
-Bernoulli encounter: pairs that never meet can never link. The encounters
-and jitter of a network are drawn apart from its scoring (`pair_draws`),
-so a fit can draw them once per replicate and grow every candidate's
-network from the same draws.
+Bernoulli encounter: pairs that never meet can never link. With one
+preference per population the averaged terms depend only on the two
+ages, so they are read from the population's 90 x 90 age table
+(`features.pair_score_table`). The encounters and jitter of a network are
+drawn apart from its scoring (`pair_draws`), so a fit can draw them once
+per replicate and grow every candidate's network from the same draws.
 
 The edge budget selects the top-scoring encountered pairs; ties break
 lexicographically by node ids so runs are exactly reproducible. Each edge
-keeps a strength in (0, 1], an affine rescaling of its score. A classic
-scale-free growth process is included as a comparison target.
+keeps a strength (score + 2) / 4, which lies in (0, 1] for the typical
+score range. A classic scale-free growth process is included as a
+comparison target.
 """
 
 from __future__ import annotations
@@ -25,114 +28,17 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .features import Population
+from .features import AGE_SPAN, Population
 from .scenario import Scenario
 
 
-class Traits(NamedTuple):
-    """One node's preference vectors, each of shape (feature_count,)."""
-
-    level: np.ndarray
-    level_weight: np.ndarray
-    difference: np.ndarray
-    difference_weight: np.ndarray
-
-
-def node_traits(population: Population, v: int) -> Traits:
-    return Traits(
-        population.level[v],
-        population.level_weight[v],
-        population.difference[v],
-        population.difference_weight[v],
-    )
-
-
-def _check_lengths(f_i, f_j, traits_i: Traits, traits_j: Traits) -> int:
-    lengths = {
-        len(np.atleast_1d(f_i)),
-        len(np.atleast_1d(f_j)),
-        *(len(np.atleast_1d(a)) for a in traits_i),
-        *(len(np.atleast_1d(a)) for a in traits_j),
-    }
-    if len(lengths) != 1:
-        raise ValueError(f"feature/trait vectors disagree in length: {sorted(lengths)}")
-    return lengths.pop()
-
-
-def preferential_score(f_i, f_j, traits_i: Traits, traits_j: Traits) -> float:
-    """Level term of a pair: each side rates the other's feature values.
-
-    Equals 1 when both level weights are zero; a node with level +1 adds
-    score for high-valued partners, level -1 for low-valued ones.
-    """
-    f_i = np.atleast_1d(np.asarray(f_i, dtype=np.float64))
-    f_j = np.atleast_1d(np.asarray(f_j, dtype=np.float64))
-    l = _check_lengths(f_i, f_j, traits_i, traits_j)
-    a_i = np.atleast_1d(traits_i.level * traits_i.level_weight)
-    a_j = np.atleast_1d(traits_j.level * traits_j.level_weight)
-    return float((f_j * a_i).sum() / (2 * l) + (f_i * a_j).sum() / (2 * l) + 1.0)
-
-
-def homophily_score(f_i, f_j, traits_i: Traits, traits_j: Traits) -> float:
-    """Difference term of a pair: each side rates the feature gap.
-
-    Equals 1 when both difference weights are zero; difference +1 rewards
-    dissimilar partners, -1 rewards similar ones.
-    """
-    f_i = np.atleast_1d(np.asarray(f_i, dtype=np.float64))
-    f_j = np.atleast_1d(np.asarray(f_j, dtype=np.float64))
-    l = _check_lengths(f_i, f_j, traits_i, traits_j)
-    gap = np.abs(f_i - f_j)
-    b_i = np.atleast_1d(traits_i.difference * traits_i.difference_weight)
-    b_j = np.atleast_1d(traits_j.difference * traits_j.difference_weight)
-    return float((gap * b_i).sum() / (2 * l) + (gap * b_j).sum() / (2 * l) + 1.0)
-
-
-def edge_strength(score: float, feature_count: int = 1):
-    """Affine map from a pair score to an edge strength: 0 maps to 1/2 and
-    the typical score range lands in (0, 1]."""
-    return (score + 2 * feature_count) / (4 * feature_count)
-
-
-@dataclass(frozen=True)
-class PairScore:
-    """Scored pair: component terms, jitter, encounter gate and total."""
-
-    i: int
-    j: int
-    level_term: float
-    difference_term: float
-    noise: float
-    encountered: bool
-    total: float
-
-
-def pair_score(
-    i: int,
-    j: int,
-    population: Population,
-    encounter_stream: np.random.Generator,
-    noise_stream: np.random.Generator,
-    *,
-    encounter_rate: float,
-    noise_sigma: float,
-) -> PairScore:
-    """Score a single pair, consuming one encounter draw and (if the jitter
-    width is positive) one noise draw. total = (mean of the two terms +
-    noise) when the pair encounters, else 0."""
-    if i == j:
-        raise ValueError(f"pair requires distinct nodes, got ({i}, {j})")
-    f = population.features
-    pp = preferential_score(f[i], f[j], node_traits(population, i), node_traits(population, j))
-    ph = homophily_score(f[i], f[j], node_traits(population, i), node_traits(population, j))
-    encountered = bool(encounter_stream.random() < encounter_rate)
-    noise = float(noise_stream.normal(0.0, noise_sigma)) if noise_sigma > 0 else 0.0
-    total = (0.5 * pp + 0.5 * ph + noise) if encountered else 0.0
-    return PairScore(i, j, pp, ph, noise, encountered, total)
+def edge_strength(score):
+    """Affine map from a pair score to an edge strength, (score + 2) / 4:
+    0 maps to 1/2 and the typical score range lands in (0, 1]."""
+    return (score + 2) / 4
 
 
 @dataclass
@@ -245,16 +151,17 @@ def generate_network(
     """Grow a network by scoring the met pairs and keeping the budgeted best.
 
     `draws` (from `pair_draws`) fixes which pairs met and their jitter; a
-    met pair scores the mean of its level and difference terms plus its
-    jitter. The edge budget keeps the k = min(budget, met) highest-scoring
-    met pairs, ranked by (score desc, i asc, j asc). The ranking is a
-    partial top-k: a partition finds the k-th largest score, every pair
-    above it is kept, and the remaining slots go to the pairs tied at it,
-    lowest (i, j) first. Kept pairs stay in pair order, so edge rows come
-    out sorted. If fewer pairs met than the budget asks for, all of them
+    met pair scores its entry in the population's age table (the mean of
+    its level and difference terms, see `features.pair_score_table`) plus
+    its jitter. The edge budget keeps the k = min(budget, met)
+    highest-scoring met pairs, ranked by (score desc, i asc, j asc). The
+    ranking is a partial top-k: a partition finds the k-th largest score,
+    every pair above it is kept, and the remaining slots go to the pairs
+    tied at it, lowest (i, j) first. Kept pairs stay in pair order, so edge
+    rows come out sorted. If fewer pairs met than the budget asks for, all of them
     are linked and a shortfall warning is recorded. Edge strength is
-    (score + 2 l) / (4 l), an order-preserving map into (0, 1] for the
-    typical score range.
+    (score + 2) / 4, an order-preserving map into (0, 1] for the typical
+    score range.
     """
     n = population.size
     if n != scenario.node_count:
@@ -263,17 +170,9 @@ def generate_network(
         )
     if draws.node_count != n:
         raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
-    l = population.feature_count
     i, j = draws.i, draws.j
-
-    f_i = population.features.take(i, axis=0)
-    f_j = population.features.take(j, axis=0)
-    a = population.level * population.level_weight
-    b = population.difference * population.difference_weight
-    level_term = (f_j * a.take(i, axis=0) + f_i * a.take(j, axis=0)).sum(axis=1) / (2 * l) + 1.0
-    gap = np.abs(f_i - f_j)
-    diff_term = (gap * b.take(i, axis=0) + gap * b.take(j, axis=0)).sum(axis=1) / (2 * l) + 1.0
-    score = 0.5 * level_term + 0.5 * diff_term + draws.noise
+    ages = population.ages
+    score = population.score_table.take(ages.take(i) * AGE_SPAN + ages.take(j)) + draws.noise
 
     met = draws.met_count
     shortfall = met < scenario.edge_budget
@@ -301,7 +200,7 @@ def generate_network(
     return NetworkSnapshot(
         node_count=n,
         edges=np.column_stack((i.take(chosen), j.take(chosen))),
-        gamma=edge_strength(score.take(chosen), l),
+        gamma=edge_strength(score.take(chosen)),
         provenance=provenance,
     )
 

@@ -105,7 +105,7 @@ def evaluate(
             RngPolicy(scenario.master_seed).stream("feature-gen"),
         )
     else:
-        population = Population.homogeneous(ages, preference)
+        population = Population(ages, preference)
     values = [
         js_divergence(degree_distribution(generate_network(population, scenario, d)), target)
         for d in draws

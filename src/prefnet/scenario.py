@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 
@@ -54,8 +54,8 @@ class Rule(Enum):
     """Named connection-preference rules.
 
     P+ / P- seek partners with high / low feature values, H+ / H- seek
-    dissimilar / similar partners, and PH mixes weak level and difference
-    preferences with fitted weights.
+    dissimilar / similar partners, and PH mixes level and difference
+    preferences with the fixed per-shape weights of `PH_FITTED`.
     """
 
     P_PLUS = "P+"
@@ -103,9 +103,6 @@ class Preference:
                 f"preference: difference_weight must be in [0, 1], got {self.difference_weight!r}"
             )
 
-    def as_tuple(self) -> tuple[int, float, int, float]:
-        return (self.level, self.level_weight, self.difference, self.difference_weight)
-
 
 # Pure rules: one preference half at full weight, the other switched off.
 RULE_PREFERENCES: dict[Rule, Preference] = {
@@ -115,8 +112,11 @@ RULE_PREFERENCES: dict[Rule, Preference] = {
     Rule.H_MINUS: Preference(1, 0.0, -1, 1.0),
 }
 
-# Fitted mixed-rule weights per age shape (best fit against the scale-free
-# degree target; see the optimizer module for how these are produced).
+# Mixed-rule weights per age shape. These are fixed presets: how they were
+# obtained (target, seed, budget) is not recorded, and they are not the best
+# fit against the default scale-free degree target, where each loses to a
+# pure rule of its shape (mean JS over 5 replicates against ba:90,20, seed 0:
+# Uniform 0.228 against 0.209 for H+). The optimizer module fits weights.
 PH_FITTED: dict[AgeShape, Preference] = {
     AgeShape.UNIFORM: Preference(-1, 0.05, 1, 0.08),
     AgeShape.BELL: Preference(-1, 0.03, 1, 0.06),
@@ -210,7 +210,7 @@ class Scenario:
 
     def resolved_preference(self) -> Preference:
         """The preference actually applied: the explicit override if set,
-        else the rule's canonical parameters (PH is fitted per age shape)."""
+        else the rule's canonical parameters (PH uses its per-shape preset)."""
         if self.preference is not None:
             return self.preference
         if self.rule is Rule.PH:
@@ -255,32 +255,6 @@ class Scenario:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
-_SCENARIO_FIELDS = (
-    "node_count",
-    "edge_budget",
-    "encounter_rate",
-    "noise_sigma",
-    "age_shape",
-    "rule",
-    "preference",
-    "transmissibility",
-    "horizon",
-    "distance_cap",
-    "seed_count",
-    "master_seed",
-)
-
-_INT_FIELDS = {
-    "node_count",
-    "edge_budget",
-    "horizon",
-    "distance_cap",
-    "seed_count",
-    "master_seed",
-}
-_FLOAT_FIELDS = {"encounter_rate", "noise_sigma", "transmissibility"}
-
-
 def _parse_int(key: str, text: str) -> int:
     try:
         return int(text)
@@ -311,6 +285,25 @@ def parse_preference(text: str) -> Preference:
     return Preference(level, level_weight, difference, difference_weight)
 
 
+def _parse_enum(enum, key: str, text: str):
+    try:
+        return enum(text)
+    except ValueError:
+        names = ", ".join(member.value for member in enum)
+        raise ScenarioParseError(f"{key}: expected one of {names}, got {text!r}") from None
+
+
+# Value parser of each scenario field, keyed by the field's annotation.
+_PARSERS_BY_TYPE = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "AgeShape": lambda key, text: _parse_enum(AgeShape, key, text),
+    "Rule": lambda key, text: _parse_enum(Rule, key, text),
+    "Preference | None": lambda key, text: parse_preference(text),
+}
+_FIELD_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(Scenario)}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text. Unknown keys, duplicates and malformed lines
     raise ScenarioParseError naming the offending field; range violations
@@ -324,33 +317,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _SCENARIO_FIELDS:
+        if key not in _FIELD_PARSERS:
             raise ScenarioParseError(f"{key}: unknown scenario field (line {lineno})")
         if key in values:
             raise ScenarioParseError(f"{key}: duplicate field (line {lineno})")
-        if key in _INT_FIELDS:
-            values[key] = _parse_int(key, value)
-        elif key in _FLOAT_FIELDS:
-            values[key] = _parse_float(key, value)
-        elif key == "age_shape":
-            try:
-                values[key] = AgeShape(value)
-            except ValueError:
-                names = ", ".join(s.value for s in AgeShape)
-                raise ScenarioParseError(
-                    f"age_shape: expected one of {names}, got {value!r}"
-                ) from None
-        elif key == "rule":
-            try:
-                values[key] = Rule(value)
-            except ValueError:
-                names = ", ".join(r.value for r in Rule)
-                raise ScenarioParseError(
-                    f"rule: expected one of {names}, got {value!r}"
-                ) from None
-        elif key == "preference":
-            values[key] = parse_preference(value)
+        values[key] = _FIELD_PARSERS[key](key, value.strip())
     return Scenario(**values)
 
 
@@ -365,35 +336,19 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def apply_overrides(scenario: Scenario, assignments: list[str]) -> Scenario:
-    """Apply 'key=value' override strings (as used by the command line)."""
-    if not assignments:
-        return scenario
-    text_fields = {f: None for f in _SCENARIO_FIELDS}
+    """Apply 'key=value' override strings (as used by the command line) to
+    `scenario`. Each value is parsed as its field's type, the last value of
+    a repeated key wins, and the merged scenario is validated once."""
+    changes: dict[str, object] = {}
     for item in assignments:
         if "=" not in item:
             raise ScenarioParseError(f"override {item!r}: expected key=value")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in text_fields:
+        if key not in _FIELD_PARSERS:
             raise ScenarioParseError(f"{key}: unknown scenario field")
-        text_fields[key] = value.strip()
-    lines = []
-    for key in _SCENARIO_FIELDS:
-        if text_fields[key] is not None:
-            lines.append(f"{key} = {text_fields[key]}")
-    patch = parse_scenario_fragment("\n".join(lines))
-    return scenario.with_overrides(**patch)
-
-
-def parse_scenario_fragment(text: str) -> dict:
-    """Parse a partial scenario (subset of keys) into a field dict."""
-    probe = parse_scenario(text)  # reuses full parsing and field checks
-    present = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line and "=" in line:
-            present.add(line.partition("=")[0].strip())
-    return {f: getattr(probe, f) for f in _SCENARIO_FIELDS if f in present}
+        changes[key] = _FIELD_PARSERS[key](key, value.strip())
+    return replace(scenario, **changes)
 
 
 SHAPE_CODES = {
@@ -414,8 +369,8 @@ def preset(name: str, master_seed: int = 0) -> Scenario:
     """Build one of the 25 named scenarios, '<shape>_<rule>' with shape in
     U, B, I, L, R and rule in P+, P-, H+, H-, PH. Example: 'U_PH'.
 
-    Mixed-rule presets carry their fitted preference explicitly so that the
-    saved file is self-describing."""
+    Mixed-rule presets carry their per-shape preference explicitly so
+    that the saved file is self-describing."""
     shape_code, _, rule_code = name.partition("_")
     if shape_code not in SHAPE_CODES or rule_code not in RULE_CODES:
         raise ScenarioParseError(

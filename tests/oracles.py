@@ -1,0 +1,126 @@
+"""Scalar reference formulas that the tests compare the package against.
+
+Each function scores or decides one pair or one node at a time, straight
+from the model's definitions; the package computes the same quantities in
+bulk (the age table in `features.pair_score_table`, the vectorised SI
+step in `epidemic.run_si`).
+"""
+
+from types import SimpleNamespace
+from typing import NamedTuple
+
+import numpy as np
+
+from prefnet.epidemic import Susceptibility
+from prefnet.features import Population
+
+
+class Traits(NamedTuple):
+    """One node's preference vectors, each of shape (feature_count,)."""
+
+    level: np.ndarray
+    level_weight: np.ndarray
+    difference: np.ndarray
+    difference_weight: np.ndarray
+
+
+def node_traits(population: Population, v: int) -> Traits:
+    """Traits of node v: the population's one preference, as length-1 vectors."""
+    p = population.preference
+    return Traits(
+        np.array([p.level], dtype=float),
+        np.array([p.level_weight], dtype=float),
+        np.array([p.difference], dtype=float),
+        np.array([p.difference_weight], dtype=float),
+    )
+
+
+def _check_lengths(f_i, f_j, traits_i: Traits, traits_j: Traits) -> int:
+    lengths = {
+        len(np.atleast_1d(f_i)),
+        len(np.atleast_1d(f_j)),
+        *(len(np.atleast_1d(a)) for a in traits_i),
+        *(len(np.atleast_1d(a)) for a in traits_j),
+    }
+    if len(lengths) != 1:
+        raise ValueError(f"feature/trait vectors disagree in length: {sorted(lengths)}")
+    return lengths.pop()
+
+
+def preferential_score(f_i, f_j, traits_i: Traits, traits_j: Traits) -> float:
+    """Level term of a pair: each side rates the other's feature values.
+
+    Equals 1 when both level weights are zero; a node with level +1 adds
+    score for high-valued partners, level -1 for low-valued ones.
+    """
+    f_i = np.atleast_1d(np.asarray(f_i, dtype=np.float64))
+    f_j = np.atleast_1d(np.asarray(f_j, dtype=np.float64))
+    l = _check_lengths(f_i, f_j, traits_i, traits_j)
+    a_i = np.atleast_1d(traits_i.level * traits_i.level_weight)
+    a_j = np.atleast_1d(traits_j.level * traits_j.level_weight)
+    return float((f_j * a_i).sum() / (2 * l) + (f_i * a_j).sum() / (2 * l) + 1.0)
+
+
+def homophily_score(f_i, f_j, traits_i: Traits, traits_j: Traits) -> float:
+    """Difference term of a pair: each side rates the feature gap.
+
+    Equals 1 when both difference weights are zero; difference +1 rewards
+    dissimilar partners, -1 rewards similar ones.
+    """
+    f_i = np.atleast_1d(np.asarray(f_i, dtype=np.float64))
+    f_j = np.atleast_1d(np.asarray(f_j, dtype=np.float64))
+    l = _check_lengths(f_i, f_j, traits_i, traits_j)
+    gap = np.abs(f_i - f_j)
+    b_i = np.atleast_1d(traits_i.difference * traits_i.difference_weight)
+    b_j = np.atleast_1d(traits_j.difference * traits_j.difference_weight)
+    return float((gap * b_i).sum() / (2 * l) + (gap * b_j).sum() / (2 * l) + 1.0)
+
+
+def pair_score(
+    i: int,
+    j: int,
+    population: Population,
+    encounter_stream: np.random.Generator,
+    noise_stream: np.random.Generator,
+    *,
+    encounter_rate: float,
+    noise_sigma: float,
+) -> SimpleNamespace:
+    """Score a single pair, consuming one encounter draw and (if the jitter
+    width is positive) one noise draw. total = (mean of the two terms +
+    noise) when the pair encounters, else 0."""
+    if i == j:
+        raise ValueError(f"pair requires distinct nodes, got ({i}, {j})")
+    f = population.features
+    pp = preferential_score(f[i], f[j], node_traits(population, i), node_traits(population, j))
+    ph = homophily_score(f[i], f[j], node_traits(population, i), node_traits(population, j))
+    encountered = bool(encounter_stream.random() < encounter_rate)
+    noise = float(noise_stream.normal(0.0, noise_sigma)) if noise_sigma > 0 else 0.0
+    total = (0.5 * pp + 0.5 * ph + noise) if encountered else 0.0
+    return SimpleNamespace(
+        i=i, j=j, level_term=pp, difference_term=ph, noise=noise,
+        encountered=encountered, total=total,
+    )
+
+
+def transition_probability(
+    node: int,
+    susceptibility: Susceptibility,
+    exposures: int,
+    population: Population | None = None,
+    infected: np.ndarray | None = None,
+) -> float:
+    """Probability that a susceptible node converts this step given its
+    count of infected neighbours: 1 - (1 - p1)^exposures, 0 when there are
+    no exposures."""
+    if exposures < 0:
+        raise ValueError(f"exposures must be non-negative, got {exposures}")
+    if exposures == 0:
+        return 0.0
+    if population is not None:
+        evec = np.zeros(population.size, dtype=np.int64)
+        evec[node] = exposures
+        p1 = susceptibility.per_exposure(evec, population, infected)[node]
+    else:
+        p1 = susceptibility.per_exposure(np.array([exposures]), None, infected)[0]
+    return float(1.0 - (1.0 - p1) ** exposures)

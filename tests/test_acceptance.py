@@ -20,18 +20,14 @@ from prefnet.epidemic import (
     run_si,
     seed_scores,
     select_seeds,
-    transition_probability,
 )
 from prefnet.features import Population, SHAPE_TEMPLATES, hill_number, make_population
 from prefnet.netgen import (
     NetworkSnapshot,
-    Traits,
     ba_target,
     edge_strength,
     generate_network,
-    homophily_score,
     pair_draws,
-    preferential_score,
 )
 from prefnet.netmetrics import clustering_values, degree_distribution, js_divergence
 from prefnet.optimizer import evaluate, optimize, replicate_draws
@@ -43,6 +39,8 @@ from prefnet.scenario import (
     Rule,
     Scenario,
 )
+
+from oracles import Traits, homophily_score, preferential_score, transition_probability
 
 TAU_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 SHAPES = tuple(AgeShape)
@@ -308,12 +306,12 @@ def test_criterion_10_formula_anchors():
         _, pop, net = _build(AgeShape.UNIFORM, Rule.PH, 0,
                              encounter_rate=1.0, noise_sigma=0.0)
         f = pop.features[:, 0]
-        a = (pop.level * pop.level_weight)[:, 0]
-        b = (pop.difference * pop.difference_weight)[:, 0]
+        a = pop.preference.level * pop.preference.level_weight
+        b = pop.preference.difference * pop.preference.difference_weight
         i, j = net.edges[:, 0], net.edges[:, 1]
-        level = (f[j] * a[i] + f[i] * a[j]) / 2 + 1
+        level = (f[j] * a + f[i] * a) / 2 + 1
         gap = np.abs(f[i] - f[j])
-        diff = (gap * b[i] + gap * b[j]) / 2 + 1
+        diff = (gap * b + gap * b) / 2 + 1
         total = 0.5 * level + 0.5 * diff
         assert np.max(np.abs(net.gamma - edge_strength(total))) < tol
 
@@ -343,7 +341,7 @@ def test_criterion_10_formula_anchors():
         path = NetworkSnapshot(7, np.array([(k, k + 1) for k in range(6)]),
                                np.ones(6))
         ages7 = np.array([80, 10, 20, 30, 40, 50, 60])
-        pop7 = Population.homogeneous(ages7, Preference(1, 0.0, 1, 0.0))
+        pop7 = Population(ages7, Preference(1, 0.0, 1, 0.0))
         sc7 = Scenario(node_count=7, edge_budget=6, transmissibility=1.0)
         end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0))
         trace7 = run_si(path, pop7, sc7, RngPolicy(0).counter_stream("infection", 0),

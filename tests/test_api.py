@@ -1,0 +1,28 @@
+"""The package's public names."""
+
+import prefnet
+from prefnet import epidemic, netgen
+
+# Scalar test oracles that now live in tests/oracles.py, and names deleted
+# with the per-node trait arrays; none of them is part of the package.
+REMOVED = (
+    "Traits",
+    "node_traits",
+    "_check_lengths",
+    "preferential_score",
+    "homophily_score",
+    "pair_score",
+    "PairScore",
+    "transition_probability",
+)
+
+
+def test_public_names():
+    assert [name for name in prefnet.__all__ if not hasattr(prefnet, name)] == []
+    assert len(set(prefnet.__all__)) == len(prefnet.__all__)
+    for name in REMOVED:
+        assert name not in prefnet.__all__
+        assert not any(hasattr(module, name) for module in (prefnet, netgen, epidemic))
+    namespace = {}
+    exec("from prefnet import *", namespace)
+    assert set(prefnet.__all__) <= set(namespace)

@@ -228,10 +228,16 @@ def test_metric_kernels_run_once_per_network(tmp_path, monkeypatch):
         assert len({id(net) for net in seen}) == 3
 
 
-def test_sweep_bad_axis_values(tmp_path):
+def test_sweep_bad_axis_values(tmp_path, capsys):
     assert main(["sweep", "--shapes", "Q", "--out", str(tmp_path)]) == 1
     assert main(["sweep", "--taus", "0.2,nope", "--out", str(tmp_path)]) == 1
     assert main(["sweep", "--taus", "1.5", "--out", str(tmp_path)]) == 1
+    # a repeated value would run the same cell twice into one directory
+    for axis, values in [("shapes", "U,U"), ("shapes", "U,Uniform"),
+                         ("rules", "H-,H-"), ("taus", "0.2,0.20")]:
+        capsys.readouterr()
+        assert main(["sweep", f"--{axis}", values, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {axis}: ")
 
 
 def test_optimize_artifacts(tmp_path):

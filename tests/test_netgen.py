@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefnet.features import make_population, Population
+from prefnet.features import AGE_SPAN, make_population, pair_score_table, Population
 from prefnet.netgen import (
     ba_target,
     edge_strength,
     generate_network,
-    homophily_score,
     load_edge_list,
     NetworkSnapshot,
-    node_traits,
     pair_draws,
-    pair_score,
-    preferential_score,
     save_network,
-    Traits,
 )
 from prefnet.scenario import AgeShape, Preference, RngPolicy, Scenario
+
+from oracles import homophily_score, node_traits, pair_score, preferential_score, Traits
 
 P_PLUS = Preference(1, 1.0, 1, 0.0)
 P_MINUS = Preference(-1, 1.0, 1, 0.0)
@@ -75,9 +72,28 @@ def test_mixed_sides_average():
     assert preferential_score([0.2], [0.8], up, off) == pytest.approx(1.4, abs=1e-12)
 
 
+_WEIGHT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.builds(Preference, st.sampled_from([-1, 0, 1]), _WEIGHT,
+                 st.sampled_from([-1, 0, 1]), _WEIGHT))
+def test_score_table_matches_scalar_oracles(preference):
+    pop = Population(np.arange(AGE_SPAN), preference)
+    table = pair_score_table(preference)
+    assert table.shape == (AGE_SPAN * AGE_SPAN,)
+    assert pop.score_table.tobytes() == table.tobytes()
+    f, t = pop.features, node_traits(pop, 0)
+    for a in range(AGE_SPAN):
+        for b in range(AGE_SPAN):
+            expected = (0.5 * preferential_score(f[a], f[b], t, t)
+                        + 0.5 * homophily_score(f[a], f[b], t, t))
+            assert abs(table[a * AGE_SPAN + b] - expected) <= 1e-12
+
+
 def test_pair_score_components_and_gate():
     ages = np.array([18, 72, 45, 9])
-    pop = Population.homogeneous(ages, P_PLUS)
+    pop = Population(ages, P_PLUS)
     always = Scenario(node_count=4, edge_budget=6, encounter_rate=1.0, noise_sigma=0.0)
     policy = RngPolicy(3)
     ps = pair_score(
@@ -103,7 +119,7 @@ def test_pair_score_components_and_gate():
 
 def test_pair_score_noise_moves_total_not_terms():
     ages = np.array([18, 72])
-    pop = Population.homogeneous(ages, P_PLUS)
+    pop = Population(ages, P_PLUS)
     policy = RngPolicy(11)
     quiet = pair_score(
         0, 1, pop, policy.stream("encounter", 0), policy.stream("noise", 0),
@@ -120,7 +136,7 @@ def test_pair_score_noise_moves_total_not_terms():
 
 
 def test_pair_score_rejects_self_pair():
-    pop = Population.homogeneous(np.array([10, 20]), P_PLUS)
+    pop = Population(np.array([10, 20]), P_PLUS)
     policy = RngPolicy(0)
     with pytest.raises(ValueError):
         pair_score(1, 1, pop, policy.stream("encounter", 0), policy.stream("noise", 0),
@@ -141,7 +157,7 @@ def test_generate_full_encounter_exact_budget():
 def test_generate_matches_enumeration_oracle_for_p_plus():
     # deliberate age duplicates exercise the lexicographic tie-break
     ages = np.array([0, 9, 9, 18, 27, 36, 45, 54, 72, 81])
-    pop = Population.homogeneous(ages, P_PLUS)
+    pop = Population(ages, P_PLUS)
     sc = Scenario(node_count=10, edge_budget=20, encounter_rate=1.0, noise_sigma=0.0)
     policy = RngPolicy(0)
     net = generate_network(pop, sc, _draws(sc, policy))
@@ -156,7 +172,7 @@ def test_generate_matches_enumeration_oracle_for_p_plus():
 
 def test_h_minus_score_strictly_decreasing_in_gap():
     ages = np.array([0, 11, 23, 34, 47, 55, 68, 79, 89, 3])
-    pop = Population.homogeneous(ages, H_MINUS)
+    pop = Population(ages, H_MINUS)
     f = pop.features
     pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     scores, gaps = {}, {}
@@ -176,14 +192,14 @@ def test_h_minus_score_strictly_decreasing_in_gap():
 def _reference_network(population, scenario, encounter_stream, noise_stream):
     """Edges and gamma ranked by a full lexsort of every met pair on
     (score desc, i asc, j asc), then re-sorted by (i, j)."""
-    n, l = population.size, population.feature_count
+    n, p = population.size, population.preference
     iu, ju = np.triu_indices(n, 1)
-    f = population.features
-    a = population.level * population.level_weight
-    b = population.difference * population.difference_weight
-    level_term = (f[ju] * a[iu] + f[iu] * a[ju]).sum(axis=1) / (2 * l) + 1.0
+    f = population.features[:, 0]
+    a = p.level * p.level_weight
+    b = p.difference * p.difference_weight
+    level_term = (f[ju] * a + f[iu] * a) / 2 + 1.0
     gap = np.abs(f[iu] - f[ju])
-    diff_term = (gap * b[iu] + gap * b[ju]).sum(axis=1) / (2 * l) + 1.0
+    diff_term = (gap * b + gap * b) / 2 + 1.0
     encountered = encounter_stream.random(iu.shape[0]) < scenario.encounter_rate
     if scenario.noise_sigma > 0:
         noise = noise_stream.normal(0.0, scenario.noise_sigma, iu.shape[0])
@@ -195,7 +211,7 @@ def _reference_network(population, scenario, encounter_stream, noise_stream):
     chosen = met[order[: scenario.edge_budget]]
     edges = np.column_stack((iu[chosen], ju[chosen]))
     rows = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[rows], edge_strength(score[chosen], l)[rows], met.shape[0]
+    return edges[rows], edge_strength(score[chosen])[rows], met.shape[0]
 
 
 @st.composite
@@ -237,28 +253,6 @@ def test_generate_matches_full_lexsort_reference(sc):
     assert (net.edges[:, 0] < net.edges[:, 1]).all()
     keys = net.edges[:, 0] * sc.node_count + net.edges[:, 1]
     assert (np.diff(keys) > 0).all()
-
-
-@pytest.mark.parametrize("columns", [1, 2, 3])
-def test_generate_matches_reference_for_per_node_traits(columns):
-    rng = np.random.default_rng(columns)
-    n = 25
-    signs, weights = [-1.0, 0.0, 1.0], [0.0, 0.5, 1.0]
-    pop = Population(
-        ages=rng.integers(0, 90, n),
-        level=rng.choice(signs, (n, columns)),
-        level_weight=rng.choice(weights, (n, columns)),
-        difference=rng.choice(signs, (n, columns)),
-        difference_weight=rng.choice(weights, (n, columns)),
-    )
-    sc = Scenario(node_count=n, edge_budget=150, encounter_rate=0.8, noise_sigma=0.0)
-    policy = RngPolicy(columns)
-    net = generate_network(pop, sc, _draws(sc, policy))
-    edges, gamma, _ = _reference_network(
-        pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
-    )
-    assert np.array_equal(net.edges, edges)
-    assert net.gamma.tobytes() == gamma.tobytes()
 
 
 def test_generate_deterministic_and_replicate_sensitive():
@@ -315,7 +309,7 @@ def test_pair_draws_keep_met_pairs_in_pair_order():
 
 def test_edge_strength_formula_and_range():
     ages = np.array([0, 9, 9, 18, 27, 36, 45, 54, 72, 81])
-    pop = Population.homogeneous(ages, P_MINUS)
+    pop = Population(ages, P_MINUS)
     sc = Scenario(node_count=10, edge_budget=15, encounter_rate=1.0, noise_sigma=0.0)
     policy = RngPolicy(0)
     net = generate_network(pop, sc, _draws(sc, policy))
@@ -330,7 +324,7 @@ def test_edge_strength_formula_and_range():
 
 
 def test_generate_population_size_mismatch():
-    pop = Population.homogeneous(np.array([10, 20, 30]), P_PLUS)
+    pop = Population(np.array([10, 20, 30]), P_PLUS)
     sc = Scenario(node_count=4, edge_budget=3)
     policy = RngPolicy(0)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from prefnet import optimizer
+from prefnet import features, optimizer
 from prefnet.features import make_population
 from prefnet.netgen import ba_target, generate_network, pair_draws
 from prefnet.netmetrics import degree_distribution
@@ -97,6 +97,20 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     assert all(draws[e * 3 + r] is draws[r] for e in range(12) for r in range(3))
     assert sorted(runtimes) == ["draws", "search"]
     assert all(v >= 0 for v in runtimes.values())
+
+
+@pytest.mark.parametrize("pass_ages", [False, True])
+def test_evaluate_builds_score_table_once(monkeypatch, pass_ages):
+    built = []
+    build = features.pair_score_table
+    monkeypatch.setattr(features, "pair_score_table", lambda p: built.append(p) or build(p))
+    pref = Preference(-1, 0.05, 1, 0.08)
+    ages = make_population(SMALL.age_shape, SMALL.node_count, pref,
+                           RngPolicy(SMALL.master_seed).stream("feature-gen")).ages
+    _, values = evaluate(pref, _small_target(), SMALL, replicate_draws(SMALL, 4),
+                         ages=ages if pass_ages else None)
+    assert len(values) == 4
+    assert built == [pref]
 
 
 def test_optimize_budget_one_single_evaluation():

@@ -208,6 +208,14 @@ def test_apply_overrides():
         apply_overrides(Scenario(), ["not_a_field=1"])
     with pytest.raises(ScenarioParseError):
         apply_overrides(Scenario(), ["missing_equals"])
+    # overrides apply to the given scenario, which is validated once merged
+    small = Scenario(node_count=10, edge_budget=20)
+    assert apply_overrides(small, ["node_count=12"]) == Scenario(node_count=12, edge_budget=20)
+    # a value is the whole text after '=': no comments, no second field
+    with pytest.raises(ScenarioParseError, match="master_seed"):
+        apply_overrides(Scenario(), ["master_seed=3#x"])
+    with pytest.raises(ScenarioParseError, match="node_count"):
+        apply_overrides(small, ["node_count=12\nedge_budget=3"])
 
 
 def test_scenario_hash_stability():
