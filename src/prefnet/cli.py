@@ -211,12 +211,13 @@ def _parse_axis(text: str | None, codes: dict, label: str) -> list:
 def _parse_taus(text: str | None) -> list[float]:
     if text is None:
         return list(DEFAULT_TAUS)
+    tokens = [tok.strip() for tok in text.split(",")]
+    if "" in tokens:
+        raise ScenarioError(f"taus: empty value in {text!r}")
     try:
-        taus = [float(tok) for tok in text.split(",") if tok.strip()]
+        taus = [float(tok) for tok in tokens]
     except ValueError:
         raise ScenarioError(f"taus: expected comma-separated numbers, got {text!r}") from None
-    if not taus:
-        raise ScenarioError("taus: need at least one value")
     for k, tau in enumerate(taus):
         if not 0.0 <= tau <= 1.0:
             raise ScenarioError(f"taus: values must lie in [0, 1], got {tau!r}")
@@ -367,9 +368,7 @@ def cmd_epidemic(args) -> int:
 def _run_sweep_cell(payload: dict) -> dict:
     """One (shape, rule) cell; runs in a worker process under --jobs > 1."""
     scenario = Scenario(**payload["base"]).with_overrides(
-        age_shape=AgeShape(payload["shape"]),
-        rule=Rule(payload["rule"]),
-        preference=None,
+        age_shape=AgeShape(payload["shape"]), rule=Rule(payload["rule"])
     )
     cell_dir = Path(payload["cell_dir"])
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -410,6 +409,12 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError(f"jobs: must be at least 1, got {args.jobs}")
     scenario = _resolve_scenario(args)
+    if scenario.preference is not None:
+        raise ScenarioError(
+            "preference: sweep cells take their preference from --rules (PH uses "
+            "its per-shape preset); drop the preference override from --set or "
+            "the scenario file"
+        )
     out = _resolve_out(args)
     shapes = _parse_axis(args.shapes, SHAPE_CODES, "shapes")
     rules = _parse_axis(args.rules, RULE_CODES, "rules")
@@ -422,7 +427,7 @@ def cmd_sweep(args) -> int:
     base_fields = {
         f.name: getattr(scenario, f.name)
         for f in fields(Scenario)
-        if f.name not in ("age_shape", "rule", "preference")
+        if f.name not in ("age_shape", "rule")
     }
     code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
     payloads = []
@@ -564,8 +569,14 @@ def cmd_report(args) -> int:
     manifest_path = run_dir / "manifest.json"
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    report: dict = {"command": manifest["command"], "version": manifest["version"]}
+    runtimes = manifest.get("runtimes", {})
+    report: dict = {
+        "command": manifest["command"],
+        "version": manifest["version"],
+        "runtimes": runtimes,
+    }
     lines = [f"report: {manifest['command']} run at {run_dir}"]
+    lines += [f"  runtime {stage} {seconds:.3f} s" for stage, seconds in runtimes.items()]
     if (run_dir / "aggregate.json").is_file():
         with open(run_dir / "aggregate.json", "r", encoding="utf-8") as fh:
             aggregate = json.load(fh)

@@ -152,20 +152,22 @@ def select_seeds(net: NetworkSnapshot, population: Population, rule: SeedRule) -
 
 def multi_source_distances(net: NetworkSnapshot, sources: np.ndarray) -> np.ndarray:
     """Hop distance from the nearest source; unreachable nodes (and every
-    node when there are no sources) get the sentinel value node_count."""
+    node when there are no sources) get the sentinel value node_count.
+    Breadth-first, one level at a time over the CSR neighbour lists."""
     n = net.node_count
     dist = np.full(n, n, dtype=np.int64)
     frontier = np.zeros(n, dtype=bool)
     frontier[np.asarray(sources, dtype=np.int64)] = True
     dist[frontier] = 0
-    adj = net.adjacency
+    nbr, deg = net.neighbours, net.degrees
     d = 0
     while frontier.any():
         d += 1
-        reached = adj[frontier].any(axis=0)
-        new = reached & (dist == n)
-        dist[new] = d
-        frontier = new
+        reached = nbr[np.repeat(frontier, deg)]
+        frontier = np.zeros(n, dtype=bool)
+        frontier[reached] = True
+        frontier &= dist == n
+        dist[frontier] = d
     return dist
 
 
@@ -220,7 +222,8 @@ def run_si(
     At each step t, every susceptible node v with E > 0 infected
     neighbours and seed distance within the cap converts when its uniform
     draw (addressed by (t, v) in the infection stream) falls below
-    1 - (1 - p1)^E. Susceptibility defaults to the scenario's plain
+    1 - (1 - p1)^E. E is counted with one bincount over the infected
+    nodes' neighbour lists. Susceptibility defaults to the scenario's plain
     transmissibility, seeding to the scenario's count of highest-degree
     nodes.
     """
@@ -234,14 +237,14 @@ def run_si(
 
     seeds = select_seeds(net, population, seed_rule)
     distances = multi_source_distances(net, seeds)
-    adj_int = net.adjacency.astype(np.int64)
+    nbr, deg = net.neighbours, net.degrees
     reachable = distances <= scenario.distance_cap
 
     status = np.zeros((scenario.horizon + 1, n), dtype=bool)
     status[0, seeds] = True
     for t in range(1, scenario.horizon + 1):
         prev = status[t - 1]
-        exposures = adj_int @ prev
+        exposures = np.bincount(nbr[np.repeat(prev, deg)], minlength=n)
         p1 = susceptibility.per_exposure(exposures, population, prev)
         prob = 1.0 - (1.0 - p1) ** exposures
         eligible = (~prev) & (exposures > 0) & reachable

@@ -34,6 +34,12 @@ import numpy as np
 from .features import AGE_SPAN, Population
 from .scenario import Scenario
 
+# Pairs drawn per block by `pair_draws` and rows formatted per block by
+# `save_network`: the temporaries of either loop stay this size whatever
+# the network's size.
+_DRAW_BLOCK = 1 << 16
+_WRITE_BLOCK = 1 << 12
+
 
 def edge_strength(score):
     """Affine map from a pair score to an edge strength, (score + 2) / 4:
@@ -77,18 +83,24 @@ class NetworkSnapshot:
         return int(self.edges.shape[0])
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency matrix."""
-        adj = np.zeros((self.node_count, self.node_count), dtype=bool)
-        if self.edges.size:
-            adj[self.edges[:, 0], self.edges[:, 1]] = True
-            adj[self.edges[:, 1], self.edges[:, 0]] = True
-        return adj
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.edges.ravel(), minlength=self.node_count)
         return deg.astype(np.int64, copy=False)
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """Neighbour ids (int32) grouped by node, in CSR order: node v's
+        `degrees[v]` neighbours follow those of every node below v, in
+        ascending order."""
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        # Sort the directed pairs by the key source * n + target, then keep
+        # the targets.
+        keys = np.concatenate((i, j))
+        keys *= self.node_count
+        keys += np.concatenate((j, i))
+        keys.sort()
+        keys %= self.node_count
+        return keys.astype(np.int32)
 
 
 def _sorted_edge_order(edges: np.ndarray) -> np.ndarray:
@@ -124,22 +136,40 @@ def pair_draws(
     """Draw the encounters and jitter of one network.
 
     Unordered pairs are enumerated lexicographically; the encounter stream
-    supplies one uniform per pair in that order, then the noise stream
-    supplies one Gaussian per pair (skipped entirely when the jitter width
-    is zero). Only the met pairs are kept.
+    supplies one uniform per pair in that order, and the noise stream one
+    Gaussian per pair (none at all when the jitter width is zero). Only the
+    met pairs are kept. Pairs go a block of rows at a time, each block's
+    draws continuing each stream where the last block left it, so the
+    draws equal one draw over all pairs. A first pass keeps one bit per
+    pair for the encounters; the second fills the met-pair arrays, sized
+    from the first.
     """
     n = scenario.node_count
-    encountered = encounter_stream.random(n * (n - 1) // 2) < scenario.encounter_rate
-    if scenario.noise_sigma > 0:
-        noise = noise_stream.normal(0.0, scenario.noise_sigma, encountered.shape[0])[encountered]
-    else:
-        noise = np.zeros(np.count_nonzero(encountered))
-    # A boolean mask fills the upper triangle in row-major order, which is
-    # pair order, and nonzero() reads the met pairs back in the same order.
-    met = np.zeros((n, n), dtype=bool)
-    met[np.triu(np.ones((n, n), dtype=bool), 1)] = encountered
-    i, j = np.nonzero(met)
-    return PairDraws(n, i.astype(np.int32), j.astype(np.int32), noise)
+    sigma = scenario.noise_sigma
+    cols = np.arange(n, dtype=np.int32)
+    rows_per_block = max(1, _DRAW_BLOCK // n)
+    blocks = [cols[r0 : r0 + rows_per_block] for r0 in range(0, n, rows_per_block)]
+    met_bits = []
+    for rows in blocks:
+        pairs = int((n - 1 - rows).sum())
+        met_bits.append(np.packbits(encounter_stream.random(pairs) < scenario.encounter_rate))
+    met_count = sum(int(np.bitwise_count(bits).sum()) for bits in met_bits)
+    i = np.empty(met_count, dtype=np.int32)
+    j = np.empty(met_count, dtype=np.int32)
+    noise = np.zeros(met_count)
+    at = 0
+    for rows, bits in zip(blocks, met_bits):
+        # nonzero() reads the block's part of the upper triangle row-major,
+        # which is pair order.
+        bi, bj = np.nonzero(cols > rows[:, None])
+        met = np.unpackbits(bits, count=bi.shape[0]).view(bool)
+        block = slice(at, at + np.count_nonzero(met))
+        i[block] = rows[bi[met]]
+        j[block] = bj[met]
+        if sigma > 0:
+            noise[block] = noise_stream.normal(0.0, sigma, met.shape[0])[met]
+        at = block.stop
+    return PairDraws(n, i, j, noise)
 
 
 def generate_network(
@@ -171,8 +201,10 @@ def generate_network(
     if draws.node_count != n:
         raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
     i, j = draws.i, draws.j
-    ages = population.ages
-    score = population.score_table.take(ages.take(i) * AGE_SPAN + ages.take(j)) + draws.noise
+    # A pair's age code a * AGE_SPAN + b stays below 8100, so int16 holds it.
+    ages = population.ages.astype(np.int16)
+    score = population.score_table.take(ages.take(i) * AGE_SPAN + ages.take(j))
+    score += draws.noise
 
     met = draws.met_count
     shortfall = met < scenario.edge_budget
@@ -188,6 +220,11 @@ def generate_network(
     tied = np.flatnonzero(score == kth)
     keep[tied[: k - np.count_nonzero(keep)]] = True
     chosen = np.flatnonzero(keep)
+    gamma = edge_strength(score.take(chosen))
+    del score  # the met-pair scores go before the edge arrays are built
+    edges = np.empty((k, 2), dtype=np.int64)
+    edges[:, 0] = i.take(chosen)
+    edges[:, 1] = j.take(chosen)
 
     provenance = {
         "kind": "generated",
@@ -199,8 +236,8 @@ def generate_network(
         provenance.update(provenance_extra)
     return NetworkSnapshot(
         node_count=n,
-        edges=np.column_stack((i.take(chosen), j.take(chosen))),
-        gamma=edge_strength(score.take(chosen)),
+        edges=edges,
+        gamma=gamma,
         provenance=provenance,
     )
 
@@ -246,10 +283,12 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
 def save_network(net: NetworkSnapshot, path, meta_path=None) -> None:
     """Write an i,j,gamma edge list (and optionally a JSON side file with
     node count and provenance)."""
-    rows = zip(net.edges[:, 0].tolist(), net.edges[:, 1].tolist(), net.gamma.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("i,j,gamma\n")
-        fh.writelines(f"{i},{j},{g!r}\n" for i, j, g in rows)
+        for s in range(0, net.edge_count, _WRITE_BLOCK):
+            edges, gamma = net.edges[s : s + _WRITE_BLOCK], net.gamma[s : s + _WRITE_BLOCK]
+            rows = zip(edges[:, 0].tolist(), edges[:, 1].tolist(), gamma.tolist())
+            fh.write("".join([f"{i},{j},{g!r}\n" for i, j, g in rows]))
     if meta_path is not None:
         meta = {
             "node_count": net.node_count,

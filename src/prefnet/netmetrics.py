@@ -8,11 +8,16 @@ information here, not missing data: they enter the path-length pattern at
 a sentinel length equal to the node count, one step beyond the longest
 possible real path, and are tallied separately as fake paths.
 
-Clustering counts closed walks with a dense matrix product. The path pass
-is a multi-source breadth-first search in plain numpy that runs 64 sources
-at once, one bit each of a 64-bit word per node (Then et al., "The More
-the Merrier: Efficient Multi-Source Graph Traversal", VLDB 2014), so its
-cost grows with the edge count and the diameter, not with n cubed.
+Both passes work on bits. Clustering counts the triangles on each edge
+(Schank & Wagner's edge iterator, WEA 2005) as the popcount of the AND of
+its two end nodes' bitset rows, one bit per node, n/64 words per row. The
+path pass is a multi-source breadth-first search in plain numpy that runs
+64 sources at once, one bit each of a 64-bit word per node (Then et al.,
+"The More the Merrier: Efficient Multi-Source Graph Traversal", VLDB
+2014), so its cost grows with the edge count and the diameter, not with n
+cubed. Neither pass builds a dense n x n matrix of the graph; the only
+n x n array is the path matrix itself, in the smallest unsigned type that
+holds n.
 
 Distributions are compared with the Jensen-Shannon divergence in base 2,
 so the distance lives in [0, 1] whatever the supports are; supports are
@@ -32,6 +37,8 @@ from .netgen import NetworkSnapshot
 
 CLUSTERING_BINS = 20
 _BFS_BLOCK = 64  # sources per search block: the bits of one uint64 word
+_TRIANGLE_BLOCK = 1 << 12  # edges per block of the triangle count
+_GATHER_BLOCK = 1 << 15  # neighbour entries per chunk of one search level
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,35 @@ def degree_distribution(net: NetworkSnapshot) -> PatternDistribution:
 
 
 def clustering_values(net: NetworkSnapshot) -> np.ndarray:
-    """Local clustering coefficient per node; nodes of degree < 2 get 0."""
-    adj = net.adjacency.astype(np.float64)
-    closed = ((adj @ adj) * adj).sum(axis=1)  # 2 * triangles per node
+    """Local clustering coefficient per node; nodes of degree < 2 get 0.
+
+    Node v's bitset row holds bit u for each neighbour u, so edge (u, v)
+    closes popcount(row_u & row_v) triangles. Adding each edge's count to
+    both its ends gives every node twice its triangle count. The counts
+    are exact integers, taken a block of edges at a time.
+    """
+    n = net.node_count
+    words = -(-n // 64)
+    rows = np.zeros(n * words, dtype=np.uint64)
+    u, v = net.edges[:, 0], net.edges[:, 1]
+    one = np.uint64(1)
+    blocks = [slice(s, s + _TRIANGLE_BLOCK) for s in range(0, net.edge_count, _TRIANGLE_BLOCK)]
+    for b in blocks:
+        # Every (node, neighbour) bit is set once, so adding sets it.
+        for a, c in ((u[b], v[b]), (v[b], u[b])):
+            np.add.at(rows, a * words + (c >> 6), one << (c & 63).astype(np.uint64))
+    rows = rows.reshape(n, words)
+    triangles = np.empty(net.edge_count)
+    ones = np.ones(words)
+    for b in blocks:
+        common = rows.take(u[b], axis=0) & rows.take(v[b], axis=0)
+        # A product with ones sums the popcounts fastest; they are small
+        # integers, so the float sums are exact.
+        triangles[b] = np.bitwise_count(common) @ ones
+    closed = np.bincount(u, triangles, n) + np.bincount(v, triangles, n)
     deg = net.degrees.astype(np.float64)
     denom = deg * (deg - 1)
-    values = np.zeros(net.node_count)
+    values = np.zeros(n)
     ok = denom > 0
     values[ok] = closed[ok] / denom[ok]
     return values
@@ -88,9 +118,9 @@ def _bits(words: np.ndarray) -> np.ndarray:
 
 
 def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
-    """All-pairs shortest path lengths as an int matrix, zero diagonal;
-    unreachable pairs carry the sentinel length n (one beyond any real
-    path).
+    """All-pairs shortest path lengths as a matrix of the smallest
+    unsigned integer type that holds n, zero diagonal; unreachable pairs
+    carry the sentinel length n (one beyond any real path).
 
     Bit-parallel breadth-first search: sources go 64 at a time, and node v
     holds one uint64 word whose bit b says whether source s0 + b has
@@ -102,13 +132,25 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
     bits never set are unreachable pairs.
     """
     n = net.node_count
-    dist = np.empty((n, n), dtype=np.int64)
-    i, j = net.edges[:, 0], net.edges[:, 1]
-    nbr = np.concatenate((j, i))[np.argsort(np.concatenate((i, j)))]
+    # Indexing converts int32 indices to intp; converting once here is
+    # cheaper than converting at every level.
+    nbr = net.neighbours.astype(np.intp)
     deg = net.degrees
-    # reduceat misreads an empty segment, so only nodes with neighbours pull
+    dist = np.empty((n, n), dtype=np.min_scalar_type(n))
+    # reduceat misreads an empty segment, so only nodes with neighbours
+    # pull, a chunk of nodes at a time: a new chunk starts at the node
+    # whose list holds each multiple of _GATHER_BLOCK.
     active = np.flatnonzero(deg)
     starts = (np.cumsum(deg) - deg)[active]
+    bounds = np.append(starts, nbr.shape[0]).tolist()
+    marks = np.arange(_GATHER_BLOCK, nbr.shape[0], _GATHER_BLOCK)
+    holders = np.searchsorted(starts, marks, side="right") - 1
+    cuts = sorted({0, *holders.tolist()}) + [active.size]
+    chunks = [
+        (active[a:b], nbr[bounds[a] : bounds[b]], starts[a:b] - bounds[a])
+        for a, b in zip(cuts, cuts[1:])
+        if a < b
+    ]
     source_bit = np.left_shift(np.uint64(1), np.arange(_BFS_BLOCK, dtype=np.uint64))
     for s0 in range(0, n, _BFS_BLOCK):
         width = min(_BFS_BLOCK, n - s0)
@@ -120,8 +162,8 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
         level = 0
         while True:
             level += 1
-            if active.size:
-                reach[active] = np.bitwise_or.reduceat(frontier[nbr], starts)
+            for nodes, pull, local_starts in chunks:
+                reach[nodes] = np.bitwise_or.reduceat(frontier[pull], local_starts)
             frontier = reach & ~seen
             if not frontier.any():
                 break
@@ -131,9 +173,9 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
             for k, plane in enumerate(planes):
                 if level >> k & 1:
                     plane |= frontier
-        block = np.zeros((n, _BFS_BLOCK), dtype=np.int64)
+        block = np.zeros((n, _BFS_BLOCK), dtype=dist.dtype)
         for k, plane in enumerate(planes):
-            block += _bits(plane) * np.int64(1 << k)
+            block += _bits(plane).astype(dist.dtype) << k
         block[_bits(~seen).view(bool)] = n
         dist[:, s0 : s0 + width] = block[:, :width]
     return dist
@@ -210,7 +252,9 @@ def analyze(net: NetworkSnapshot) -> NetworkPatterns:
     n = net.node_count
     deg = net.degrees
     cc = clustering_values(net)
-    lengths = shortest_path_matrix(net)[np.triu_indices(n, 1)]
+    # The mask reads the upper triangle row-major, as pairs (i < j) are
+    # ordered everywhere else.
+    lengths = shortest_path_matrix(net)[np.arange(n)[:, None] < np.arange(n)]
     have_pairs = lengths.size > 0
 
     cc_counts, _ = np.histogram(cc, bins=CLUSTERING_BINS, range=(0.0, 1.0))

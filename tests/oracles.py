@@ -1,9 +1,11 @@
 """Scalar reference formulas that the tests compare the package against.
 
-Each function scores or decides one pair or one node at a time, straight
-from the model's definitions; the package computes the same quantities in
-bulk (the age table in `features.pair_score_table`, the vectorised SI
-step in `epidemic.run_si`).
+Each scalar function scores or decides one pair or one node at a time,
+straight from the model's definitions; the package computes the same
+quantities in bulk (the age table in `features.pair_score_table`, the
+vectorised SI step in `epidemic.run_si`). The dense functions run the SI
+process and the seed distances on an n x n adjacency matrix, the way the
+package did before it worked from the edge list and neighbour lists.
 """
 
 from types import SimpleNamespace
@@ -11,8 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from prefnet.epidemic import Susceptibility
+from prefnet.epidemic import EpidemicTrace, SeedRule, select_seeds, Susceptibility
 from prefnet.features import Population
+from prefnet.netgen import NetworkSnapshot
+from prefnet.scenario import CounterStream, Scenario
 
 
 class Traits(NamedTuple):
@@ -124,3 +128,73 @@ def transition_probability(
     else:
         p1 = susceptibility.per_exposure(np.array([exposures]), None, infected)[0]
     return float(1.0 - (1.0 - p1) ** exposures)
+
+
+def dense_adjacency(net: NetworkSnapshot) -> np.ndarray:
+    """Dense boolean adjacency matrix."""
+    adj = np.zeros((net.node_count, net.node_count), dtype=bool)
+    if net.edges.size:
+        adj[net.edges[:, 0], net.edges[:, 1]] = True
+        adj[net.edges[:, 1], net.edges[:, 0]] = True
+    return adj
+
+
+def multi_source_distances(net: NetworkSnapshot, sources: np.ndarray) -> np.ndarray:
+    """Hop distance from the nearest source; unreachable nodes (and every
+    node when there are no sources) get the sentinel value node_count."""
+    n = net.node_count
+    dist = np.full(n, n, dtype=np.int64)
+    frontier = np.zeros(n, dtype=bool)
+    frontier[np.asarray(sources, dtype=np.int64)] = True
+    dist[frontier] = 0
+    adj = dense_adjacency(net)
+    d = 0
+    while frontier.any():
+        d += 1
+        reached = adj[frontier].any(axis=0)
+        new = reached & (dist == n)
+        dist[new] = d
+        frontier = new
+    return dist
+
+
+def run_si(
+    net: NetworkSnapshot,
+    population: Population,
+    scenario: Scenario,
+    stream: CounterStream,
+    seed_rule: SeedRule | None = None,
+    susceptibility: Susceptibility | None = None,
+) -> EpidemicTrace:
+    """The synchronous SI process with exposures from a dense matrix-vector
+    product: row t counts each node's infected neighbours as adj @ status."""
+    n = net.node_count
+    if population.size != n or scenario.node_count != n:
+        raise ValueError("network, population and scenario disagree on node count")
+    if seed_rule is None:
+        seed_rule = SeedRule(count=scenario.seed_count)
+    if susceptibility is None:
+        susceptibility = Susceptibility.from_transmissibility(scenario.transmissibility)
+
+    seeds = select_seeds(net, population, seed_rule)
+    distances = multi_source_distances(net, seeds)
+    adj_int = dense_adjacency(net).astype(np.int64)
+    reachable = distances <= scenario.distance_cap
+
+    status = np.zeros((scenario.horizon + 1, n), dtype=bool)
+    status[0, seeds] = True
+    for t in range(1, scenario.horizon + 1):
+        prev = status[t - 1]
+        exposures = adj_int @ prev
+        p1 = susceptibility.per_exposure(exposures, population, prev)
+        prob = 1.0 - (1.0 - p1) ** exposures
+        eligible = (~prev) & (exposures > 0) & reachable
+        draws = stream.uniforms(t, n)
+        status[t] = prev | (eligible & (draws < prob))
+    return EpidemicTrace(
+        seeds=seeds,
+        status=status,
+        distances=distances,
+        horizon=scenario.horizon,
+        distance_cap=scenario.distance_cap,
+    )

@@ -11,7 +11,7 @@ import pytest
 import prefnet
 from prefnet import netmetrics
 from prefnet.cli import main
-from prefnet.scenario import load_scenario, Preference, Rule
+from prefnet.scenario import load_scenario, Preference, Rule, save_scenario, Scenario
 
 
 def _read_json(path):
@@ -232,12 +232,34 @@ def test_sweep_bad_axis_values(tmp_path, capsys):
     assert main(["sweep", "--shapes", "Q", "--out", str(tmp_path)]) == 1
     assert main(["sweep", "--taus", "0.2,nope", "--out", str(tmp_path)]) == 1
     assert main(["sweep", "--taus", "1.5", "--out", str(tmp_path)]) == 1
-    # a repeated value would run the same cell twice into one directory
+    # a repeated value would run the same cell twice into one directory, and
+    # an empty tau is a malformed list, not one value fewer
     for axis, values in [("shapes", "U,U"), ("shapes", "U,Uniform"),
-                         ("rules", "H-,H-"), ("taus", "0.2,0.20")]:
+                         ("rules", "H-,H-"), ("taus", "0.2,0.20"),
+                         ("taus", "0.2,,0.4"), ("taus", "0.2,")]:
         capsys.readouterr()
         assert main(["sweep", f"--{axis}", values, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {axis}: ")
+
+
+@pytest.mark.parametrize(
+    "source", ["set", "scenario file", "preset"], ids=["set", "file", "preset"]
+)
+def test_sweep_rejects_a_preference_override(tmp_path, capsys, source):
+    # cells take their preference from --rules, so an override would be ignored
+    scenario_file = tmp_path / "pref.scenario"
+    save_scenario(Scenario(preference=Preference(1, 1.0, 1, 0.0)), scenario_file)
+    options = {
+        "set": ["--set", "preference=1 1.0 1 0.0"],
+        "scenario file": ["--scenario", str(scenario_file)],
+        "preset": ["--scenario", "preset:U_PH"],
+    }[source]
+    out = tmp_path / "sweep"
+    assert main(["sweep", *options, "--shapes", "U", "--rules", "PH", "--taus", "0.2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: preference: ") and "--rules" in err
+    assert not out.exists()
 
 
 def test_optimize_artifacts(tmp_path):
@@ -332,14 +354,20 @@ def test_report_on_sweep(tmp_path, capsys):
     assert "best cell" in text
 
 
-def test_report_on_epidemic(tmp_path):
+def test_report_on_epidemic(tmp_path, capsys):
     out = tmp_path / "epi"
     assert main(["epidemic", "--out", str(out), "--set", "node_count=45",
                  "--set", "edge_budget=350"]) == 0
+    capsys.readouterr()
     assert main(["report", str(out)]) == 0
     report = _read_json(out / "report.json")
     assert report["command"] == "epidemic"
     assert "risk" in report and "summary" in report
+    runtimes = _read_json(out / "manifest.json")["runtimes"]
+    assert report["runtimes"] == runtimes
+    assert set(runtimes) == {"grow", "write_network", "analyze", "generate", "epidemic"}
+    printed = [line for line in capsys.readouterr().out.splitlines() if "runtime" in line]
+    assert printed == [f"  runtime {stage} {s:.3f} s" for stage, s in runtimes.items()]
 
 
 def test_report_missing_dir(tmp_path):

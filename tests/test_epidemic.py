@@ -25,6 +25,7 @@ from prefnet.features import AGE_SPAN, make_population, Population
 from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws
 from prefnet.scenario import Preference, RngPolicy, Scenario
 
+import oracles
 from oracles import transition_probability
 
 PREF = Preference(-1, 0.05, 1, 0.08)
@@ -297,6 +298,35 @@ def test_run_si_invariants(case):
     # a longer horizon extends the same trajectory
     longer = run_si(net, pop, sc.with_overrides(horizon=h + extra), stream)
     assert np.array_equal(longer.status[: h + 1], trace.status)
+
+
+_AGE_SUSCEPTIBILITY = Susceptibility(("exposed", "age_group"), (1, 3), (0.7, 0.4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_si_cases(), st.sampled_from([None, _AGE_SUSCEPTIBILITY]), st.data())
+def test_run_si_and_distances_match_dense_oracle(case, susceptibility, data):
+    net, pop, sc, _ = case
+    stream = RngPolicy(sc.master_seed).counter_stream("infection", 0)
+    ours = run_si(net, pop, sc, stream, susceptibility=susceptibility)
+    ref = oracles.run_si(net, pop, sc, stream, susceptibility=susceptibility)
+    assert np.array_equal(ours.seeds, ref.seeds)
+    assert np.array_equal(ours.distances, ref.distances)
+    assert np.array_equal(ours.status, ref.status)
+    sources = np.array(data.draw(st.lists(st.integers(0, net.node_count - 1), max_size=5)))
+    assert np.array_equal(
+        multi_source_distances(net, sources), oracles.multi_source_distances(net, sources)
+    )
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.4, 1.0])
+def test_run_si_matches_dense_oracle_on_generated_net(tau):
+    sc, policy, pop, net = _generated(5, transmissibility=tau, horizon=8, distance_cap=4)
+    stream = policy.counter_stream("infection", 2)
+    ours = run_si(net, pop, sc, stream, susceptibility=_AGE_SUSCEPTIBILITY)
+    ref = oracles.run_si(net, pop, sc, stream, susceptibility=_AGE_SUSCEPTIBILITY)
+    assert np.array_equal(ours.distances, ref.distances)
+    assert np.array_equal(ours.status, ref.status)
 
 
 # ---------------------------------------------------------------------------

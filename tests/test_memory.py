@@ -1,0 +1,102 @@
+"""Memory bounds of the stages that scale with network size.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a
+call counts every array it builds. An n x n float64 or int64 array alone
+takes 8 n^2 bytes.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from prefnet import netgen, netmetrics
+from prefnet.features import make_population
+from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws, save_network
+from prefnet.netmetrics import analyze, clustering_values, shortest_path_matrix
+from prefnet.scenario import RngPolicy, Scenario
+
+N = 600
+
+
+def _paper_density_net(n: int = N) -> NetworkSnapshot:
+    """A generated network at the paper's density, 1400 edges on 90 nodes."""
+    sc = Scenario(node_count=n, edge_budget=round(1400 / (90 * 89 // 2) * (n * (n - 1) // 2)))
+    policy = RngPolicy(0)
+    pop = make_population(sc.age_shape, n, sc.resolved_preference(), policy.stream("feature-gen"))
+    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+    return generate_network(pop, sc, draws)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes allocated at the peak of fn(*args), above what was live before.
+    Callers run fn once beforehand on a small input, so that lazy imports
+    (np.unique loads numpy.ma on first use) do not count."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_clustering_builds_no_dense_matrix():
+    clustering_values(_paper_density_net(90))
+    assert _traced_peak(clustering_values, _paper_density_net()) < 8 * N * N
+
+
+def test_analyze_builds_no_dense_int64_or_float64_matrix():
+    analyze(_paper_density_net(90))
+    assert _traced_peak(analyze, _paper_density_net()) < 8 * N * N
+
+
+def test_save_network_memory_does_not_grow_with_edges(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 1000
+    pairs = np.column_stack(np.triu_indices(n, 1))
+
+    def net(edge_count):
+        keep = np.sort(rng.choice(pairs.shape[0], edge_count, replace=False))
+        return NetworkSnapshot(n, pairs[keep], rng.random(edge_count))
+
+    small, large = net(40_000), net(160_000)
+    save_network(net(100), tmp_path / "warm.csv")
+    small_peak = _traced_peak(save_network, small, tmp_path / "small.csv")
+    large_peak = _traced_peak(save_network, large, tmp_path / "large.csv")
+    assert large_peak < 1.5 * small_peak
+
+
+def _star_with_last_hub(leaves: int) -> NetworkSnapshot:
+    """A star whose hub is the highest id, so one list holds most entries."""
+    edges = np.column_stack((np.arange(leaves), np.full(leaves, leaves)))
+    return NetworkSnapshot(leaves + 1, edges, np.ones(leaves))
+
+
+def test_small_blocks_give_the_same_results(tmp_path, monkeypatch):
+    sc = Scenario(node_count=70, edge_budget=900, master_seed=4)
+    policy = RngPolicy(4)
+    pop = make_population(sc.age_shape, 70, sc.resolved_preference(), policy.stream("feature-gen"))
+
+    def run(out):
+        draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
+        net = generate_network(pop, sc, draws)
+        save_network(net, out)
+        star = _star_with_last_hub(40)
+        return (draws, net, out.read_bytes(), clustering_values(net),
+                shortest_path_matrix(net), shortest_path_matrix(star))
+
+    whole = run(tmp_path / "whole.csv")
+    monkeypatch.setattr(netgen, "_DRAW_BLOCK", 3 * 70)  # 3 rows, then 1
+    monkeypatch.setattr(netgen, "_WRITE_BLOCK", 3)
+    monkeypatch.setattr(netmetrics, "_TRIANGLE_BLOCK", 5)
+    monkeypatch.setattr(netmetrics, "_GATHER_BLOCK", 4)
+    blocked = run(tmp_path / "blocked.csv")
+    for a, b in zip(whole[0].__dict__.values(), blocked[0].__dict__.values()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(whole[1].edges, blocked[1].edges)
+    assert np.array_equal(whole[1].gamma, blocked[1].gamma)
+    assert whole[2] == blocked[2]
+    for a, b in zip(whole[3:], blocked[3:]):
+        assert np.array_equal(a, b)
+    star_paths = blocked[-1]
+    assert star_paths[:40, 40].tolist() == [1] * 40 and star_paths[0, 1:40].tolist() == [2] * 39

@@ -374,11 +374,15 @@ def test_adjacency_and_degrees_consistent():
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
     net = generate_network(pop, sc, _draws(sc, policy))
-    adj = net.adjacency
+    adj = np.zeros((net.node_count, net.node_count), dtype=bool)
+    adj[net.edges[:, 0], net.edges[:, 1]] = True
+    adj[net.edges[:, 1], net.edges[:, 0]] = True
     assert (adj == adj.T).all()
     assert not adj.diagonal().any()
     assert np.array_equal(adj.sum(axis=0), net.degrees)
     assert net.degrees.sum() == 2 * net.edge_count
+    # neighbour lists: each row's neighbours in ascending order, rows in turn
+    assert np.array_equal(net.neighbours, np.nonzero(adj)[1])
 
 
 def test_snapshot_rejects_bad_edges():

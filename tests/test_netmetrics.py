@@ -154,14 +154,17 @@ def _random_graph(n, kind, density, isolate, seed):
     return _net(n, pairs.tolist())
 
 
-@settings(max_examples=120, deadline=None)
-@given(
+_GRAPH_CASES = dict(
     n=st.one_of(st.sampled_from([0, 1, 2, 63, 64, 65, 128, 129]), st.integers(0, 150)),
     kind=st.sampled_from(["random", "pieces", "chain", "empty"]),
     density=st.sampled_from([0.005, 0.02, 0.05, 0.2, 0.6]),
     isolate=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@settings(max_examples=120, deadline=None)
+@given(**_GRAPH_CASES)
 @example(n=63, kind="random", density=0.05, isolate=False, seed=1)
 @example(n=64, kind="pieces", density=0.2, isolate=True, seed=2)
 @example(n=65, kind="chain", density=0.0, isolate=False, seed=3)
@@ -173,8 +176,23 @@ def _random_graph(n, kind, density, isolate, seed):
 def test_shortest_path_matrix_matches_networkx(n, kind, density, isolate, seed):
     net = _random_graph(n, kind, density, isolate, seed)
     matrix = shortest_path_matrix(net)
-    assert matrix.dtype == np.int64 and matrix.shape == (n, n)
+    assert matrix.dtype == np.min_scalar_type(n) and matrix.shape == (n, n)
     assert np.array_equal(matrix, _nx_path_matrix(net))
+
+
+@settings(max_examples=120, deadline=None)
+@given(**_GRAPH_CASES)
+@example(n=63, kind="random", density=0.6, isolate=False, seed=1)
+@example(n=64, kind="pieces", density=0.2, isolate=True, seed=2)
+@example(n=65, kind="random", density=0.6, isolate=True, seed=3)
+@example(n=128, kind="random", density=0.2, isolate=True, seed=4)
+@example(n=129, kind="pieces", density=0.6, isolate=False, seed=5)
+@example(n=0, kind="empty", density=0.0, isolate=False, seed=7)
+@example(n=100, kind="empty", density=0.0, isolate=False, seed=8)
+def test_clustering_values_match_networkx(n, kind, density, isolate, seed):
+    net = _random_graph(n, kind, density, isolate, seed)
+    theirs = nx.clustering(_to_nx(net))
+    assert clustering_values(net).tolist() == [theirs[v] for v in range(n)]
 
 
 def test_shortest_path_matrix_on_sparse_h_minus_net():
