@@ -6,31 +6,32 @@ writes its patterns, `epidemic` additionally runs the spreading process,
 ladder, `optimize` fits preference weights to a target degree pattern,
 and `report` re-reads a finished run directory and summarises it.
 
-All outputs are plain CSV / JSON files under a run directory (--out, or
-the PREFNET_OUT environment variable). Every run writes a manifest
-listing its outputs; apart from the recorded runtimes, reruns of the same
-command are byte-identical.
+All outputs are plain CSV / JSON files (format in `artifacts`) under a
+run directory (--out, or the PREFNET_OUT environment variable). Each
+artifact's name is recorded as its path is handed out, so the manifest
+lists exactly the files written, next to per-stage seconds (per-cell
+seconds, `cell:<name>`, for a sweep). Apart from those runtimes, reruns
+of the same command are byte-identical.
 
-Exit codes: 0 success, 1 validation or usage error or a closed stdout,
-2 I/O error, 3 internal invariant violation.
+Exit codes: 0 success, 1 validation or usage error (a malformed manifest
+given to `report` included) or a closed stdout, 2 I/O error, 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .epidemic import infection_by_distance, par, risk_report, run_si, trace_to_csv
+from .artifacts import read_json, write_csv, write_json
+from .epidemic import risk_report, run_si, trace_to_csv
 from .features import (
     group_counts,
     make_population,
@@ -52,12 +53,10 @@ from .netmetrics import (
     js_divergence,
     NetworkPatterns,
     PatternDistribution,
-    summary_to_json,
 )
 from .optimizer import log_to_csv, optimize, result_to_json
 from .scenario import (
     preset,
-    AgeShape,
     load_scenario,
     apply_overrides,
     RngPolicy,
@@ -95,36 +94,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass
-class RunManifest:
-    """What a run produced: inputs by hash, outputs by name, stage timings."""
+class _RunDir:
+    """A run's output directory. `path` hands out where an artifact goes
+    and records its name, so the manifest lists exactly what was written;
+    `sub` shares the record with a subdirectory."""
 
-    command: str
-    scenario_hash: str
-    master_seed: int
-    version: str
+    root: Path
+    prefix: str = ""
     outputs: list[str] = field(default_factory=list)
-    runtimes: dict = field(default_factory=dict)
 
-    def write(self, out_dir: Path) -> None:
+    def path(self, name: str) -> Path:
+        self.outputs.append(self.prefix + name)
+        return self.root / self.prefix / name
+
+    def sub(self, name: str) -> _RunDir:
+        prefix = f"{self.prefix}{name}/"
+        (self.root / prefix).mkdir(parents=True, exist_ok=True)
+        return _RunDir(self.root, prefix, self.outputs)
+
+    def write_manifest(self, command: str, scenario: Scenario, runtimes: dict) -> None:
+        """Write manifest.json: inputs by hash, outputs by name, stage seconds."""
         for name in self.outputs:
-            target = out_dir / name
+            target = self.root / name
             if not target.is_file() or target.stat().st_size == 0:
                 raise AssertionError(f"manifest lists missing or empty output: {name}")
         payload = {
-            "command": self.command,
-            "scenario_hash": self.scenario_hash,
-            "master_seed": self.master_seed,
-            "version": self.version,
+            "command": command,
+            "scenario_hash": scenario.scenario_hash(),
+            "master_seed": scenario.master_seed,
+            "version": __version__,
             "outputs": sorted(self.outputs),
-            "runtimes": {k: round(v, 6) for k, v in self.runtimes.items()},
+            "runtimes": {k: round(v, 6) for k, v in runtimes.items()},
         }
-        _write_json(out_dir / "manifest.json", payload)
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(self.root / "manifest.json", payload)
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -137,7 +139,7 @@ def _resolve_scenario(args) -> Scenario:
     return apply_overrides(scenario, args.set or [])
 
 
-def _resolve_out(args) -> Path:
+def _resolve_out(args) -> _RunDir:
     out = args.out or os.environ.get(OUT_ENV)
     if not out:
         raise ScenarioError(
@@ -145,7 +147,7 @@ def _resolve_out(args) -> Path:
         )
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return _RunDir(path)
 
 
 def _ba_m_for(n: int, edge_budget: int) -> int:
@@ -159,33 +161,29 @@ def _ba_m_for(n: int, edge_budget: int) -> int:
     return best_m
 
 
-def _resolve_target(
-    target_text: str | None, scenario: Scenario
-) -> tuple[PatternDistribution, dict]:
+def _resolve_target(text: str | None, scenario: Scenario) -> tuple[PatternDistribution, str]:
     """Build the target degree pattern from a --target value: 'ba:n,m', an
     'edgelist:path', or (by default) a scale-free network sized to the
-    scenario."""
-    if target_text is None:
+    scenario. Also returns the target's text, with the default filled in."""
+    if text is None:
         n = scenario.node_count
         m = _ba_m_for(n, scenario.edge_budget)
-        target_text = f"ba:{n},{m}"
-    kind, _, rest = target_text.partition(":")
+        text = f"ba:{n},{m}"
+    kind, _, rest = text.partition(":")
     if kind == "ba":
         try:
             n_text, m_text = rest.split(",")
             n, m = int(n_text), int(m_text)
         except ValueError:
-            raise ScenarioError(
-                f"target: expected ba:<n>,<m>, got {target_text!r}"
-            ) from None
+            raise ScenarioError(f"target: expected ba:<n>,<m>, got {text!r}") from None
         policy = RngPolicy(scenario.master_seed)
         net = ba_target(n, m, policy.stream("optimizer", 0))
-        return degree_distribution(net), {"target": target_text}
+        return degree_distribution(net), text
     if kind == "edgelist":
         if not rest:
             raise ScenarioError("target: edgelist needs a path, e.g. edgelist:net.csv")
         net = load_edge_list(rest)
-        return degree_distribution(net), {"target": target_text}
+        return degree_distribution(net), text
     raise ScenarioError(f"target: unknown kind {kind!r}; expected ba or edgelist")
 
 
@@ -231,8 +229,8 @@ def _parse_taus(text: str | None) -> list[float]:
 
 
 def _generate_artifacts(
-    out: Path, scenario: Scenario, runtimes: dict
-) -> tuple[NetworkSnapshot, Population, NetworkPatterns, list[str]]:
+    run: _RunDir, scenario: Scenario, runtimes: dict
+) -> tuple[NetworkSnapshot, Population, NetworkPatterns]:
     """Grow the replicate-0 network and write population, edge list,
     summary and the three pattern distributions. Records the seconds spent
     growing, writing the edge list and analysing in runtimes."""
@@ -251,64 +249,41 @@ def _generate_artifacts(
         provenance_extra={"replicate": 0},
     )
     runtimes["grow"] = time.perf_counter() - t0
-    save_scenario(scenario, out / "scenario.txt")
-    population_to_csv(population, out / "population.csv")
-    _write_json(
-        out / "group_counts.json",
-        {
-            "shape": scenario.age_shape.value,
-            "counts": [int(c) for c in group_counts(scenario.age_shape, scenario.node_count)],
-        },
-    )
+    save_scenario(scenario, run.path("scenario.txt"))
+    population_to_csv(population, run.path("population.csv"))
+    shape = scenario.age_shape
+    counts = group_counts(shape, scenario.node_count).tolist()
+    write_json(run.path("group_counts.json"), {"shape": shape.value, "counts": counts})
     t0 = time.perf_counter()
-    save_network(net, out / "network.csv", out / "network_meta.json")
+    save_network(net, run.path("network.csv"), run.path("network_meta.json"))
     t1 = time.perf_counter()
     patterns = analyze(net)
     t2 = time.perf_counter()
     runtimes["write_network"] = t1 - t0
     runtimes["analyze"] = t2 - t1
-    summary_to_json(patterns.summary, out / "summary.json")
-    distribution_to_csv(patterns.degree, out / "degree_distribution.csv")
-    distribution_to_csv(patterns.clustering, out / "clustering_distribution.csv")
-    distribution_to_csv(patterns.path_length, out / "path_length_distribution.csv")
-    outputs = [
-        "scenario.txt",
-        "population.csv",
-        "group_counts.json",
-        "network.csv",
-        "network_meta.json",
-        "summary.json",
-        "degree_distribution.csv",
-        "clustering_distribution.csv",
-        "path_length_distribution.csv",
-    ]
-    return net, population, patterns, outputs
-
-
-def _infection_table_to_csv(table: np.ndarray, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"d{d}" for d in range(table.shape[1])])
-        for t, row in enumerate(table):
-            writer.writerow([t] + [int(x) for x in row])
+    write_json(run.path("summary.json"), asdict(patterns.summary))
+    distribution_to_csv(patterns.degree, run.path("degree_distribution.csv"))
+    distribution_to_csv(patterns.clustering, run.path("clustering_distribution.csv"))
+    distribution_to_csv(patterns.path_length, run.path("path_length_distribution.csv"))
+    return net, population, patterns
 
 
 def _epidemic_artifacts(
-    out: Path,
-    net: NetworkSnapshot,
-    population: Population,
-    scenario: Scenario,
-    replicate: int = 0,
-) -> tuple[dict, list[str]]:
-    policy = RngPolicy(scenario.master_seed)
-    trace = run_si(
-        net, population, scenario, policy.counter_stream("infection", replicate)
-    )
-    trace_to_csv(trace, out / "trace.csv")
-    _infection_table_to_csv(infection_by_distance(trace), out / "infection_by_distance.csv")
+    run: _RunDir, net: NetworkSnapshot, population: Population, scenario: Scenario
+) -> dict:
+    """Run the outbreak on the replicate-0 draws and write its trace,
+    infection-by-distance table and risk report."""
+    stream = RngPolicy(scenario.master_seed).counter_stream("infection", 0)
+    trace = run_si(net, population, scenario, stream)
+    trace_to_csv(trace, run.path("trace.csv"))
     report = risk_report(trace, population, net)
-    _write_json(out / "risk.json", report)
-    return report, ["trace.csv", "infection_by_distance.csv", "risk.json"]
+    write_csv(
+        run.path("infection_by_distance.csv"),
+        ["t"] + [f"d{d}" for d in range(trace.distance_cap + 1)],
+        ([t] + row for t, row in enumerate(report["infection_by_distance"])),
+    )
+    write_json(run.path("risk.json"), report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -317,92 +292,70 @@ def _epidemic_artifacts(
 
 def cmd_generate(args) -> int:
     scenario = _resolve_scenario(args)
-    out = _resolve_out(args)
+    run = _resolve_out(args)
     runtimes: dict = {}
     t0 = time.perf_counter()
-    net, _, patterns, outputs = _generate_artifacts(out, scenario, runtimes)
+    net, _, patterns = _generate_artifacts(run, scenario, runtimes)
     runtimes["generate"] = time.perf_counter() - t0
-    manifest = RunManifest(
-        command="generate",
-        scenario_hash=scenario.scenario_hash(),
-        master_seed=scenario.master_seed,
-        version=__version__,
-        outputs=outputs,
-        runtimes=runtimes,
-    )
-    manifest.write(out)
+    run.write_manifest("generate", scenario, runtimes)
     stats = patterns.summary
     _emit(
         f"generate: {net.edge_count} edges, mean degree {stats.degree_avg:.2f}, "
-        f"{stats.unconnected_count} unconnected -> {out}"
+        f"{stats.unconnected_count} unconnected -> {run.root}"
     )
     return 0
 
 
 def cmd_epidemic(args) -> int:
     scenario = _resolve_scenario(args)
-    out = _resolve_out(args)
+    run = _resolve_out(args)
     runtimes: dict = {}
     t0 = time.perf_counter()
-    net, population, _, outputs = _generate_artifacts(out, scenario, runtimes)
+    net, population, _ = _generate_artifacts(run, scenario, runtimes)
     t1 = time.perf_counter()
-    report, epi_outputs = _epidemic_artifacts(out, net, population, scenario)
+    report = _epidemic_artifacts(run, net, population, scenario)
     runtimes["generate"] = t1 - t0
     runtimes["epidemic"] = time.perf_counter() - t1
-    manifest = RunManifest(
-        command="epidemic",
-        scenario_hash=scenario.scenario_hash(),
-        master_seed=scenario.master_seed,
-        version=__version__,
-        outputs=outputs + epi_outputs,
-        runtimes=runtimes,
-    )
-    manifest.write(out)
+    run.write_manifest("epidemic", scenario, runtimes)
     _emit(
         f"epidemic: seeds {report['seeds']}, infected {report['infected_total']}"
-        f"/{scenario.node_count} by step {scenario.horizon} -> {out}"
+        f"/{scenario.node_count} by step {scenario.horizon} -> {run.root}"
     )
     return 0
 
 
-def _run_sweep_cell(payload: dict) -> dict:
-    """One (shape, rule) cell; runs in a worker process under --jobs > 1."""
-    scenario = Scenario(**payload["base"]).with_overrides(
-        age_shape=AgeShape(payload["shape"]), rule=Rule(payload["rule"])
-    )
-    cell_dir = Path(payload["cell_dir"])
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    net, population, patterns, outputs = _generate_artifacts(cell_dir, scenario, {})
-    target = PatternDistribution(
-        "degree", np.array(payload["target_support"]), np.array(payload["target_mass"])
-    )
-    js = js_divergence(patterns.degree, target)
-    stats = patterns.summary
+def _run_sweep_cell(
+    root: Path, target: PatternDistribution, taus: list[float], name: str, scenario: Scenario
+) -> tuple[dict, list[str], float]:
+    """One (shape, rule) cell; runs in a worker process under --jobs > 1.
+    Returns the cell's aggregate entry, the outputs it wrote and its
+    seconds."""
+    t0 = time.perf_counter()
+    cell = _RunDir(root).sub(f"cells/{name}")
+    net, population, patterns = _generate_artifacts(cell, scenario, {})
     par_rows = []
-    for tau in payload["taus"]:
+    for tau in taus:
         sc_tau = scenario.with_overrides(transmissibility=float(tau))
-        tau_dir = cell_dir / f"tau_{tau!r}"
-        tau_dir.mkdir(parents=True, exist_ok=True)
-        report, epi_outputs = _epidemic_artifacts(tau_dir, net, population, sc_tau)
-        outputs += [f"tau_{tau!r}/{name}" for name in epi_outputs]
+        report = _epidemic_artifacts(cell.sub(f"tau_{tau!r}"), net, population, sc_tau)
         diag = min(sc_tau.horizon, sc_tau.distance_cap)
-        row = {
-            "tau": tau,
-            "infected_total": report["infected_total"],
-            "final_share": report["final_share"],
-            "par_diagonal": [
-                report["par"][k][k] for k in range(1, diag + 1)
-            ],
-        }
-        par_rows.append(row)
-    return {
-        "name": payload["name"],
-        "js": js,
-        "unconnected": stats.unconnected_count,
-        "clustering_avg": stats.clustering_avg,
-        "par_rows": par_rows,
-        "outputs": [f"{payload['cell_rel']}/{name}" for name in outputs],
+        par_rows.append(
+            {
+                "tau": tau,
+                "infected_total": report["infected_total"],
+                "final_share": report["final_share"],
+                "par_diagonal": [report["par"][k][k] for k in range(1, diag + 1)],
+            }
+        )
+    entry = {
+        "name": name,
+        "shape": scenario.age_shape.value,
+        "rule": scenario.rule.value,
+        "js": js_divergence(patterns.degree, target),
+        "unconnected": patterns.summary.unconnected_count,
+        "clustering_avg": patterns.summary.clustering_avg,
+        "par": par_rows,
     }
+    return entry, cell.outputs, time.perf_counter() - t0
 
 
 def cmd_sweep(args) -> int:
@@ -415,161 +368,105 @@ def cmd_sweep(args) -> int:
             "its per-shape preset); drop the preference override from --set or "
             "the scenario file"
         )
-    out = _resolve_out(args)
+    run = _resolve_out(args)
     shapes = _parse_axis(args.shapes, SHAPE_CODES, "shapes")
     rules = _parse_axis(args.rules, RULE_CODES, "rules")
     taus = _parse_taus(args.taus)
-    target, target_info = _resolve_target(args.target, scenario)
+    target, target_text = _resolve_target(args.target, scenario)
 
     t0 = time.perf_counter()
-    save_scenario(scenario, out / "scenario.txt")
-    distribution_to_csv(target, out / "target_degree_distribution.csv")
-    base_fields = {
-        f.name: getattr(scenario, f.name)
-        for f in fields(Scenario)
-        if f.name not in ("age_shape", "rule")
-    }
+    save_scenario(scenario, run.path("scenario.txt"))
+    distribution_to_csv(target, run.path("target_degree_distribution.csv"))
     code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
-    payloads = []
-    for shape in shapes:
-        for rule in rules:
-            name = f"{code_of_shape[shape]}_{rule.value}"
-            payloads.append(
-                {
-                    "base": base_fields,
-                    "shape": shape.value,
-                    "rule": rule.value,
-                    "name": name,
-                    "cell_rel": f"cells/{name}",
-                    "cell_dir": str(out / "cells" / name),
-                    "taus": taus,
-                    "target_support": [int(s) for s in target.support],
-                    "target_mass": [float(m) for m in target.mass],
-                }
-            )
-
+    grid = [(shape, rule) for shape in shapes for rule in rules]
+    names = [f"{code_of_shape[shape]}_{rule.value}" for shape, rule in grid]
+    scenarios = [scenario.with_overrides(age_shape=shape, rule=rule) for shape, rule in grid]
+    run_cell = partial(_run_sweep_cell, run.root, target, taus)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_sweep_cell, payloads))
+            results = list(pool.map(run_cell, names, scenarios))
     else:
-        results = [_run_sweep_cell(p) for p in payloads]
+        results = list(map(run_cell, names, scenarios))
 
-    outputs = ["scenario.txt", "target_degree_distribution.csv"]
+    entries = [entry for entry, _, _ in results]
     diag = min(scenario.horizon, scenario.distance_cap)
-    with open(out / "js_table.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell", "shape", "rule", "js", "unconnected", "clustering_avg"])
-        for payload, res in zip(payloads, results):
-            writer.writerow(
-                [
-                    res["name"],
-                    payload["shape"],
-                    payload["rule"],
-                    repr(res["js"]),
-                    res["unconnected"],
-                    repr(res["clustering_avg"]),
-                ]
-            )
-    with open(out / "par_table.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["cell", "shape", "rule", "tau", "infected_total", "final_share"]
-            + [f"par_{k}_{k}" for k in range(1, diag + 1)]
-        )
-        for payload, res in zip(payloads, results):
-            for row in res["par_rows"]:
-                writer.writerow(
-                    [
-                        res["name"],
-                        payload["shape"],
-                        payload["rule"],
-                        repr(row["tau"]),
-                        row["infected_total"],
-                        repr(row["final_share"]),
-                    ]
-                    + [repr(v) for v in row["par_diagonal"]]
-                )
-    aggregate = {
-        "target": target_info["target"],
-        "taus": taus,
-        "cells": [
-            {
-                "name": res["name"],
-                "shape": payload["shape"],
-                "rule": payload["rule"],
-                "js": res["js"],
-                "unconnected": res["unconnected"],
-                "clustering_avg": res["clustering_avg"],
-                "par": res["par_rows"],
-            }
-            for payload, res in zip(payloads, results)
-        ],
-    }
-    _write_json(out / "aggregate.json", aggregate)
-    outputs += ["js_table.csv", "par_table.csv", "aggregate.json"]
-    for res in results:
-        outputs += res["outputs"]
-
-    manifest = RunManifest(
-        command="sweep",
-        scenario_hash=scenario.scenario_hash(),
-        master_seed=scenario.master_seed,
-        version=__version__,
-        outputs=outputs,
-        runtimes={"sweep": time.perf_counter() - t0},
+    write_csv(
+        run.path("js_table.csv"),
+        ["cell", "shape", "rule", "js", "unconnected", "clustering_avg"],
+        (
+            [c["name"], c["shape"], c["rule"], repr(c["js"]), c["unconnected"],
+             repr(c["clustering_avg"])]
+            for c in entries
+        ),
     )
-    manifest.write(out)
-    _emit(f"sweep: {len(results)} cells x {len(taus)} transmissibilities -> {out}")
+    write_csv(
+        run.path("par_table.csv"),
+        ["cell", "shape", "rule", "tau", "infected_total", "final_share"]
+        + [f"par_{k}_{k}" for k in range(1, diag + 1)],
+        (
+            [c["name"], c["shape"], c["rule"], repr(row["tau"]), row["infected_total"],
+             repr(row["final_share"])] + [repr(v) for v in row["par_diagonal"]]
+            for c in entries
+            for row in c["par"]
+        ),
+    )
+    write_json(run.path("aggregate.json"), {"target": target_text, "taus": taus, "cells": entries})
+    runtimes = {"sweep": time.perf_counter() - t0}
+    for entry, outputs, seconds in results:
+        run.outputs += outputs
+        runtimes[f"cell:{entry['name']}"] = seconds
+    run.write_manifest("sweep", scenario, runtimes)
+    _emit(f"sweep: {len(results)} cells x {len(taus)} transmissibilities -> {run.root}")
     return 0
 
 
 def cmd_optimize(args) -> int:
     scenario = _resolve_scenario(args)
-    out = _resolve_out(args)
-    target, target_info = _resolve_target(args.target, scenario)
+    run = _resolve_out(args)
+    target, target_text = _resolve_target(args.target, scenario)
     runtimes: dict = {}
     t0 = time.perf_counter()
     result = optimize(
         scenario, target, budget=args.budget, replicates=args.replicates, runtimes=runtimes
     )
     runtimes["optimize"] = time.perf_counter() - t0
-    save_scenario(scenario, out / "scenario.txt")
-    distribution_to_csv(target, out / "target_degree_distribution.csv")
-    log_to_csv(result.log, out / "eval_log.csv")
-    result_to_json(result, out / "best.json")
+    save_scenario(scenario, run.path("scenario.txt"))
+    distribution_to_csv(target, run.path("target_degree_distribution.csv"))
+    log_to_csv(result.log, run.path("eval_log.csv"))
+    result_to_json(result, run.path("best.json"))
     fitted = scenario.with_overrides(rule=Rule.PH, preference=result.best.preference)
-    save_scenario(fitted, out / "fitted.scenario")
-    manifest = RunManifest(
-        command="optimize",
-        scenario_hash=scenario.scenario_hash(),
-        master_seed=scenario.master_seed,
-        version=__version__,
-        outputs=[
-            "scenario.txt",
-            "target_degree_distribution.csv",
-            "eval_log.csv",
-            "best.json",
-            "fitted.scenario",
-        ],
-        runtimes=runtimes,
-    )
-    manifest.write(out)
+    save_scenario(fitted, run.path("fitted.scenario"))
+    run.write_manifest("optimize", scenario, runtimes)
     pref = result.best.preference
     _emit(
         f"optimize: best (level {pref.level} w {pref.level_weight!r}, "
         f"difference {pref.difference} w {pref.difference_weight!r}) "
         f"js {result.best.objective:.4f} after {result.evaluations} evaluations "
-        f"(target {target_info['target']}) -> {out}"
+        f"(target {target_text}) -> {run.root}"
     )
     return 0
 
 
+def _read_manifest(path: Path) -> dict:
+    """The manifest at `path`, checked for the fields `report` reads."""
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise ScenarioError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    for key in ("command", "version"):
+        if not isinstance(manifest.get(key), str):
+            raise ScenarioError(f"{path}: {key}: expected a string, got {manifest.get(key)!r}")
+    runtimes = manifest.setdefault("runtimes", {})
+    if not isinstance(runtimes, dict) or not all(
+        isinstance(v, (int, float)) for v in runtimes.values()
+    ):
+        raise ScenarioError(f"{path}: runtimes: expected stage names mapped to seconds")
+    return manifest
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest_path = run_dir / "manifest.json"
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    runtimes = manifest.get("runtimes", {})
+    manifest = _read_manifest(run_dir / "manifest.json")
+    runtimes = manifest["runtimes"]
     report: dict = {
         "command": manifest["command"],
         "version": manifest["version"],
@@ -578,8 +475,7 @@ def cmd_report(args) -> int:
     lines = [f"report: {manifest['command']} run at {run_dir}"]
     lines += [f"  runtime {stage} {seconds:.3f} s" for stage, seconds in runtimes.items()]
     if (run_dir / "aggregate.json").is_file():
-        with open(run_dir / "aggregate.json", "r", encoding="utf-8") as fh:
-            aggregate = json.load(fh)
+        aggregate = read_json(run_dir / "aggregate.json")
         cells = aggregate["cells"]
         best = min(cells, key=lambda c: c["js"])
         report["target"] = aggregate["target"]
@@ -595,19 +491,16 @@ def cmd_report(args) -> int:
                 f"clustering {c['clustering_avg']:.3f}  final share at max tau {final:.3f}"
             )
     if (run_dir / "best.json").is_file():
-        with open(run_dir / "best.json", "r", encoding="utf-8") as fh:
-            best = json.load(fh)
+        best = read_json(run_dir / "best.json")
         report["best"] = best
         lines.append(
             f"  fitted preference {best['best']} js {best['objective']:.4f} "
             f"({best['evaluations']} evaluations)"
         )
     if (run_dir / "summary.json").is_file():
-        with open(run_dir / "summary.json", "r", encoding="utf-8") as fh:
-            report["summary"] = json.load(fh)
+        report["summary"] = read_json(run_dir / "summary.json")
     if (run_dir / "risk.json").is_file():
-        with open(run_dir / "risk.json", "r", encoding="utf-8") as fh:
-            risk = json.load(fh)
+        risk = read_json(run_dir / "risk.json")
         report["risk"] = {
             "seeds": risk["seeds"],
             "infected_total": risk["infected_total"],
@@ -617,7 +510,7 @@ def cmd_report(args) -> int:
             f"  seeds {risk['seeds']} infected {risk['infected_total']} "
             f"(share {risk['final_share']:.3f})"
         )
-    _write_json(run_dir / "report.json", report)
+    write_json(run_dir / "report.json", report)
     _emit("\n".join(lines))
     return 0
 

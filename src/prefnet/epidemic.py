@@ -20,11 +20,11 @@ fraction of nodes infected within T steps at seed distance at most D
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .features import GROUP_COUNT, GROUP_WIDTH, Population
 from .netgen import NetworkSnapshot
 from .scenario import CounterStream, Scenario
@@ -368,12 +368,10 @@ def risk_report(
 def trace_to_csv(trace: EpidemicTrace, path) -> None:
     """Per-node record: distance from the seed set and first infection
     step (-1 if never infected)."""
-    times = trace.infection_times()
-    seed_set = set(int(s) for s in trace.seeds)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "is_seed", "distance", "infection_time"])
-        for v in range(trace.node_count):
-            writer.writerow(
-                [v, int(v in seed_set), int(trace.distances[v]), int(times[v])]
-            )
+    nodes = np.arange(trace.node_count)
+    is_seed = np.isin(nodes, trace.seeds).astype(np.int64)
+    rows = zip(
+        nodes.tolist(), is_seed.tolist(), trace.distances.tolist(),
+        trace.infection_times().tolist(),
+    )
+    write_csv(path, ["node_id", "is_seed", "distance", "infection_time"], rows)

@@ -19,13 +19,13 @@ larger q weighs dominant groups more heavily.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .artifacts import write_csv
 from .scenario import AgeShape, Preference
 
 GROUP_COUNT = 9
@@ -162,10 +162,19 @@ def hill_number(counts, q: float) -> float:
     """Diversity of order q of a count (or proportion) vector.
 
     q = 0 counts the occupied classes, q = 1 is exp(Shannon entropy), and
-    q -> infinity approaches 1 / max proportion. Zeros are ignored; the
-    vector must contain at least one positive entry and q must be >= 0.
+    q = inf is 1 / max proportion, the limit of large q. Zeros are ignored;
+    the vector must contain at least one positive entry and q must be >= 0.
+
+    Other orders are computed relative to the largest proportion p_max:
+    D_q = exp(-log1p(sum p (r^(q-1) - 1)) / (q - 1)) / p_max with
+    r = p / p_max <= 1, whose limit at q = 1 is exp(-sum p log r) / p_max.
+    Every term of the sum has the sign of 1 - q, so nothing cancels near
+    q = 1, and the sum stays above p_max - 1 > -1, so D_q stays finite
+    for large q.
     """
     counts = np.asarray(counts, dtype=np.float64)
+    if math.isnan(q):
+        raise ValueError("diversity order q must be a number, got nan")
     if q < 0:
         raise ValueError(f"diversity order q must be non-negative, got {q}")
     if (counts < 0).any():
@@ -174,9 +183,17 @@ def hill_number(counts, q: float) -> float:
     if total == 0:
         raise ValueError("counts must contain at least one positive entry")
     p = counts[counts > 0] / total
+    if q == 0:
+        return float(p.size)
+    p_max = p.max()
+    if q == math.inf:
+        return float(1.0 / p_max)
+    log_r = np.log(p / p_max)
     if q == 1:
-        return float(math.exp(-(p * np.log(p)).sum()))
-    return float((p**q).sum() ** (1.0 / (1.0 - q)))
+        rate = (p * log_r).sum()
+    else:
+        rate = math.log1p((p * np.expm1((q - 1.0) * log_r)).sum()) / (q - 1.0)
+    return float(math.exp(-rate) / p_max)
 
 
 def hill_profile(counts, orders) -> np.ndarray:
@@ -186,9 +203,5 @@ def hill_profile(counts, orders) -> np.ndarray:
 
 def population_to_csv(population: Population, path) -> None:
     """Write node_id, age, group rows (deterministic byte-for-byte)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "age", "group"])
-        groups = population.groups
-        for v in range(population.size):
-            writer.writerow([v, int(population.ages[v]), int(groups[v])])
+    rows = zip(range(population.size), population.ages.tolist(), population.groups.tolist())
+    write_csv(path, ["node_id", "age", "group"], rows)

@@ -23,7 +23,6 @@ comparison target.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import write_json
 from .features import AGE_SPAN, Population
 from .scenario import Scenario
 
@@ -295,9 +295,7 @@ def save_network(net: NetworkSnapshot, path, meta_path=None) -> None:
             "edge_count": net.edge_count,
             "provenance": net.provenance,
         }
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(meta_path, meta)
 
 
 def _is_number(text: str) -> bool:

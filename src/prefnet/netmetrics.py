@@ -27,12 +27,11 @@ connectivity / degree / clustering / path statistics.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .netgen import NetworkSnapshot
 
 CLUSTERING_BINS = 20
@@ -230,9 +229,6 @@ class SummaryStats:
     path_max: int
     path_min: int
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass(frozen=True)
 class NetworkPatterns:
@@ -292,14 +288,5 @@ def analyze(net: NetworkSnapshot) -> NetworkPatterns:
 
 
 def distribution_to_csv(dist: PatternDistribution, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([dist.kind, "mass"])
-        for s, m in zip(dist.support, dist.mass):
-            writer.writerow([int(s), repr(float(m))])
-
-
-def summary_to_json(stats: SummaryStats, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    rows = zip(dist.support.tolist(), map(repr, dist.mass.tolist()))
+    write_csv(path, [dist.kind, "mass"], rows)

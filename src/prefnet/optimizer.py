@@ -21,14 +21,13 @@ candidate are served from cache without spending budget.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .features import group_counts, make_population, sample_ages, Population
 from .netgen import generate_network, pair_draws, PairDraws
 from .netmetrics import PatternDistribution, degree_distribution, js_divergence
@@ -235,38 +234,27 @@ def optimize(
 
 
 def log_to_csv(log, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["level", "level_weight", "difference", "difference_weight", "replicate", "js"]
-        )
-        for rec in log:
-            writer.writerow(
-                [
-                    rec.level,
-                    repr(rec.level_weight),
-                    rec.difference,
-                    repr(rec.difference_weight),
-                    rec.replicate,
-                    repr(rec.js),
-                ]
-            )
+    header = ["level", "level_weight", "difference", "difference_weight", "replicate", "js"]
+    rows = (
+        [
+            rec.level,
+            repr(rec.level_weight),
+            rec.difference,
+            repr(rec.difference_weight),
+            rec.replicate,
+            repr(rec.js),
+        ]
+        for rec in log
+    )
+    write_csv(path, header, rows)
 
 
 def result_to_json(result: OptimizeResult, path) -> None:
-    pref = result.best.preference
     payload = {
-        "best": {
-            "level": pref.level,
-            "level_weight": pref.level_weight,
-            "difference": pref.difference,
-            "difference_weight": pref.difference_weight,
-        },
+        "best": asdict(result.best.preference),
         "objective": result.best.objective,
         "objective_std": result.best.objective_std,
         "replicates": result.best.replicates,
         "evaluations": result.evaluations,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

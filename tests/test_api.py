@@ -1,5 +1,7 @@
 """The package's public names."""
 
+from pathlib import Path
+
 import prefnet
 from prefnet import epidemic, netgen
 
@@ -26,3 +28,15 @@ def test_public_names():
     namespace = {}
     exec("from prefnet import *", namespace)
     assert set(prefnet.__all__) <= set(namespace)
+
+
+def test_artifact_format_lives_in_one_module():
+    # The CSV and JSON byte format is decided in artifacts.py alone.
+    package = Path(prefnet.__file__).parent
+    users = {
+        path.name
+        for path in package.glob("*.py")
+        for call in ("csv.writer", "json.dump", "json.load")
+        if call in path.read_text(encoding="utf-8")
+    }
+    assert users == {"artifacts.py"}

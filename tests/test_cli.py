@@ -75,13 +75,18 @@ STAGES = {
     "generate": ["grow", "write_network", "analyze", "generate"],
     "epidemic": ["grow", "write_network", "analyze", "generate", "epidemic"],
     "optimize": ["draws", "search", "optimize"],
+    "sweep": ["sweep", "cell:U_P+", "cell:U_PH"],
+}
+EXTRA = {
+    "optimize": ["--budget", "3", "--replicates", "2"],
+    "sweep": ["--shapes", "U", "--rules", "P+,PH", "--taus", "0.2"],
 }
 
 
-@pytest.mark.parametrize("command", ["generate", "epidemic", "optimize"])
+@pytest.mark.parametrize("command", ["generate", "epidemic", "optimize", "sweep"])
 def test_manifest_records_stage_runtimes(tmp_path, command, capsys):
     out = tmp_path / command
-    extra = ["--budget", "3", "--replicates", "2"] if command == "optimize" else []
+    extra = EXTRA.get(command, [])
     assert main([command, "--out", str(out), "--set", "node_count=30",
                  "--set", "edge_budget=100", *extra]) == 0
     stages = STAGES[command]
@@ -90,6 +95,26 @@ def test_manifest_records_stage_runtimes(tmp_path, command, capsys):
     runtimes = _read_json(out / "manifest.json")["runtimes"]
     assert sorted(runtimes) == sorted(stages)
     assert all(isinstance(v, float) and v >= 0 for v in runtimes.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate"],
+        ["epidemic"],
+        ["sweep", "--shapes", "U", "--rules", "P+,PH", "--taus", "0.2,0.8", "--jobs", "1"],
+        ["sweep", "--shapes", "U", "--rules", "P+,PH", "--taus", "0.2,0.8", "--jobs", "2"],
+        ["optimize", "--budget", "3", "--replicates", "2"],
+    ],
+    ids=["generate", "epidemic", "sweep-jobs1", "sweep-jobs2", "optimize"],
+)
+def test_manifest_lists_exactly_the_files_written(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--set", "node_count=30", "--set", "edge_budget=100",
+                 "--out", str(out)]) == 0
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    outputs = _read_json(out / "manifest.json")["outputs"]
+    assert outputs == sorted(written - {"manifest.json"})
 
 
 def test_cli_import_does_not_load_scipy():
@@ -368,6 +393,27 @@ def test_report_on_epidemic(tmp_path, capsys):
     assert set(runtimes) == {"grow", "write_network", "analyze", "generate", "epidemic"}
     printed = [line for line in capsys.readouterr().out.splitlines() if "runtime" in line]
     assert printed == [f"  runtime {stage} {s:.3f} s" for stage, s in runtimes.items()]
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("{}", "command"),
+        ("[1]", "expected a JSON object"),
+        ('{"command": 1, "version": "1"}', "command"),
+        ('{"command": "generate"}', "version"),
+        ('{"command": "generate", "version": "1", "runtimes": {"grow": "fast"}}', "runtimes"),
+        ('{"command": "generate", "version": "1", "runtimes": [1.0]}', "runtimes"),
+        ("not json", "Expecting value"),
+    ],
+    ids=["empty", "list", "command", "version", "runtime", "runtimes", "not-json"],
+)
+def test_report_rejects_a_malformed_manifest(tmp_path, capsys, text, field):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    assert main(["report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: {field}")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_report_missing_dir(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefnet.features import (
     AGE_SPAN,
@@ -180,6 +181,38 @@ def test_hill_q2_ordering_of_templates():
         values[AgeShape.LEFT_SKEWED],
     )
     assert u >= i >= b >= l
+
+
+def test_hill_large_and_infinite_orders():
+    # 1 / max p: with rescaling a large order no longer overflows to inf
+    for q in (500, 1e6, math.inf):
+        assert hill_number([10] * 9, q) == pytest.approx(9.0, abs=1e-12)
+    assert hill_number([1, 2, 3], math.inf) == 2.0
+    with pytest.raises(ValueError, match="q"):
+        hill_number([1, 2, 3], math.nan)
+
+
+_ORDERS = st.one_of(
+    st.floats(0.0, 1e6, allow_nan=False),
+    st.floats(0.99, 1.01),
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 1000), min_size=1, max_size=12).filter(any),
+    st.lists(_ORDERS, min_size=2, max_size=6),
+)
+def test_hill_bounded_and_non_increasing_in_order(counts, orders):
+    p_max = max(counts) / sum(counts)
+    occupied = sum(1 for c in counts if c)
+    values = [hill_number(counts, q) for q in sorted(orders)]
+    for value in values:
+        assert math.isfinite(value)
+        assert 1.0 / p_max * (1 - 1e-12) <= value <= occupied * (1 + 1e-12)
+    for a, b in zip(values, values[1:]):
+        assert b <= a * (1 + 1e-12)
 
 
 def test_hill_profile_shape():
