@@ -36,7 +36,7 @@ def main():
     result = optimize(sc, target, budget=args.budget, replicates=args.replicates)
     best = result.best
     print(f"budget {args.budget} x {args.replicates} replicates "
-          f"-> {result.evaluations} evaluations, {len(result.log)} network builds")
+          f"-> {result.evaluations} evaluations, {len(result.log)} logged replicate scores")
     print(f"best preference: level {best.preference.level:+d} "
           f"w={best.preference.level_weight:.3f}, "
           f"difference {best.preference.difference:+d} "

@@ -425,9 +425,22 @@ def cmd_optimize(args) -> int:
     run = _resolve_out(args)
     target, target_text = _resolve_target(args.target, scenario)
     runtimes: dict = {}
+
+    def progress(spent: int, best: float) -> None:
+        print(
+            f"optimize: {spent}/{args.budget} evaluations, best js {best:.4f}",
+            file=sys.stderr,
+            flush=True,
+        )
+
     t0 = time.perf_counter()
     result = optimize(
-        scenario, target, budget=args.budget, replicates=args.replicates, runtimes=runtimes
+        scenario,
+        target,
+        budget=args.budget,
+        replicates=args.replicates,
+        runtimes=runtimes,
+        progress=progress,
     )
     runtimes["optimize"] = time.perf_counter() - t0
     save_scenario(scenario, run.path("scenario.txt"))
@@ -447,20 +460,66 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+# JSON kinds a run file's fields are checked against: (types, description).
+_OBJECT = (dict, "a JSON object")
+_LIST = (list, "a list")
+_STRING = (str, "a string")
+_NUMBER = ((int, float), "a number")
+_INTEGER = (int, "an integer")
+
+
+def _check(path: Path, value, field: str, kind: tuple):
+    """`value` if it is of `kind` (a bool is not a number); otherwise an
+    error naming the file and the field."""
+    types, expected = kind
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ScenarioError(f"{path}: {field}: expected {expected}, got {value!r}")
+    return value
+
+
+def _read_object(path: Path, fields: dict | None = None) -> dict:
+    """The JSON object at `path`, with each of `fields` (name -> kind)
+    checked."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    for key, kind in (fields or {}).items():
+        _check(path, payload.get(key), key, kind)
+    return payload
+
+
 def _read_manifest(path: Path) -> dict:
     """The manifest at `path`, checked for the fields `report` reads."""
-    manifest = read_json(path)
-    if not isinstance(manifest, dict):
-        raise ScenarioError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
-    for key in ("command", "version"):
-        if not isinstance(manifest.get(key), str):
-            raise ScenarioError(f"{path}: {key}: expected a string, got {manifest.get(key)!r}")
+    manifest = _read_object(path, {"command": _STRING, "version": _STRING})
     runtimes = manifest.setdefault("runtimes", {})
     if not isinstance(runtimes, dict) or not all(
         isinstance(v, (int, float)) for v in runtimes.values()
     ):
         raise ScenarioError(f"{path}: runtimes: expected stage names mapped to seconds")
     return manifest
+
+
+def _read_aggregate(path: Path) -> dict:
+    """A sweep's aggregate.json, checked for the fields `report` reads."""
+    aggregate = _read_object(path, {"target": _STRING, "cells": _LIST})
+    if not aggregate["cells"]:
+        raise ScenarioError(f"{path}: cells: expected at least one cell, got []")
+    fields = {
+        "name": _STRING,
+        "js": _NUMBER,
+        "unconnected": _INTEGER,
+        "clustering_avg": _NUMBER,
+        "par": _LIST,
+    }
+    for k, cell in enumerate(aggregate["cells"]):
+        where = f"cells[{k}]"
+        _check(path, cell, where, _OBJECT)
+        for key, kind in fields.items():
+            _check(path, cell.get(key), f"{where}.{key}", kind)
+        for t, entry in enumerate(cell["par"]):
+            _check(path, entry, f"{where}.par[{t}]", _OBJECT)
+            _check(path, entry.get("final_share"), f"{where}.par[{t}].final_share", _NUMBER)
+    return aggregate
 
 
 def cmd_report(args) -> int:
@@ -475,7 +534,7 @@ def cmd_report(args) -> int:
     lines = [f"report: {manifest['command']} run at {run_dir}"]
     lines += [f"  runtime {stage} {seconds:.3f} s" for stage, seconds in runtimes.items()]
     if (run_dir / "aggregate.json").is_file():
-        aggregate = read_json(run_dir / "aggregate.json")
+        aggregate = _read_aggregate(run_dir / "aggregate.json")
         cells = aggregate["cells"]
         best = min(cells, key=lambda c: c["js"])
         report["target"] = aggregate["target"]
@@ -491,16 +550,22 @@ def cmd_report(args) -> int:
                 f"clustering {c['clustering_avg']:.3f}  final share at max tau {final:.3f}"
             )
     if (run_dir / "best.json").is_file():
-        best = read_json(run_dir / "best.json")
+        best = _read_object(
+            run_dir / "best.json",
+            {"best": _OBJECT, "objective": _NUMBER, "evaluations": _INTEGER},
+        )
         report["best"] = best
         lines.append(
             f"  fitted preference {best['best']} js {best['objective']:.4f} "
             f"({best['evaluations']} evaluations)"
         )
     if (run_dir / "summary.json").is_file():
-        report["summary"] = read_json(run_dir / "summary.json")
+        report["summary"] = _read_object(run_dir / "summary.json")
     if (run_dir / "risk.json").is_file():
-        risk = read_json(run_dir / "risk.json")
+        risk = _read_object(
+            run_dir / "risk.json",
+            {"seeds": _LIST, "infected_total": _INTEGER, "final_share": _NUMBER},
+        )
         report["risk"] = {
             "seeds": risk["seeds"],
             "infected_total": risk["infected_total"],

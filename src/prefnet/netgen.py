@@ -172,6 +172,41 @@ def pair_draws(
     return PairDraws(n, i, j, noise)
 
 
+def budget_pairs(
+    score_table: np.ndarray, ages: np.ndarray, draws: PairDraws, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score the met pairs and pick the budgeted best: returns every met
+    pair's score and the positions, ascending, of the k = min(budget, met)
+    kept pairs.
+
+    A met pair scores its entry in the age table (`score_table`, see
+    `features.pair_score_table`) plus its jitter. Pairs rank by (score
+    desc, pair order asc) in a partial top-k: a partition finds the k-th
+    largest score, every pair above it is kept, and the remaining slots
+    go to the pairs tied at it, lowest first. If fewer pairs met than the
+    budget asks for, all of them are kept and a shortfall warning is
+    issued, pointing at the caller of `generate_network` or
+    `optimizer.evaluate`.
+    """
+    # A pair's age code a * AGE_SPAN + b stays below 8100, so int16 holds it.
+    ages = ages.astype(np.int16, copy=False)
+    score = score_table.take(ages.take(draws.i) * AGE_SPAN + ages.take(draws.j))
+    score += draws.noise
+    met = draws.met_count
+    if met < budget:
+        warnings.warn(
+            f"only {met} pairs encountered, below the edge budget "
+            f"of {budget}; linking all of them",
+            stacklevel=3,
+        )
+    k = min(budget, met)
+    kth = np.partition(score, -k)[-k] if k else np.inf
+    keep = score > kth
+    tied = np.flatnonzero(score == kth)
+    keep[tied[: k - np.count_nonzero(keep)]] = True
+    return score, np.flatnonzero(keep)
+
+
 def generate_network(
     population: Population,
     scenario: Scenario,
@@ -184,14 +219,12 @@ def generate_network(
     met pair scores its entry in the population's age table (the mean of
     its level and difference terms, see `features.pair_score_table`) plus
     its jitter. The edge budget keeps the k = min(budget, met)
-    highest-scoring met pairs, ranked by (score desc, i asc, j asc). The
-    ranking is a partial top-k: a partition finds the k-th largest score,
-    every pair above it is kept, and the remaining slots go to the pairs
-    tied at it, lowest (i, j) first. Kept pairs stay in pair order, so edge
-    rows come out sorted. If fewer pairs met than the budget asks for, all of them
-    are linked and a shortfall warning is recorded. Edge strength is
-    (score + 2) / 4, an order-preserving map into (0, 1] for the typical
-    score range.
+    highest-scoring met pairs, ranked by (score desc, i asc, j asc), by
+    the partial top-k of `budget_pairs`. Kept pairs stay in pair order, so
+    edge rows come out sorted. If fewer pairs met than the budget asks
+    for, all of them are linked and a shortfall warning is recorded. Edge
+    strength is (score + 2) / 4, an order-preserving map into (0, 1] for
+    the typical score range.
     """
     n = population.size
     if n != scenario.node_count:
@@ -200,37 +233,20 @@ def generate_network(
         )
     if draws.node_count != n:
         raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
-    i, j = draws.i, draws.j
-    # A pair's age code a * AGE_SPAN + b stays below 8100, so int16 holds it.
-    ages = population.ages.astype(np.int16)
-    score = population.score_table.take(ages.take(i) * AGE_SPAN + ages.take(j))
-    score += draws.noise
-
-    met = draws.met_count
-    shortfall = met < scenario.edge_budget
-    if shortfall:
-        warnings.warn(
-            f"only {met} pairs encountered, below the edge budget "
-            f"of {scenario.edge_budget}; linking all of them",
-            stacklevel=2,
-        )
-    k = min(scenario.edge_budget, met)
-    kth = np.partition(score, -k)[-k] if k else np.inf
-    keep = score > kth
-    tied = np.flatnonzero(score == kth)
-    keep[tied[: k - np.count_nonzero(keep)]] = True
-    chosen = np.flatnonzero(keep)
+    score, chosen = budget_pairs(
+        population.score_table, population.ages, draws, scenario.edge_budget
+    )
     gamma = edge_strength(score.take(chosen))
     del score  # the met-pair scores go before the edge arrays are built
-    edges = np.empty((k, 2), dtype=np.int64)
-    edges[:, 0] = i.take(chosen)
-    edges[:, 1] = j.take(chosen)
+    edges = np.empty((chosen.shape[0], 2), dtype=np.int64)
+    edges[:, 0] = draws.i.take(chosen)
+    edges[:, 1] = draws.j.take(chosen)
 
     provenance = {
         "kind": "generated",
         "scenario": scenario.scenario_hash(),
         "streams": ["encounter", "noise"],
-        "shortfall": bool(shortfall),
+        "shortfall": draws.met_count < scenario.edge_budget,
     }
     if provenance_extra:
         provenance.update(provenance_extra)

@@ -180,6 +180,37 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
     return dist
 
 
+def support_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two strictly increasing supports. Equal to
+    `np.union1d`, whose `np.unique` imports `numpy.ma` (about 1.4 MB of
+    resident memory) on first use."""
+    union = np.concatenate((a, b))
+    union.sort()
+    keep = np.ones(union.shape[0], dtype=bool)
+    np.not_equal(union[1:], union[:-1], out=keep[1:])
+    return union[keep]
+
+
+def pad_mass(p: PatternDistribution, union: np.ndarray) -> np.ndarray:
+    """p's mass zero-padded onto `union`, a sorted support that holds p's."""
+    mass = np.zeros(union.shape[0])
+    mass[np.searchsorted(union, p.support)] = p.mass
+    return mass
+
+
+def js_masses(a: np.ndarray, b: np.ndarray) -> float:
+    """Jensen-Shannon divergence in base 2 of two mass arrays over the
+    same support, clipped to [0, 1]; zero-mass terms contribute nothing."""
+    m = 0.5 * (a + b)
+
+    def _half(x: np.ndarray) -> float:
+        nz = x > 0
+        return float((x[nz] * np.log2(x[nz] / m[nz])).sum())
+
+    value = 0.5 * _half(a) + 0.5 * _half(b)
+    return max(0.0, min(1.0, value))
+
+
 def js_divergence(p: PatternDistribution, q: PatternDistribution) -> float:
     """Jensen-Shannon divergence in base 2, in [0, 1].
 
@@ -189,22 +220,8 @@ def js_divergence(p: PatternDistribution, q: PatternDistribution) -> float:
     """
     if p.kind != q.kind:
         raise ValueError(f"cannot compare {p.kind!r} with {q.kind!r} patterns")
-    if np.array_equal(p.support, q.support):  # degree patterns share 0..n-1
-        a, b = p.mass, q.mass
-    else:
-        union = np.union1d(p.support, q.support)
-        a = np.zeros(union.shape[0])
-        b = np.zeros(union.shape[0])
-        a[np.searchsorted(union, p.support)] = p.mass
-        b[np.searchsorted(union, q.support)] = q.mass
-    m = 0.5 * (a + b)
-
-    def _half(x: np.ndarray) -> float:
-        nz = x > 0
-        return float((x[nz] * np.log2(x[nz] / m[nz])).sum())
-
-    value = 0.5 * _half(a) + 0.5 * _half(b)
-    return max(0.0, min(1.0, value))
+    union = support_union(p.support, q.support)
+    return js_masses(pad_mass(p, union), pad_mass(q, union))
 
 
 @dataclass(frozen=True)

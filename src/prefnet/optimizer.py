@@ -10,27 +10,39 @@ therefore draws each replicate's encounters and jitter once
 (`replicate_draws`) and grows every candidate's replicate r from the same
 draws.
 
+A candidate's scores depend on its weights only through the effective
+weights a = level * level_weight and b = difference * difference_weight,
+so a zero weight makes its sign irrelevant and many grid candidates share
+one (a, b). The search calls `evaluate` once per distinct (a, b) and hands
+its per-replicate values to every candidate that shares it. `evaluate`
+works on plain arrays: per replicate it scores the met pairs from one age
+table, keeps the pairs `generate_network` would link, and compares their
+degree frequencies with the target, building no network or pattern
+object.
+
 The search is two-phase: a coarse scan over all sign combinations crossed
 with a small weight ladder, then a local pattern search on the two weights
 around the grid winner (signs frozen), probing +/- step on each axis and
 halving the step when nothing improves. Weight 0 is a legal grid value, so
 every pure rule is itself a candidate and the winner can never be worse
-than any of them. The budget caps evaluate() calls; repeated visits to a
-candidate are served from cache without spending budget.
+than any of them. The budget caps the evaluations: each new candidate
+spends one and logs its R rows, even when it shares its (a, b) with an
+earlier one; repeated visits to a candidate are served from cache without
+spending budget.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .artifacts import write_csv, write_json
 from .features import group_counts, make_population, sample_ages, Population
-from .netgen import generate_network, pair_draws, PairDraws
-from .netmetrics import PatternDistribution, degree_distribution, js_divergence
+from .netgen import budget_pairs, pair_draws, PairDraws
+from .netmetrics import js_masses, pad_mass, PatternDistribution, support_union
 from .scenario import Preference, RngPolicy, Scenario
 
 LEVEL_GRID: tuple[int, ...] = (-1, 0, 1)
@@ -93,22 +105,46 @@ def evaluate(
     Passing the same draws (see `replicate_draws`) for every candidate
     compares candidates under common random numbers. Ages can be passed in
     to avoid resampling them per call (they do not depend on the
-    preference)."""
+    preference).
+
+    Replicate r's value equals `js_divergence(degree_distribution(
+    generate_network(population, scenario, draws[r])), target)` bit for
+    bit, but no network or pattern object is built: each replicate keeps
+    the pairs `generate_network` would link (`budget_pairs`), counts
+    degrees and their frequencies with `bincount`, and compares those
+    with the target's mass, both padded onto the union of 0..n-1 and the
+    target's support as `js_divergence` pads them."""
     if not draws:
         raise ValueError("evaluate needs the draws of at least one replicate")
+    if target.kind != "degree":
+        raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
+    n = scenario.node_count
     if ages is None:
         population = make_population(
             scenario.age_shape,
-            scenario.node_count,
+            n,
             preference,
             RngPolicy(scenario.master_seed).stream("feature-gen"),
         )
     else:
         population = Population(ages, preference)
-    values = [
-        js_divergence(degree_distribution(generate_network(population, scenario, d)), target)
-        for d in draws
-    ]
+    if population.size != n:
+        raise ValueError(f"population size {population.size} does not match node_count {n}")
+    if any(d.node_count != n for d in draws):
+        raise ValueError(f"pair draws do not fit {n} nodes")
+    table = population.score_table
+    nodes = np.arange(n)
+    union = support_union(nodes, target.support)
+    target_mass = pad_mass(target, union)
+    at = np.searchsorted(union, nodes)
+    values = []
+    for d in draws:
+        _, kept = budget_pairs(table, population.ages, d, scenario.edge_budget)
+        degrees = np.bincount(d.i.take(kept), minlength=n)
+        degrees += np.bincount(d.j.take(kept), minlength=n)
+        mass = np.zeros(union.shape[0])
+        mass[at] = np.bincount(degrees, minlength=n) / n
+        values.append(js_masses(mass, target_mass))
     return float(np.mean(values)), values
 
 
@@ -122,13 +158,17 @@ def optimize(
     budget: int,
     replicates: int = 5,
     runtimes: dict | None = None,
+    progress: Callable[[int, float], None] | None = None,
 ) -> OptimizeResult:
     """Search for the preference whose networks best match the target
     degree pattern, spending at most `budget` objective evaluations.
 
     The ages and the replicates' pair draws are drawn once for the whole
     search. If `runtimes` is given, the seconds spent drawing them and
-    searching are recorded in it as "draws" and "search"."""
+    searching are recorded in it as "draws" and "search". If `progress` is
+    given, it is called with the evaluations spent and the best objective
+    so far after the grid scan and after each halving of the refinement
+    step."""
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     t0 = time.perf_counter()
@@ -141,6 +181,9 @@ def optimize(
 
     log: list[EvalRecord] = []
     cache: dict[tuple, tuple[float, float]] = {}
+    # evaluate() results by effective weights (a, b), on which alone the
+    # scores depend; -0.0 and 0.0 are one key, and give the same scores.
+    shared: dict[tuple[float, float], tuple[float, list[float]]] = {}
     spent = 0
 
     def run(pref: Preference) -> tuple[float, float] | None:
@@ -157,7 +200,13 @@ def optimize(
         if spent >= budget:
             return None
         spent += 1
-        mean, values = evaluate(pref, target, scenario, draws, ages=ages)
+        effective = (
+            pref.level * pref.level_weight,
+            pref.difference * pref.difference_weight,
+        )
+        if effective not in shared:
+            shared[effective] = evaluate(pref, target, scenario, draws, ages=ages)
+        mean, values = shared[effective]
         for r, v in enumerate(values):
             log.append(
                 EvalRecord(
@@ -196,6 +245,8 @@ def optimize(
             break
 
     assert best_pref is not None and best is not None  # budget >= 1
+    if progress is not None:
+        progress(spent, best[0])
 
     step = REFINE_STEP
     while spent < budget and step >= REFINE_FLOOR:
@@ -222,6 +273,8 @@ def optimize(
             best_pref, best = improved
         else:
             step /= 2.0
+            if progress is not None:
+                progress(spent, best[0])
 
     if runtimes is not None:
         runtimes["draws"] = t1 - t0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import prefnet
-from prefnet import netmetrics
+from prefnet import cli, netmetrics
 from prefnet.cli import main
 from prefnet.scenario import load_scenario, Preference, Rule, save_scenario, Scenario
 
@@ -125,6 +126,23 @@ def test_cli_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_optimize_does_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 1.4 MB of resident memory that a
+    # fit has no other use for
+    src = str(Path(prefnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys; from prefnet.cli import main; "
+        f"main(['optimize', '--out', {str(tmp_path)!r}, '--set', 'node_count=45', "
+        "'--set', 'edge_budget=350', '--target', 'ba:60,5', '--budget', '30']); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -305,6 +323,31 @@ def test_optimize_artifacts(tmp_path):
     assert fitted.preference.level == best["best"]["level"]
 
 
+def test_optimize_reports_progress_on_stderr_only(tmp_path, capsys, monkeypatch):
+    argv = ["optimize", "--set", "node_count=45", "--set", "edge_budget=350",
+            "--budget", "470", "--replicates", "1"]
+    loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+    assert main(argv + ["--out", str(loud)]) == 0
+    out, err = capsys.readouterr()
+    search = cli.optimize
+    monkeypatch.setattr(cli, "optimize", lambda *a, **kw: search(*a, **{**kw, "progress": None}))
+    assert main(argv + ["--out", str(quiet)]) == 0
+    quiet_out, quiet_err = capsys.readouterr()
+    assert quiet_err == ""
+    assert out.replace(str(loud), str(quiet)) == quiet_out
+    _assert_identical_runs(loud, quiet)
+    lines = err.splitlines()
+    found = [re.fullmatch(r"optimize: (\d+)/470 evaluations, best js (\d\.\d{4})", line)
+             for line in lines]
+    assert lines and all(found), lines
+    spent = [int(m[1]) for m in found]
+    best = [float(m[2]) for m in found]
+    # one line after the 441-candidate grid, then one per step halving
+    assert spent[0] == 441 and len(lines) > 1
+    assert spent == sorted(spent) and best == sorted(best, reverse=True)
+    assert f"js {best[-1]:.4f} after {spent[-1]} evaluations" in out
+
+
 def test_optimize_explicit_ba_target(tmp_path):
     out = tmp_path / "opt"
     code = main(
@@ -413,6 +456,36 @@ def test_report_rejects_a_malformed_manifest(tmp_path, capsys, text, field):
     manifest.write_text(text, encoding="utf-8")
     assert main(["report", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {manifest}: {field}")
+    assert not (tmp_path / "report.json").exists()
+
+
+_CELL = {"name": "U_P+", "js": 0.4, "unconnected": 7, "clustering_avg": 0.6,
+         "par": [{"final_share": 0.9}]}
+
+
+@pytest.mark.parametrize(
+    "name, payload, field",
+    [
+        ("aggregate.json", {}, "target"),
+        ("aggregate.json", {"target": "ba:90,20", "cells": []}, "cells"),
+        ("aggregate.json", {"target": "ba:90,20", "cells": [_CELL, {**_CELL, "js": None}]},
+         "cells[1].js"),
+        ("aggregate.json", {"target": "ba:90,20", "cells": [{**_CELL, "par": [1]}]},
+         "cells[0].par[0]"),
+        ("best.json", {}, "best"),
+        ("best.json", {"best": {}, "objective": 0.2, "evaluations": True}, "evaluations"),
+        ("risk.json", {"seeds": [3], "infected_total": 45}, "final_share"),
+        ("summary.json", [], "expected a JSON object"),
+    ],
+    ids=["aggregate-empty", "aggregate-no-cells", "aggregate-cell-js", "aggregate-par",
+         "best-empty", "best-evaluations", "risk-final-share", "summary-list"],
+)
+def test_report_rejects_a_malformed_run_file(tmp_path, capsys, name, payload, field):
+    (tmp_path / "manifest.json").write_text('{"command": "sweep", "version": "1"}',
+                                            encoding="utf-8")
+    (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: {field}")
     assert not (tmp_path / "report.json").exists()
 
 

@@ -16,6 +16,7 @@ from prefnet.netmetrics import (
     js_divergence,
     PatternDistribution,
     shortest_path_matrix,
+    support_union,
 )
 from prefnet.scenario import RngPolicy, Rule, Scenario
 
@@ -233,6 +234,24 @@ def test_js_divergence_symmetric_and_padded():
     q = PatternDistribution("degree", [0, 1, 3], [0.25, 0.5, 0.25])
     assert js_divergence(p, q) == pytest.approx(js_divergence(q, p), abs=1e-12)
     assert 0.0 <= js_divergence(p, q) <= 1.0
+
+
+_SUPPORT = st.sets(st.integers(-5, 60), max_size=30).map(
+    lambda values: np.array(sorted(values), dtype=np.int64)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SUPPORT, _SUPPORT)
+def test_support_union_equals_union1d(a, b):
+    union = support_union(a, b)
+    assert union.dtype == np.int64
+    assert np.array_equal(union, np.union1d(a, b))
+
+
+def test_js_divergence_of_empty_patterns():
+    empty = PatternDistribution("degree", [], [])
+    assert js_divergence(empty, empty) == 0.0
 
 
 def test_js_divergence_kind_mismatch():

@@ -1,12 +1,15 @@
 """Objective evaluation and the two-phase weight search."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from prefnet import features, optimizer
 from prefnet.features import make_population
 from prefnet.netgen import ba_target, generate_network, pair_draws
-from prefnet.netmetrics import degree_distribution
+from prefnet.netmetrics import degree_distribution, js_divergence, PatternDistribution
 from prefnet.optimizer import (
     evaluate,
     LEVEL_GRID,
@@ -17,8 +20,10 @@ from prefnet.optimizer import (
     WEIGHT_GRID,
 )
 from prefnet.scenario import (
+    AgeShape,
     Preference,
     RngPolicy,
+    Rule,
     RULE_PREFERENCES,
     Scenario,
 )
@@ -61,10 +66,97 @@ def test_evaluate_zero_against_own_degree_pattern():
 
 
 def test_evaluate_validation():
+    pref, target = Preference(1, 1.0, 1, 0.0), _small_target()
     with pytest.raises(ValueError):
-        evaluate(Preference(1, 1.0, 1, 0.0), _small_target(), SMALL, [])
+        evaluate(pref, target, SMALL, [])
+    clustering = PatternDistribution("clustering", [0], [1.0])
+    with pytest.raises(ValueError, match="cannot compare 'degree' with 'clustering'"):
+        evaluate(pref, clustering, SMALL, replicate_draws(SMALL, 1))
+    with pytest.raises(ValueError, match="population size 44"):
+        evaluate(pref, target, SMALL, replicate_draws(SMALL, 1), ages=np.zeros(44))
+    with pytest.raises(ValueError, match="pair draws"):
+        evaluate(pref, target, SMALL, replicate_draws(Scenario(node_count=44, edge_budget=9), 1))
     with pytest.raises(ValueError):
         replicate_draws(SMALL, 0)
+
+
+def _kernel_case(n, budget, rate, sigma, shape, seed, preference, target_n, replicates):
+    """A scenario, preference, target (a scale-free network's degree
+    pattern on target_n nodes) and replicate count for evaluate()."""
+    scenario = Scenario(node_count=n, edge_budget=budget, encounter_rate=rate,
+                        noise_sigma=sigma, age_shape=shape, master_seed=seed)
+    target = degree_distribution(
+        ba_target(target_n, max(1, target_n // 4), RngPolicy(seed).stream("optimizer", 0))
+    )
+    return scenario, preference, target, replicates
+
+
+_LEVEL = st.sampled_from([-1, 0, 1])
+_WEIGHT = st.one_of(st.sampled_from([0.0, -0.0, 0.02, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(2, 40))
+    pairs = n * (n - 1) // 2
+    return _kernel_case(
+        n,
+        draw(st.one_of(st.just(0), st.just(pairs), st.integers(0, pairs))),
+        draw(st.sampled_from([0.3, 0.8, 1.0])),
+        draw(st.sampled_from([0.0, 0.005, 0.05])),
+        draw(st.sampled_from(list(AgeShape))),
+        draw(st.integers(0, 2**32)),
+        Preference(draw(_LEVEL), draw(_WEIGHT), draw(_LEVEL), draw(_WEIGHT)),
+        draw(st.integers(2, 60)),
+        draw(st.integers(1, 3)),
+    )
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+# no jitter: every score ties with many others
+@example(_kernel_case(40, 300, 0.8, 0.0, AgeShape.UNIFORM, 1, Preference(1, 0.5, 0, 0.0), 40, 2))
+# a budget above every replicate's met count
+@example(_kernel_case(30, 435, 0.3, 0.005, AgeShape.BELL, 2, Preference(0, 0.0, 1, 1.0), 30, 3))
+# a target on more, and on fewer, nodes than the grown networks
+@example(_kernel_case(20, 60, 0.8, 0.005, AgeShape.LEFT_SKEWED, 3,
+                      RULE_PREFERENCES[Rule.H_MINUS], 55, 2))
+@example(_kernel_case(40, 200, 0.8, 0.005, AgeShape.RIGHT_SKEWED, 4,
+                      RULE_PREFERENCES[Rule.P_PLUS], 9, 2))
+def test_evaluate_equals_the_network_pipeline(case):
+    scenario, pref, target, replicates = case
+    draws = replicate_draws(scenario, replicates)
+    population = make_population(scenario.age_shape, scenario.node_count, pref,
+                                 RngPolicy(scenario.master_seed).stream("feature-gen"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mean, values = evaluate(pref, target, scenario, draws)
+        expected = [
+            js_divergence(degree_distribution(generate_network(population, scenario, d)), target)
+            for d in draws
+        ]
+    short = sum(d.met_count < scenario.edge_budget for d in draws)
+    # evaluate warns of each shortfall as generate_network does
+    assert len(caught) == 2 * short
+    assert [str(w.message) for w in caught[:short]] == [str(w.message) for w in caught[short:]]
+    assert _bits(values) == _bits(expected)
+    assert mean == float(np.mean(expected))
+
+    # a preference with the same effective weights (a, b) scores the same
+    def twin(level, weight):
+        if level * weight != 0:
+            return level, weight
+        return (1, 0.0) if level == 0 else (0, 1.0)
+
+    other = Preference(*twin(pref.level, pref.level_weight),
+                       *twin(pref.difference, pref.difference_weight))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _bits(evaluate(other, target, scenario, draws)[1]) == _bits(values)
 
 
 def test_optimize_budget_validation():
@@ -75,7 +167,9 @@ def test_optimize_budget_validation():
 
 
 def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
-    built, grown, evaluations = [], [], []
+    # evaluate() grows one network per replicate, so the search grows each
+    # distinct effective preference once per replicate, from the same draws
+    built, evaluations = [], []
 
     def counting(fn, calls):
         def wrapper(*args, **kwargs):
@@ -84,17 +178,18 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(optimizer, "pair_draws", counting(optimizer.pair_draws, built))
-    monkeypatch.setattr(optimizer, "generate_network",
-                        counting(optimizer.generate_network, grown))
     monkeypatch.setattr(optimizer, "evaluate", counting(optimizer.evaluate, evaluations))
     runtimes = {}
     result = optimize(SMALL, _small_target(), budget=12, replicates=3, runtimes=runtimes)
     assert len(built) == 3
-    assert len(evaluations) == result.evaluations == 12
-    assert len(grown) == 12 * 3
-    # every evaluation grows replicate r from the same draws
-    draws = [d for _, _, d in grown]
-    assert all(draws[e * 3 + r] is draws[r] for e in range(12) for r in range(3))
+    # the first 12 grid candidates are level -1 at weight 0 with difference
+    # -1 at all 7 weights, then difference 0 at 5 weights: 7 distinct (a, b)
+    effective = {(p.level * p.level_weight, p.difference * p.difference_weight)
+                 for p, *_ in evaluations}
+    assert len(evaluations) == len(effective) == 7
+    assert result.evaluations == 12
+    assert len(result.log) == 12 * 3
+    assert all(args[3] is evaluations[0][3] for args in evaluations)
     assert sorted(runtimes) == ["draws", "search"]
     assert all(v >= 0 for v in runtimes.values())
 
@@ -140,6 +235,20 @@ def test_optimize_objective_matches_log_minimum():
         by_candidate.setdefault(key, []).append(rec.js)
     means = {k: np.mean(v) for k, v in by_candidate.items()}
     assert result.best.objective == pytest.approx(min(means.values()), abs=1e-12)
+
+
+def test_optimize_logs_what_evaluate_gives_each_candidate():
+    # results shared between candidates with equal effective weights are
+    # the ones evaluate() gives each of them
+    target = _small_target()
+    full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
+    result = optimize(SMALL, target, budget=full_grid, replicates=2)
+    draws = replicate_draws(SMALL, 2)
+    for start in range(0, len(result.log), 2):
+        rows = result.log[start : start + 2]
+        pref = Preference(rows[0].level, rows[0].level_weight,
+                          rows[0].difference, rows[0].difference_weight)
+        assert _bits([r.js for r in rows]) == _bits(evaluate(pref, target, SMALL, draws)[1])
 
 
 def test_optimize_dominates_pure_rules():
