@@ -16,8 +16,8 @@ from prefnet import (
     infection_by_distance,
     make_population,
     pair_draws,
-    par,
     par_by_group,
+    par_matrix,
     run_si,
 )
 
@@ -52,7 +52,7 @@ def main():
 
     table = infection_by_distance(trace)
     print()
-    print("new infections by distance to the seed (rows: time):")
+    print("infected nodes at each distance from the seed, by step (cumulative in time):")
     print("  t\\d " + " ".join(f"{d:>4}" for d in range(sc.distance_cap + 1)))
     for t in range(sc.horizon + 1):
         print(f"  {t:>3} " + " ".join(f"{c:>4}" for c in table[t]))
@@ -60,8 +60,9 @@ def main():
     print()
     print("population share infected within time T and distance D:")
     print("  T\\D " + " ".join(f"{d:>5}" for d in range(sc.distance_cap + 1)))
+    matrix = par_matrix(trace)
     for t in range(sc.horizon + 1):
-        row = [f"{par(trace, t, d):>5.2f}" for d in range(min(t, sc.distance_cap) + 1)]
+        row = [f"{matrix[t, d]:>5.2f}" for d in range(min(t, sc.distance_cap) + 1)]
         print(f"  {t:>3} " + " ".join(row))
 
     shares = par_by_group(trace, population, sc.horizon, sc.distance_cap)

@@ -64,7 +64,6 @@ from .epidemic import (
     multi_source_distances,
     par,
     par_by_group,
-    par_exact,
     par_matrix,
     risk_report,
     run_si,
@@ -112,7 +111,6 @@ __all__ = [
     "PairDraws",
     "par",
     "par_by_group",
-    "par_exact",
     "par_matrix",
     "PatternDistribution",
     "PH_FITTED",

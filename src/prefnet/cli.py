@@ -165,10 +165,12 @@ def _resolve_target(text: str | None, scenario: Scenario) -> tuple[PatternDistri
     """Build the target degree pattern from a --target value: 'ba:n,m', an
     'edgelist:path', or (by default) a scale-free network sized to the
     scenario. Also returns the target's text, with the default filled in."""
+    where = "target"
     if text is None:
         n = scenario.node_count
         m = _ba_m_for(n, scenario.edge_budget)
         text = f"ba:{n},{m}"
+        where = f"target (default, sized to node_count={n})"
     kind, _, rest = text.partition(":")
     if kind == "ba":
         try:
@@ -177,7 +179,10 @@ def _resolve_target(text: str | None, scenario: Scenario) -> tuple[PatternDistri
         except ValueError:
             raise ScenarioError(f"target: expected ba:<n>,<m>, got {text!r}") from None
         policy = RngPolicy(scenario.master_seed)
-        net = ba_target(n, m, policy.stream("optimizer", 0))
+        try:
+            net = ba_target(n, m, policy.stream("optimizer", 0))
+        except ValueError as err:
+            raise ScenarioError(f"{where}: {text}: {err}") from None
         return degree_distribution(net), text
     if kind == "edgelist":
         if not rest:
@@ -382,11 +387,18 @@ def cmd_sweep(args) -> int:
     names = [f"{code_of_shape[shape]}_{rule.value}" for shape, rule in grid]
     scenarios = [scenario.with_overrides(age_shape=shape, rule=rule) for shape, rule in grid]
     run_cell = partial(_run_sweep_cell, run.root, target, taus)
+    results = []
+
+    def take(cell_results) -> None:
+        for result in cell_results:
+            results.append(result)
+            print(f"sweep: {len(results)}/{len(names)} cells", file=sys.stderr, flush=True)
+
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_cell, names, scenarios))
+            take(pool.map(run_cell, names, scenarios))
     else:
-        results = list(map(run_cell, names, scenarios))
+        take(map(run_cell, names, scenarios))
 
     entries = [entry for entry, _, _ in results]
     diag = min(scenario.horizon, scenario.distance_cap)
@@ -518,7 +530,8 @@ def _read_aggregate(path: Path) -> dict:
             _check(path, cell.get(key), f"{where}.{key}", kind)
         for t, entry in enumerate(cell["par"]):
             _check(path, entry, f"{where}.par[{t}]", _OBJECT)
-            _check(path, entry.get("final_share"), f"{where}.par[{t}].final_share", _NUMBER)
+            for key in ("tau", "final_share"):
+                _check(path, entry.get(key), f"{where}.par[{t}].{key}", _NUMBER)
     return aggregate
 
 
@@ -544,7 +557,8 @@ def cmd_report(args) -> int:
         lines.append(f"  target {aggregate['target']}")
         lines.append(f"  best cell {best['name']} (js {best['js']:.4f})")
         for c in cells:
-            final = c["par"][-1]["final_share"] if c["par"] else float("nan")
+            top = max(c["par"], key=lambda row: row["tau"], default=None)
+            final = top["final_share"] if top else float("nan")
             lines.append(
                 f"  {c['name']:<6} js {c['js']:.4f}  unconnected {c['unconnected']:>2}  "
                 f"clustering {c['clustering_avg']:.3f}  final share at max tau {final:.3f}"

@@ -15,7 +15,10 @@ under common random numbers.
 
 Outcomes are reported as the population-at-risk share PaR(T, D): the
 fraction of nodes infected within T steps at seed distance at most D
-(D <= T, since reaching distance d takes at least d steps).
+(D <= T, since reaching distance d takes at least d steps). Every PaR
+figure is read from one count table, `infection_by_distance`, built by a
+single pass over the trace: PaR(T, D) is row T summed up to column D,
+over the node count.
 """
 
 from __future__ import annotations
@@ -262,13 +265,14 @@ def run_si(
 def infection_by_distance(trace: EpidemicTrace) -> np.ndarray:
     """Counts of infected nodes by step and seed distance: entry [t, d] is
     the number of nodes at distance d infected by step t (cumulative in t,
-    exact in d)."""
-    cap = trace.distance_cap
-    table = np.zeros((trace.horizon + 1, cap + 1), dtype=np.int64)
-    for d in range(cap + 1):
-        at_d = trace.distances == d
-        table[:, d] = (trace.status & at_d).sum(axis=1)
-    return table
+    exact in d). One bincount over the (t, distance) codes of the infected
+    entries of the trace; distances beyond the cap share one code, which
+    is dropped."""
+    cols = trace.distance_cap + 2
+    t, v = np.nonzero(trace.status)
+    codes = t * cols + np.minimum(trace.distances, cols - 1)[v]
+    counts = np.bincount(codes, minlength=(trace.horizon + 1) * cols)
+    return counts.reshape(trace.horizon + 1, cols)[:, :-1]
 
 
 def _check_window(trace: EpidemicTrace, time: int, distance: int) -> None:
@@ -285,33 +289,26 @@ def _check_window(trace: EpidemicTrace, time: int, distance: int) -> None:
         )
 
 
-def par(trace: EpidemicTrace, time: int, distance: int) -> float:
-    """Population at risk: the fraction of all nodes infected within `time`
-    steps at seed distance at most `distance` (requires distance <= time)."""
-    _check_window(trace, time, distance)
-    hit = trace.status[time] & (trace.distances <= distance)
-    return float(hit.sum() / trace.node_count)
-
-
-def par_exact(trace: EpidemicTrace, time: int, distance: int) -> float:
-    """Fraction of nodes first infected exactly at step `time` and sitting
-    exactly at seed distance `distance`."""
-    _check_window(trace, time, distance)
-    times = trace.infection_times()
-    hit = (times == time) & (trace.distances == distance)
-    return float(hit.sum() / trace.node_count)
+def _par_from_counts(table: np.ndarray, node_count: int) -> np.ndarray:
+    """The PaR matrix of an infection-by-distance table: counts summed
+    over distances up to d, over node_count; NaN where d > t."""
+    out = np.cumsum(table, axis=1) / node_count
+    t, d = np.indices(out.shape)
+    out[d > t] = np.nan
+    return out
 
 
 def par_matrix(trace: EpidemicTrace) -> np.ndarray:
     """par(time, distance) for every valid window; cells with distance >
     time hold NaN."""
-    rows = trace.horizon + 1
-    cols = trace.distance_cap + 1
-    out = np.full((rows, cols), np.nan)
-    for t in range(rows):
-        for d in range(min(t, cols - 1) + 1):
-            out[t, d] = par(trace, t, d)
-    return out
+    return _par_from_counts(infection_by_distance(trace), trace.node_count)
+
+
+def par(trace: EpidemicTrace, time: int, distance: int) -> float:
+    """Population at risk: the fraction of all nodes infected within `time`
+    steps at seed distance at most `distance` (requires distance <= time)."""
+    _check_window(trace, time, distance)
+    return float(par_matrix(trace)[time, distance])
 
 
 def par_by_group(
@@ -324,13 +321,9 @@ def par_by_group(
         raise ValueError("population and trace disagree on node count")
     hit = trace.status[time] & (trace.distances <= distance)
     groups = population.groups
-    out = np.full(GROUP_COUNT, np.nan)
-    for g in range(GROUP_COUNT):
-        members = groups == g
-        size = int(members.sum())
-        if size:
-            out[g] = hit[members].sum() / size
-    return out
+    counts = np.bincount(groups[hit], minlength=GROUP_COUNT)
+    sizes = np.bincount(groups, minlength=GROUP_COUNT)
+    return np.divide(counts, sizes, out=np.full(GROUP_COUNT, np.nan), where=sizes > 0)
 
 
 def risk_report(
@@ -338,26 +331,22 @@ def risk_report(
 ) -> dict:
     """JSON-ready summary: seeds, final share, the PaR matrix, per-group
     PaR at the widest valid window, and the infection-by-distance table."""
-    matrix = par_matrix(trace)
+    table = infection_by_distance(trace)
+    matrix = _par_from_counts(table, trace.node_count)
     final_t = trace.horizon
     final_d = min(trace.distance_cap, final_t)
-    if final_d >= 0:
-        groups = par_by_group(trace, population, final_t, final_d)
-        final_share = par(trace, final_t, final_d)
-    else:
-        groups = np.full(GROUP_COUNT, np.nan)
-        final_share = 0.0
+    groups = par_by_group(trace, population, final_t, final_d)
     report = {
         "seeds": [int(s) for s in trace.seeds],
         "horizon": trace.horizon,
         "distance_cap": trace.distance_cap,
         "infected_total": int(trace.status[-1].sum()),
-        "final_share": final_share,
+        "final_share": float(matrix[final_t, final_d]),
         "par": [
             [None if np.isnan(x) else float(x) for x in row] for row in matrix
         ],
         "par_by_group": [None if np.isnan(x) else float(x) for x in groups],
-        "infection_by_distance": infection_by_distance(trace).tolist(),
+        "infection_by_distance": table.tolist(),
         "group_width": GROUP_WIDTH,
     }
     if net is not None:
@@ -366,12 +355,11 @@ def risk_report(
 
 
 def trace_to_csv(trace: EpidemicTrace, path) -> None:
-    """Per-node record: distance from the seed set and first infection
-    step (-1 if never infected)."""
-    nodes = np.arange(trace.node_count)
-    is_seed = np.isin(nodes, trace.seeds).astype(np.int64)
+    """Per-node record: seed flag (row 0 of the trace holds exactly the
+    seeds), distance from the seed set and first infection step (-1 if
+    never infected)."""
     rows = zip(
-        nodes.tolist(), is_seed.tolist(), trace.distances.tolist(),
-        trace.infection_times().tolist(),
+        range(trace.node_count), trace.status[0].astype(np.int64).tolist(),
+        trace.distances.tolist(), trace.infection_times().tolist(),
     )
     write_csv(path, ["node_id", "is_seed", "distance", "infection_time"], rows)

@@ -33,6 +33,7 @@ spending budget.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
@@ -225,24 +226,13 @@ def optimize(
     best_pref: Preference | None = None
     best: tuple[float, float] | None = None
 
-    exhausted = False
-    for level in LEVEL_GRID:
-        for level_weight in WEIGHT_GRID:
-            for difference in LEVEL_GRID:
-                for difference_weight in WEIGHT_GRID:
-                    pref = Preference(level, level_weight, difference, difference_weight)
-                    result = run(pref)
-                    if result is None:
-                        exhausted = True
-                        break
-                    if best is None or result[0] < best[0]:
-                        best_pref, best = pref, result
-                if exhausted:
-                    break
-            if exhausted:
-                break
-        if exhausted:
+    for values in itertools.product(LEVEL_GRID, WEIGHT_GRID, LEVEL_GRID, WEIGHT_GRID):
+        pref = Preference(*values)
+        result = run(pref)
+        if result is None:
             break
+        if best is None or result[0] < best[0]:
+            best_pref, best = pref, result
 
     assert best_pref is not None and best is not None  # budget >= 1
     if progress is not None:

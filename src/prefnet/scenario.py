@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 
@@ -413,14 +413,13 @@ class CounterStream:
 class RngPolicy:
     """Derives all random streams of a run from one master seed.
 
-    Streams are labelled; extra integer indices (replicate numbers and the
-    like) extend the derivation path. Distinct (label, indices) pairs give
-    statistically independent streams, and draws from one stream never
-    affect any other.
+    Streams are named by STREAM_LABELS; extra integer indices (replicate
+    numbers and the like) extend the derivation path. Distinct (label,
+    indices) pairs give statistically independent streams, and draws from
+    one stream never affect any other.
     """
 
     master_seed: int
-    labels: tuple[str, ...] = field(default=STREAM_LABELS)
 
     def __post_init__(self) -> None:
         if not 0 <= self.master_seed < _MAX_SEED:
@@ -429,11 +428,11 @@ class RngPolicy:
             )
 
     def _entropy(self, label: str, indices: tuple[int, ...]) -> list[int]:
-        if label not in self.labels:
+        if label not in STREAM_LABELS:
             raise ValueError(
-                f"unknown stream label {label!r}; expected one of {self.labels}"
+                f"unknown stream label {label!r}; expected one of {STREAM_LABELS}"
             )
-        return [self.master_seed, self.labels.index(label), *indices]
+        return [self.master_seed, STREAM_LABELS.index(label), *indices]
 
     def stream(self, label: str, *indices: int) -> np.random.Generator:
         """Sequential substream for the given label and indices."""

@@ -5,7 +5,9 @@ straight from the model's definitions; the package computes the same
 quantities in bulk (the age table in `features.pair_score_table`, the
 vectorised SI step in `epidemic.run_si`). The dense functions run the SI
 process and the seed distances on an n x n adjacency matrix, the way the
-package did before it worked from the edge list and neighbour lists.
+package did before it worked from the edge list and neighbour lists. The
+PaR functions mask the trace once per (time, distance) window, the way the
+package did before it read every window from one count table.
 """
 
 from types import SimpleNamespace
@@ -14,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from prefnet.epidemic import EpidemicTrace, SeedRule, select_seeds, Susceptibility
-from prefnet.features import Population
+from prefnet.features import GROUP_COUNT, Population
 from prefnet.netgen import NetworkSnapshot
 from prefnet.scenario import CounterStream, Scenario
 
@@ -198,3 +200,34 @@ def run_si(
         horizon=scenario.horizon,
         distance_cap=scenario.distance_cap,
     )
+
+
+def par(trace: EpidemicTrace, time: int, distance: int) -> float:
+    """Share of all nodes infected by step `time` at seed distance at most
+    `distance`."""
+    hit = trace.status[time] & (trace.distances <= distance)
+    return float(hit.sum() / trace.node_count)
+
+
+def par_matrix(trace: EpidemicTrace) -> np.ndarray:
+    """par(time, distance) window by window; NaN where distance > time."""
+    out = np.full((trace.horizon + 1, trace.distance_cap + 1), np.nan)
+    for t in range(trace.horizon + 1):
+        for d in range(min(t, trace.distance_cap) + 1):
+            out[t, d] = par(trace, t, d)
+    return out
+
+
+def par_by_group(
+    trace: EpidemicTrace, population: Population, time: int, distance: int
+) -> np.ndarray:
+    """par(time, distance) within each decade age group, group by group;
+    NaN for an empty group."""
+    hit = trace.status[time] & (trace.distances <= distance)
+    out = np.full(GROUP_COUNT, np.nan)
+    for g in range(GROUP_COUNT):
+        members = population.groups == g
+        size = int(members.sum())
+        if size:
+            out[g] = hit[members].sum() / size
+    return out

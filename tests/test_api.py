@@ -6,7 +6,8 @@ import prefnet
 from prefnet import epidemic, netgen
 
 # Scalar test oracles that now live in tests/oracles.py, and names deleted
-# with the per-node trait arrays; none of them is part of the package.
+# with the per-node trait arrays or with the per-window PaR counts; none of
+# them is part of the package.
 REMOVED = (
     "Traits",
     "node_traits",
@@ -16,6 +17,7 @@ REMOVED = (
     "pair_score",
     "PairScore",
     "transition_probability",
+    "par_exact",
 )
 
 

@@ -248,6 +248,15 @@ def test_sweep_parallel_matches_serial(tmp_path):
     _assert_identical_runs(serial, parallel)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_reports_progress_on_stderr_only(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    assert main(SMALL_SWEEP + ["--out", str(out), "--jobs", jobs]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout == f"sweep: 2 cells x 2 transmissibilities -> {out}\n"
+    assert stderr.splitlines() == ["sweep: 1/2 cells", "sweep: 2/2 cells"]
+
+
 def test_sweep_jobs_below_one_rejected(tmp_path, capsys):
     assert main(SMALL_SWEEP + ["--out", str(tmp_path), "--jobs", "0"]) == 1
     assert "jobs" in capsys.readouterr().err
@@ -407,6 +416,20 @@ def test_optimize_bad_target(tmp_path):
     assert main(["optimize", "--out", str(tmp_path), "--target", "magic:1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--target", "ba:5,0"], "error: target: ba:5,0: need 1 <= m < n"),
+        (["--set", "node_count=1", "--set", "edge_budget=0"],
+         "error: target (default, sized to node_count=1): ba:1,1: need 1 <= m < n"),
+    ],
+    ids=["explicit", "default"],
+)
+def test_optimize_impossible_ba_target_names_target(tmp_path, capsys, args, message):
+    assert main(["optimize", "--out", str(tmp_path)] + args) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_optimize_zero_budget_rejected(tmp_path):
     assert main(["optimize", "--out", str(tmp_path), "--budget", "0"]) == 1
 
@@ -420,6 +443,19 @@ def test_report_on_sweep(tmp_path, capsys):
     assert set(report["js"]) == {"U_P+", "U_PH"}
     text = capsys.readouterr().out
     assert "best cell" in text
+
+
+def test_report_final_share_is_at_the_largest_tau(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--shapes", "U", "--rules", "P+", "--taus", "1.0,0.0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    (cell,) = _read_json(out / "aggregate.json")["cells"]
+    shares = {row["tau"]: row["final_share"] for row in cell["par"]}
+    assert shares[1.0] > shares[0.0]
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "max tau" in line]
+    assert line.endswith(f"final share at max tau {shares[1.0]:.3f}")
 
 
 def test_report_on_epidemic(tmp_path, capsys):
@@ -460,7 +496,7 @@ def test_report_rejects_a_malformed_manifest(tmp_path, capsys, text, field):
 
 
 _CELL = {"name": "U_P+", "js": 0.4, "unconnected": 7, "clustering_avg": 0.6,
-         "par": [{"final_share": 0.9}]}
+         "par": [{"tau": 1.0, "final_share": 0.9}]}
 
 
 @pytest.mark.parametrize(
@@ -472,12 +508,16 @@ _CELL = {"name": "U_P+", "js": 0.4, "unconnected": 7, "clustering_avg": 0.6,
          "cells[1].js"),
         ("aggregate.json", {"target": "ba:90,20", "cells": [{**_CELL, "par": [1]}]},
          "cells[0].par[0]"),
+        ("aggregate.json",
+         {"target": "ba:90,20", "cells": [{**_CELL, "par": [{"final_share": 0.9}]}]},
+         "cells[0].par[0].tau"),
         ("best.json", {}, "best"),
         ("best.json", {"best": {}, "objective": 0.2, "evaluations": True}, "evaluations"),
         ("risk.json", {"seeds": [3], "infected_total": 45}, "final_share"),
         ("summary.json", [], "expected a JSON object"),
     ],
     ids=["aggregate-empty", "aggregate-no-cells", "aggregate-cell-js", "aggregate-par",
+         "aggregate-par-tau",
          "best-empty", "best-evaluations", "risk-final-share", "summary-list"],
 )
 def test_report_rejects_a_malformed_run_file(tmp_path, capsys, name, payload, field):

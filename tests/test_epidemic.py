@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prefnet.epidemic import (
     EpidemicTrace,
@@ -12,7 +12,6 @@ from prefnet.epidemic import (
     multi_source_distances,
     par,
     par_by_group,
-    par_exact,
     par_matrix,
     risk_report,
     run_si,
@@ -376,8 +375,6 @@ def test_par_hand_values():
     assert par(trace, 0, 0) == pytest.approx(1 / 7, abs=1e-12)
     assert par(trace, 2, 2) == pytest.approx(3 / 7, abs=1e-12)
     assert par(trace, 6, 6) == pytest.approx(1.0, abs=1e-12)
-    assert par_exact(trace, 2, 2) == pytest.approx(1 / 7, abs=1e-12)
-    assert par_exact(trace, 2, 1) == 0.0
 
 
 def test_par_complete_graph_one_step():
@@ -398,8 +395,6 @@ def test_par_window_validation():
         par(trace, 7, 2)  # beyond horizon
     with pytest.raises(ValueError):
         par(trace, 6, 7)  # beyond distance cap
-    with pytest.raises(ValueError):
-        par_exact(trace, 1, 2)
 
 
 def test_par_monotone_in_time_and_distance():
@@ -444,6 +439,48 @@ def test_par_by_group_identity():
     assert ((groups >= 0) & (groups <= 1)).all()
     total = (groups * sizes).sum()
     assert total == pytest.approx(90 * par(trace, 6, 6), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    horizon=st.integers(0, 5),
+    cap=st.integers(0, 14),
+    nodes=st.lists(
+        st.tuples(st.integers(-1, 6), st.integers(0, 13), st.integers(0, AGE_SPAN - 1)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@example(horizon=2, cap=9, nodes=[(1, 1, 5), (-1, 2, 45), (2, 13, 47)])  # no seeds
+@example(horizon=0, cap=0, nodes=[(0, 0, 89)])
+def test_par_reads_match_the_per_window_oracle(horizon, cap, nodes):
+    # Each node is (first infection step, seed distance, age); a step
+    # beyond the horizon means never infected, a distance of n or more is
+    # the unreachable sentinel. cap ranges past the horizon and past n.
+    n = len(nodes)
+    first, dist, ages = (np.array(col) for col in zip(*nodes))
+    first = np.where(first <= horizon, first, -1)
+    status = (first >= 0) & (np.arange(horizon + 1)[:, None] >= first)
+    trace = EpidemicTrace(
+        seeds=np.flatnonzero(status[0]),
+        status=status,
+        distances=np.minimum(dist, n),
+        horizon=horizon,
+        distance_cap=cap,
+    )
+    pop = Population(ages, PREF)
+    expected = oracles.par_matrix(trace)
+    assert np.array_equal(par_matrix(trace), expected, equal_nan=True)
+    final_d = min(cap, horizon)
+    assert risk_report(trace, pop)["final_share"] == oracles.par(trace, horizon, final_d)
+    for t in range(horizon + 1):
+        for d in range(min(t, cap) + 1):
+            assert par(trace, t, d) == oracles.par(trace, t, d)
+            assert np.array_equal(
+                par_by_group(trace, pop, t, d),
+                oracles.par_by_group(trace, pop, t, d),
+                equal_nan=True,
+            )
 
 
 def test_risk_report_structure():
