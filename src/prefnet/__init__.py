@@ -78,6 +78,7 @@ from .optimizer import (
     optimize,
     OptimizeResult,
     replicate_draws,
+    ReplicateDraws,
 )
 
 __all__ = [
@@ -119,6 +120,7 @@ __all__ = [
     "preset",
     "PRESET_NAMES",
     "replicate_draws",
+    "ReplicateDraws",
     "risk_report",
     "RngPolicy",
     "Rule",

@@ -90,9 +90,9 @@ def sample_ages(counts: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts).astype(np.int64)
 
 
-def pair_score_table(preference: Preference) -> np.ndarray:
-    """Base score of every pair of ages: entry a * 90 + b scores a pair of
-    nodes aged a and b (before the pair's jitter is added).
+def age_pair_scores(preference: Preference, age_a, age_b) -> np.ndarray:
+    """Base score of pairs of nodes aged age_a and age_b (integer years,
+    broadcast against each other), before each pair's jitter is added.
 
     With f = age / 90, the score averages a level term,
     (f_b * A + f_a * A) / 2 + 1 with A = level * level_weight (each side
@@ -102,15 +102,21 @@ def pair_score_table(preference: Preference) -> np.ndarray:
     at 1, so a zero weight makes that half indifferent rather than hostile.
     """
     # Each side's term is kept apart, as in the per-pair formula, so that
-    # table scores equal per-pair scores bit for bit.
-    f = np.arange(AGE_SPAN) / AGE_SPAN
-    f_a, f_b = f[:, None], f[None, :]
+    # these scores equal per-pair scores bit for bit.
+    f_a, f_b = np.divide(age_a, AGE_SPAN), np.divide(age_b, AGE_SPAN)
     a = preference.level * preference.level_weight
     b = preference.difference * preference.difference_weight
     level_term = (f_b * a + f_a * a) / 2 + 1.0
     gap = np.abs(f_a - f_b)
     diff_term = (gap * b + gap * b) / 2 + 1.0
-    return (0.5 * level_term + 0.5 * diff_term).ravel()
+    return 0.5 * level_term + 0.5 * diff_term
+
+
+def pair_score_table(preference: Preference) -> np.ndarray:
+    """`age_pair_scores` of every pair of ages: entry a * 90 + b scores a
+    pair of nodes aged a and b."""
+    ages = np.arange(AGE_SPAN)
+    return age_pair_scores(preference, ages[:, None], ages[None, :]).ravel()
 
 
 @dataclass

@@ -172,39 +172,42 @@ def pair_draws(
     return PairDraws(n, i, j, noise)
 
 
-def budget_pairs(
-    score_table: np.ndarray, ages: np.ndarray, draws: PairDraws, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score the met pairs and pick the budgeted best: returns every met
-    pair's score and the positions, ascending, of the k = min(budget, met)
-    kept pairs.
+def budget_pairs(score: np.ndarray, met: np.ndarray, budget: int) -> np.ndarray:
+    """Keep each row's budgeted best met pairs: returns a mask of the
+    k = min(budget, met[r]) kept pairs of every row r of the (R, M) scores.
 
-    A met pair scores its entry in the age table (`score_table`, see
-    `features.pair_score_table`) plus its jitter. Pairs rank by (score
-    desc, pair order asc) in a partial top-k: a partition finds the k-th
-    largest score, every pair above it is kept, and the remaining slots
-    go to the pairs tied at it, lowest first. If fewer pairs met than the
-    budget asks for, all of them are kept and a shortfall warning is
-    issued, pointing at the caller of `generate_network` or
-    `optimizer.evaluate`.
+    Row r holds the scores of its met[r] pairs in pair order, then pads
+    that score -inf, so they rank last and are never kept. Pairs rank by
+    (score desc, pair order asc) in a partial top-k: one partition of all
+    rows finds each row's budget-th largest score, every pair at or above
+    it is kept, and of the pairs tied at it only the first in pair order
+    stay. A row with fewer met pairs than the budget keeps all of them,
+    with one shortfall warning per such row, pointing at the caller of
+    `generate_network` or `optimizer.evaluate`.
     """
-    # A pair's age code a * AGE_SPAN + b stays below 8100, so int16 holds it.
-    ages = ages.astype(np.int16, copy=False)
-    score = score_table.take(ages.take(draws.i) * AGE_SPAN + ages.take(draws.j))
-    score += draws.noise
-    met = draws.met_count
-    if met < budget:
+    rows, width = score.shape
+    for count in met[met < budget].tolist():
         warnings.warn(
-            f"only {met} pairs encountered, below the edge budget "
+            f"only {count} pairs encountered, below the edge budget "
             f"of {budget}; linking all of them",
             stacklevel=3,
         )
-    k = min(budget, met)
-    kth = np.partition(score, -k)[-k] if k else np.inf
-    keep = score > kth
-    tied = np.flatnonzero(score == kth)
-    keep[tied[: k - np.count_nonzero(keep)]] = True
-    return score, np.flatnonzero(keep)
+    if budget == 0 or width == 0:
+        return np.zeros(score.shape, dtype=bool)
+    # Sorted ascending, a row's budget-th largest score sits at column
+    # width - budget. A row with fewer met pairs reads a pad there, or its
+    # lowest score when the budget exceeds the width; either way it keeps
+    # every met pair, and its pads go with the surplus ties below.
+    col = max(width - budget, 0)
+    kth = np.partition(score, col, axis=1)[:, col]
+    keep = score >= kth[:, None]
+    # Beyond a row's k, drop the pairs tied at its threshold, the last in
+    # pair order first.
+    excess = np.count_nonzero(keep, axis=1) - np.minimum(met, budget)
+    for r in np.flatnonzero(excess).tolist():
+        tied = np.flatnonzero(score[r] == kth[r])
+        keep[r, tied[tied.shape[0] - excess[r] :]] = False
+    return keep
 
 
 def generate_network(
@@ -233,11 +236,14 @@ def generate_network(
         )
     if draws.node_count != n:
         raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
-    score, chosen = budget_pairs(
-        population.score_table, population.ages, draws, scenario.edge_budget
-    )
+    # A pair's age code a * AGE_SPAN + b stays below 8100, so int16 holds it.
+    ages = population.ages.astype(np.int16)
+    score = population.score_table.take(ages.take(draws.i) * AGE_SPAN + ages.take(draws.j))
+    score += draws.noise
+    keep = budget_pairs(score[None], np.array([draws.met_count]), scenario.edge_budget)
+    chosen = np.flatnonzero(keep)
     gamma = edge_strength(score.take(chosen))
-    del score  # the met-pair scores go before the edge arrays are built
+    del score, keep  # the met-pair arrays go before the edge arrays are built
     edges = np.empty((chosen.shape[0], 2), dtype=np.int64)
     edges[:, 0] = draws.i.take(chosen)
     edges[:, 1] = draws.j.take(chosen)
@@ -269,24 +275,23 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     degrees = np.zeros(n, dtype=np.int64)
-    edges = np.zeros((m * (n - m), 2), dtype=np.int64)
-    e = 0
+    picks: list[int] = []
     for v in range(m, n):
-        weights = degrees[:v].astype(np.float64)
-        if weights.sum() == 0:
-            weights = np.ones(v)
-        picked = []
-        for _ in range(m):
-            total = weights.sum()
-            u = stream.random()
-            c = int(np.searchsorted(np.cumsum(weights), u * total, side="right"))
-            picked.append(c)
-            weights[c] = 0.0
-            edges[e] = (c, v)
-            e += 1
+        # Cumulative weights of the nodes still eligible, one uniform per
+        # pick; a pick drops its node by taking its weight off its suffix.
+        # Every entry is an exact integer in float64, so the bisection
+        # lands where a fresh cumulative sum of the remaining weights would.
+        weights = degrees[:v].astype(np.float64) if v > m else np.ones(v)
+        cumulative = np.cumsum(weights)
+        row = []
+        for u in stream.random(m).tolist():
+            c = int(cumulative.searchsorted(u * cumulative[-1], side="right"))
+            row.append(c)
+            cumulative[c:] -= weights[c]
+        picks.extend(row)
+        degrees[row] += 1
         degrees[v] += m
-        for c in picked:
-            degrees[c] += 1
+    edges = np.column_stack((np.array(picks, dtype=np.int64), np.repeat(np.arange(m, n), m)))
     order = _sorted_edge_order(edges)
     return NetworkSnapshot(
         node_count=n,

@@ -198,17 +198,26 @@ def pad_mass(p: PatternDistribution, union: np.ndarray) -> np.ndarray:
     return mass
 
 
-def js_masses(a: np.ndarray, b: np.ndarray) -> float:
-    """Jensen-Shannon divergence in base 2 of two mass arrays over the
-    same support, clipped to [0, 1]; zero-mass terms contribute nothing."""
+def js_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence in base 2 of each row of `a`, an (R, U)
+    array of masses, against the mass `b` over the same support, clipped
+    to [0, 1]; zero-mass terms contribute nothing."""
     m = 0.5 * (a + b)
-
-    def _half(x: np.ndarray) -> float:
-        nz = x > 0
-        return float((x[nz] * np.log2(x[nz] / m[nz])).sum())
-
-    value = 0.5 * _half(a) + 0.5 * _half(b)
-    return max(0.0, min(1.0, value))
+    # Each half sums a row's nonzero terms in support order, as one
+    # contiguous run, so that a row sums the way it would alone.
+    nz = a > 0
+    xs = a[nz]
+    terms = xs * np.log2(xs / m[nz])
+    a_half = []
+    start = 0
+    for end in np.cumsum(np.count_nonzero(nz, axis=1)).tolist():
+        a_half.append(terms[start:end].sum())
+        start = end
+    # b's nonzero terms sit in the same columns of every row.
+    on = b > 0
+    bs = b[on]
+    b_half = (bs * np.log2(bs / np.ascontiguousarray(m[:, on]))).sum(axis=1)
+    return np.minimum(np.maximum(0.5 * np.array(a_half) + 0.5 * b_half, 0.0), 1.0)
 
 
 def js_divergence(p: PatternDistribution, q: PatternDistribution) -> float:
@@ -221,7 +230,7 @@ def js_divergence(p: PatternDistribution, q: PatternDistribution) -> float:
     if p.kind != q.kind:
         raise ValueError(f"cannot compare {p.kind!r} with {q.kind!r} patterns")
     union = support_union(p.support, q.support)
-    return js_masses(pad_mass(p, union), pad_mass(q, union))
+    return float(js_masses(pad_mass(p, union)[None], pad_mass(q, union))[0])
 
 
 @dataclass(frozen=True)

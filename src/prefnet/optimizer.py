@@ -6,19 +6,19 @@ distribution, averaged over R replicate networks. Replicates use common
 random numbers: replicate r of every candidate shares the same encounter
 and noise streams, so objective differences reflect the preferences, not
 the draws, and a rerun of the whole search is bit-identical. The search
-therefore draws each replicate's encounters and jitter once
-(`replicate_draws`) and grows every candidate's replicate r from the same
-draws.
+therefore draws the ages and each replicate's encounters and jitter once
+(`replicate_draws`), lays all R replicates out as rows of one padded
+array, and grows every candidate's replicate r from row r.
 
 A candidate's scores depend on its weights only through the effective
 weights a = level * level_weight and b = difference * difference_weight,
 so a zero weight makes its sign irrelevant and many grid candidates share
 one (a, b). The search calls `evaluate` once per distinct (a, b) and hands
 its per-replicate values to every candidate that shares it. `evaluate`
-works on plain arrays: per replicate it scores the met pairs from one age
-table, keeps the pairs `generate_network` would link, and compares their
-degree frequencies with the target, building no network or pattern
-object.
+works on plain arrays, all replicates in one pass: it scores the age
+codes the met pairs use, keeps in every row the pairs `generate_network`
+would link, and compares each row's degree frequencies with the target,
+building no network or pattern object.
 
 The search is two-phase: a coarse scan over all sign combinations crossed
 with a small weight ladder, then a local pattern search on the two weights
@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .features import group_counts, make_population, sample_ages, Population
-from .netgen import budget_pairs, pair_draws, PairDraws
+from .features import AGE_SPAN, age_pair_scores, group_counts, sample_ages
+from .netgen import budget_pairs, pair_draws
 from .netmetrics import js_masses, pad_mass, PatternDistribution, support_union
 from .scenario import Preference, RngPolicy, Scenario
 
@@ -81,72 +81,108 @@ class OptimizeResult:
     evaluations: int
 
 
-def replicate_draws(scenario: Scenario, replicates: int) -> list[PairDraws]:
-    """Pair draws of replicates 0..R-1; replicate r uses the encounter and
-    noise substreams indexed r."""
+@dataclass(frozen=True)
+class ReplicateDraws:
+    """The random part of a search, drawn once: the ages and R replicates'
+    met pairs, laid out for `evaluate`.
+
+    ages are drawn from the "feature-gen" stream, as `make_population`
+    draws them. Row r of the (R, M) arrays holds replicate r's met pairs
+    in pair order (see `netgen.pair_draws`), padded to M, the largest met
+    count: `slot` indexes each pair's age code (a * 90 + b for ages a and
+    b) in the sorted codes in use, whose ages are `code_ages`; `jitter` is
+    the pair's Gaussian jitter, -inf in the pads so that they never rank
+    among the kept; `i` and `j` are the endpoints offset by r * n, so the
+    degrees of all replicates count in one array of R * n. `met` holds the
+    met counts.
+    """
+
+    node_count: int
+    ages: np.ndarray
+    code_ages: tuple[np.ndarray, np.ndarray]
+    slot: np.ndarray
+    jitter: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    met: np.ndarray
+
+
+def replicate_draws(scenario: Scenario, replicates: int) -> ReplicateDraws:
+    """Ages and pair draws of replicates 0..R-1 for `evaluate`; replicate r
+    uses the encounter and noise substreams indexed r."""
     if replicates < 1:
         raise ValueError(f"replicates must be positive, got {replicates}")
+    n = scenario.node_count
     policy = RngPolicy(scenario.master_seed)
-    return [
+    ages = sample_ages(group_counts(scenario.age_shape, n), policy.stream("feature-gen"))
+    draws = [
         pair_draws(scenario, policy.stream("encounter", r), policy.stream("noise", r))
         for r in range(replicates)
     ]
+    met = np.array([d.met_count for d in draws])
+    shape = (replicates, int(met.max()))
+    codes = np.zeros(shape, dtype=np.int16)  # a * 90 + b stays below 8100
+    jitter = np.full(shape, -np.inf)
+    i = np.zeros(shape, dtype=np.int32)
+    j = np.zeros(shape, dtype=np.int32)
+    ages16 = ages.astype(np.int16)
+    for r, d in enumerate(draws):
+        pairs = slice(0, d.met_count)
+        codes[r, pairs] = ages16.take(d.i) * AGE_SPAN + ages16.take(d.j)
+        jitter[r, pairs] = d.noise
+        i[r, pairs] = d.i + r * n
+        j[r, pairs] = d.j + r * n
+        draws[r] = None  # freed as soon as it is laid out
+    real = np.arange(shape[1]) < met[:, None]
+    in_use = np.bincount(codes[real], minlength=AGE_SPAN * AGE_SPAN) > 0
+    used = np.flatnonzero(in_use)
+    # Position of each code among the codes in use; pads point at slot 0.
+    slot = (np.cumsum(in_use) - 1).take(codes)
+    slot[~real] = 0
+    return ReplicateDraws(n, ages, (used // AGE_SPAN, used % AGE_SPAN), slot, jitter, i, j, met)
 
 
 def evaluate(
     preference: Preference,
     target: PatternDistribution,
     scenario: Scenario,
-    draws: Sequence[PairDraws],
-    ages: np.ndarray | None = None,
+    draws: ReplicateDraws,
 ) -> tuple[float, list[float]]:
     """Mean and per-replicate degree-pattern divergence from the target for
     networks grown under `preference`, one network per replicate's draws.
 
-    Passing the same draws (see `replicate_draws`) for every candidate
-    compares candidates under common random numbers. Ages can be passed in
-    to avoid resampling them per call (they do not depend on the
-    preference).
+    Passing the same draws (`replicate_draws(scenario, R)`) for every
+    candidate compares candidates under common random numbers.
 
     Replicate r's value equals `js_divergence(degree_distribution(
-    generate_network(population, scenario, draws[r])), target)` bit for
-    bit, but no network or pattern object is built: each replicate keeps
-    the pairs `generate_network` would link (`budget_pairs`), counts
-    degrees and their frequencies with `bincount`, and compares those
-    with the target's mass, both padded onto the union of 0..n-1 and the
-    target's support as `js_divergence` pads them."""
-    if not draws:
-        raise ValueError("evaluate needs the draws of at least one replicate")
+    generate_network(population, scenario, pair_draws(...))), target)` for
+    replicate r's population and pair draws bit for bit, but no network or
+    pattern object is built, and all replicates go in one pass: score the
+    age codes in use (`features.age_pair_scores`), keep each row's
+    budgeted best with `budget_pairs`, count the R * n degrees with two
+    `bincount`s and their frequencies with a third, divide by n, and take
+    every row's divergence from the target's mass, both padded onto the
+    union of 0..n-1 and the target's support as `js_divergence` pads them."""
     if target.kind != "degree":
         raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
     n = scenario.node_count
-    if ages is None:
-        population = make_population(
-            scenario.age_shape,
-            n,
-            preference,
-            RngPolicy(scenario.master_seed).stream("feature-gen"),
-        )
-    else:
-        population = Population(ages, preference)
-    if population.size != n:
-        raise ValueError(f"population size {population.size} does not match node_count {n}")
-    if any(d.node_count != n for d in draws):
-        raise ValueError(f"pair draws do not fit {n} nodes")
-    table = population.score_table
+    if draws.node_count != n:
+        raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
+    rows = draws.met.shape[0]
+    score = age_pair_scores(preference, *draws.code_ages).take(draws.slot)
+    score += draws.jitter
+    kept = np.flatnonzero(budget_pairs(score, draws.met, scenario.edge_budget))
+    degrees = np.bincount(draws.i.take(kept), minlength=rows * n)
+    degrees += np.bincount(draws.j.take(kept), minlength=rows * n)
+    # Offset row r's degrees by r * n to count every row's frequencies at once.
+    degrees += np.repeat(np.arange(0, rows * n, n), n)
+    counts = np.bincount(degrees, minlength=rows * n).reshape(rows, n)
     nodes = np.arange(n)
     union = support_union(nodes, target.support)
-    target_mass = pad_mass(target, union)
-    at = np.searchsorted(union, nodes)
-    values = []
-    for d in draws:
-        _, kept = budget_pairs(table, population.ages, d, scenario.edge_budget)
-        degrees = np.bincount(d.i.take(kept), minlength=n)
-        degrees += np.bincount(d.j.take(kept), minlength=n)
-        mass = np.zeros(union.shape[0])
-        mass[at] = np.bincount(degrees, minlength=n) / n
-        values.append(js_masses(mass, target_mass))
-    return float(np.mean(values)), values
+    mass = np.zeros((rows, union.shape[0]))
+    mass[:, np.searchsorted(union, nodes)] = counts / n
+    values = js_masses(mass, pad_mass(target, union))
+    return float(np.mean(values)), values.tolist()
 
 
 def _clip01(x: float) -> float:
@@ -173,10 +209,6 @@ def optimize(
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     t0 = time.perf_counter()
-    ages = sample_ages(
-        group_counts(scenario.age_shape, scenario.node_count),
-        RngPolicy(scenario.master_seed).stream("feature-gen"),
-    )
     draws = replicate_draws(scenario, replicates)
     t1 = time.perf_counter()
 
@@ -184,7 +216,7 @@ def optimize(
     cache: dict[tuple, tuple[float, float]] = {}
     # evaluate() results by effective weights (a, b), on which alone the
     # scores depend; -0.0 and 0.0 are one key, and give the same scores.
-    shared: dict[tuple[float, float], tuple[float, list[float]]] = {}
+    shared: dict[tuple[float, float], tuple[float, list[float], float]] = {}
     spent = 0
 
     def run(pref: Preference) -> tuple[float, float] | None:
@@ -206,8 +238,9 @@ def optimize(
             pref.difference * pref.difference_weight,
         )
         if effective not in shared:
-            shared[effective] = evaluate(pref, target, scenario, draws, ages=ages)
-        mean, values = shared[effective]
+            mean, values = evaluate(pref, target, scenario, draws)
+            shared[effective] = (mean, values, float(np.std(values)))
+        mean, values, std = shared[effective]
         for r, v in enumerate(values):
             log.append(
                 EvalRecord(
@@ -219,7 +252,7 @@ def optimize(
                     v,
                 )
             )
-        result = (mean, float(np.std(values)))
+        result = (mean, std)
         cache[key] = result
         return result
 

@@ -7,7 +7,10 @@ vectorised SI step in `epidemic.run_si`). The dense functions run the SI
 process and the seed distances on an n x n adjacency matrix, the way the
 package did before it worked from the edge list and neighbour lists. The
 PaR functions mask the trace once per (time, distance) window, the way the
-package did before it read every window from one count table.
+package did before it read every window from one count table. `evaluate`
+grows the replicates of a fit one at a time, and `ba_target` makes each
+pick from a fresh cumulative sum, the way the package did before it
+scored all replicates in one array pass and kept running sums.
 """
 
 from types import SimpleNamespace
@@ -16,9 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from prefnet.epidemic import EpidemicTrace, SeedRule, select_seeds, Susceptibility
-from prefnet.features import GROUP_COUNT, Population
-from prefnet.netgen import NetworkSnapshot
-from prefnet.scenario import CounterStream, Scenario
+from prefnet.features import AGE_SPAN, GROUP_COUNT, make_population, Population
+from prefnet.netgen import NetworkSnapshot, pair_draws
+from prefnet.netmetrics import PatternDistribution
+from prefnet.scenario import CounterStream, Preference, RngPolicy, Scenario
 
 
 class Traits(NamedTuple):
@@ -231,3 +235,73 @@ def par_by_group(
         if size:
             out[g] = hit[members].sum() / size
     return out
+
+
+def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
+    """Preferential attachment one pick at a time: each pick draws one
+    uniform, takes the float cumulative sum of the remaining weights and
+    zeroes the picked node's weight."""
+    if m < 1 or m >= n:
+        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+    degrees = np.zeros(n, dtype=np.int64)
+    edges = np.zeros((m * (n - m), 2), dtype=np.int64)
+    e = 0
+    for v in range(m, n):
+        weights = degrees[:v].astype(np.float64)
+        if weights.sum() == 0:
+            weights = np.ones(v)
+        picked = []
+        for _ in range(m):
+            total = weights.sum()
+            u = stream.random()
+            c = int(np.searchsorted(np.cumsum(weights), u * total, side="right"))
+            picked.append(c)
+            weights[c] = 0.0
+            edges[e] = (c, v)
+            e += 1
+        degrees[v] += m
+        for c in picked:
+            degrees[c] += 1
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return NetworkSnapshot(
+        node_count=n,
+        edges=edges[order],
+        gamma=np.ones(edges.shape[0]),
+        provenance={"kind": "ba", "n": n, "m": m},
+    )
+
+
+def evaluate(
+    preference: Preference, target: PatternDistribution, scenario: Scenario, replicates: int
+) -> list[float]:
+    """Degree-pattern divergence from the target of each replicate network,
+    grown and compared one replicate at a time: score the met pairs from
+    the age table, keep the budgeted best by a partial top-k, count
+    degrees and their frequencies, and take the JS divergence against the
+    target, both padded onto the union of 0..n-1 and the target's support."""
+    n = scenario.node_count
+    policy = RngPolicy(scenario.master_seed)
+    population = make_population(scenario.age_shape, n, preference, policy.stream("feature-gen"))
+    table, ages = population.score_table, population.ages
+    nodes = np.arange(n)
+    union = np.union1d(nodes, target.support)
+    target_mass = np.zeros(union.shape[0])
+    target_mass[np.searchsorted(union, target.support)] = target.mass
+    values = []
+    for r in range(replicates):
+        d = pair_draws(scenario, policy.stream("encounter", r), policy.stream("noise", r))
+        score = table.take(ages.take(d.i) * AGE_SPAN + ages.take(d.j)) + d.noise
+        k = min(scenario.edge_budget, d.met_count)
+        kth = np.partition(score, -k)[-k] if k else np.inf
+        keep = score > kth
+        tied = np.flatnonzero(score == kth)
+        keep[tied[: k - np.count_nonzero(keep)]] = True
+        degrees = np.bincount(d.i[keep], minlength=n) + np.bincount(d.j[keep], minlength=n)
+        mass = np.zeros(union.shape[0])
+        mass[np.searchsorted(union, nodes)] = np.bincount(degrees, minlength=n) / n
+        m = 0.5 * (mass + target_mass)
+        halves = [
+            float((x[x > 0] * np.log2(x[x > 0] / m[x > 0])).sum()) for x in (mass, target_mass)
+        ]
+        values.append(max(0.0, min(1.0, 0.5 * halves[0] + 0.5 * halves[1])))
+    return values

@@ -11,16 +11,27 @@ import numpy as np
 
 from prefnet import netgen, netmetrics
 from prefnet.features import make_population
-from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws, save_network
-from prefnet.netmetrics import analyze, clustering_values, shortest_path_matrix
+from prefnet.netgen import ba_target, generate_network, NetworkSnapshot, pair_draws, save_network
+from prefnet.netmetrics import (
+    analyze,
+    clustering_values,
+    degree_distribution,
+    shortest_path_matrix,
+)
+from prefnet.optimizer import evaluate, replicate_draws
 from prefnet.scenario import RngPolicy, Scenario
 
 N = 600
 
 
+def _paper_density(n: int) -> Scenario:
+    """The paper's edge density, 1400 edges on 90 nodes, at n nodes."""
+    return Scenario(node_count=n, edge_budget=round(1400 / (90 * 89 // 2) * (n * (n - 1) // 2)))
+
+
 def _paper_density_net(n: int = N) -> NetworkSnapshot:
-    """A generated network at the paper's density, 1400 edges on 90 nodes."""
-    sc = Scenario(node_count=n, edge_budget=round(1400 / (90 * 89 // 2) * (n * (n - 1) // 2)))
+    """A generated network at the paper's density."""
+    sc = _paper_density(n)
     policy = RngPolicy(0)
     pop = make_population(sc.age_shape, n, sc.resolved_preference(), policy.stream("feature-gen"))
     draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
@@ -48,6 +59,25 @@ def test_clustering_builds_no_dense_matrix():
 def test_analyze_builds_no_dense_int64_or_float64_matrix():
     analyze(_paper_density_net(90))
     assert _traced_peak(analyze, _paper_density_net()) < 8 * N * N
+
+
+def _fit_draws_and_one_evaluate(scenario: Scenario):
+    target = degree_distribution(ba_target(90, 20, RngPolicy(0).stream("optimizer", 0)))
+    draws = replicate_draws(scenario, 5)
+    evaluate(scenario.resolved_preference(), target, scenario, draws)
+    return draws
+
+
+def test_fit_memory_per_padded_slot():
+    # The prepared draws keep 24 bytes per padded slot (slot index 8,
+    # jitter 8, two int32 endpoints); building them holds the replicates'
+    # pair draws as well, and one evaluate adds the scores, their partition
+    # and the masks. Measured: 41.9 bytes per slot at n = 600 (5 x 143974
+    # slots); the bound is 1.5 times that.
+    _fit_draws_and_one_evaluate(_paper_density(90))
+    draws = _fit_draws_and_one_evaluate(_paper_density(N))
+    peak = _traced_peak(_fit_draws_and_one_evaluate, _paper_density(N))
+    assert peak < 63 * draws.slot.size
 
 
 def test_save_network_memory_does_not_grow_with_edges(tmp_path):

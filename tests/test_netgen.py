@@ -16,6 +16,7 @@ from prefnet.netgen import (
 )
 from prefnet.scenario import AgeShape, Preference, RngPolicy, Scenario
 
+import oracles
 from oracles import homophily_score, node_traits, pair_score, preferential_score, Traits
 
 P_PLUS = Preference(1, 1.0, 1, 0.0)
@@ -358,6 +359,20 @@ def test_ba_target_small_and_deterministic():
     assert a.edge_count == c.edge_count
     # degrees add to twice the edges
     assert a.degrees.sum() == 12
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(90, 20), (200, 5), (30, 4), (10, 9), (2, 1), (90, 1), (60, 59), (500, 50)],
+)
+def test_ba_target_matches_the_fresh_cumsum_oracle(n, m):
+    # running cumulative sums pick the nodes a fresh float cumsum per pick
+    # picks, from the same uniforms
+    for seed in range(3):
+        fast = ba_target(n, m, RngPolicy(seed).stream("optimizer", 0))
+        slow = oracles.ba_target(n, m, RngPolicy(seed).stream("optimizer", 0))
+        assert np.array_equal(fast.edges, slow.edges)
+        assert fast.provenance == slow.provenance
 
 
 def test_ba_target_validation():

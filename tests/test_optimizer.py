@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prefnet import features, optimizer
+import oracles
+from prefnet import optimizer
 from prefnet.features import make_population
 from prefnet.netgen import ba_target, generate_network, pair_draws
 from prefnet.netmetrics import degree_distribution, js_divergence, PatternDistribution
@@ -67,14 +68,10 @@ def test_evaluate_zero_against_own_degree_pattern():
 
 def test_evaluate_validation():
     pref, target = Preference(1, 1.0, 1, 0.0), _small_target()
-    with pytest.raises(ValueError):
-        evaluate(pref, target, SMALL, [])
     clustering = PatternDistribution("clustering", [0], [1.0])
     with pytest.raises(ValueError, match="cannot compare 'degree' with 'clustering'"):
         evaluate(pref, clustering, SMALL, replicate_draws(SMALL, 1))
-    with pytest.raises(ValueError, match="population size 44"):
-        evaluate(pref, target, SMALL, replicate_draws(SMALL, 1), ages=np.zeros(44))
-    with pytest.raises(ValueError, match="pair draws"):
+    with pytest.raises(ValueError, match="pair draws for 44 nodes do not fit 45 nodes"):
         evaluate(pref, target, SMALL, replicate_draws(Scenario(node_count=44, edge_budget=9), 1))
     with pytest.raises(ValueError):
         replicate_draws(SMALL, 0)
@@ -122,6 +119,16 @@ def _bits(values):
 @example(_kernel_case(40, 300, 0.8, 0.0, AgeShape.UNIFORM, 1, Preference(1, 0.5, 0, 0.0), 40, 2))
 # a budget above every replicate's met count
 @example(_kernel_case(30, 435, 0.3, 0.005, AgeShape.BELL, 2, Preference(0, 0.0, 1, 1.0), 30, 3))
+# some replicates fall short of the budget, others do not
+@example(_kernel_case(24, 100, 0.35, 0.005, AgeShape.UNIFORM, 0,
+                      Preference(-1, 0.3, 1, 0.1), 24, 4))
+# no edge budget
+@example(_kernel_case(30, 0, 0.8, 0.005, AgeShape.BELL, 5, Preference(1, 1.0, -1, 0.25), 30, 3))
+# no pair meets in any replicate
+@example(_kernel_case(12, 20, 0.0, 0.005, AgeShape.INVERSE_BELL, 6,
+                      Preference(1, 0.5, 1, 0.5), 12, 2))
+# no jitter and three replicates: ties straddle the k-th score in several rows
+@example(_kernel_case(40, 300, 0.8, 0.0, AgeShape.BELL, 7, Preference(0, 0.0, -1, 1.0), 40, 3))
 # a target on more, and on fewer, nodes than the grown networks
 @example(_kernel_case(20, 60, 0.8, 0.005, AgeShape.LEFT_SKEWED, 3,
                       RULE_PREFERENCES[Rule.H_MINUS], 55, 2))
@@ -130,20 +137,26 @@ def _bits(values):
 def test_evaluate_equals_the_network_pipeline(case):
     scenario, pref, target, replicates = case
     draws = replicate_draws(scenario, replicates)
+    policy = RngPolicy(scenario.master_seed)
     population = make_population(scenario.age_shape, scenario.node_count, pref,
-                                 RngPolicy(scenario.master_seed).stream("feature-gen"))
+                                 policy.stream("feature-gen"))
+    networks = [pair_draws(scenario, policy.stream("encounter", r), policy.stream("noise", r))
+                for r in range(replicates)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         mean, values = evaluate(pref, target, scenario, draws)
         expected = [
             js_divergence(degree_distribution(generate_network(population, scenario, d)), target)
-            for d in draws
+            for d in networks
         ]
-    short = sum(d.met_count < scenario.edge_budget for d in draws)
-    # evaluate warns of each shortfall as generate_network does
+        reference = oracles.evaluate(pref, target, scenario, replicates)
+    short = sum(d.met_count < scenario.edge_budget for d in networks)
+    # evaluate warns of each shortfall as generate_network does, at the caller
     assert len(caught) == 2 * short
     assert [str(w.message) for w in caught[:short]] == [str(w.message) for w in caught[short:]]
-    assert _bits(values) == _bits(expected)
+    assert all(w.filename == __file__ for w in caught)
+    assert _bits(values) == _bits(expected) == _bits(reference)
+    assert all(type(v) is float for v in values)
     assert mean == float(np.mean(expected))
 
     # a preference with the same effective weights (a, b) scores the same
@@ -194,18 +207,28 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     assert all(v >= 0 for v in runtimes.values())
 
 
-@pytest.mark.parametrize("pass_ages", [False, True])
-def test_evaluate_builds_score_table_once(monkeypatch, pass_ages):
-    built = []
-    build = features.pair_score_table
-    monkeypatch.setattr(features, "pair_score_table", lambda p: built.append(p) or build(p))
+def test_evaluate_scores_each_code_in_use_once(monkeypatch):
+    # one call scores the age codes the replicates' met pairs use, once each,
+    # and runs one top-k over all replicates
+    scored, ranked = [], []
+    score = optimizer.age_pair_scores
+    monkeypatch.setattr(optimizer, "age_pair_scores",
+                        lambda p, a, b: scored.append((p, a, b)) or score(p, a, b))
+    top_k = optimizer.budget_pairs
+    monkeypatch.setattr(optimizer, "budget_pairs",
+                        lambda *args: ranked.append(args) or top_k(*args))
     pref = Preference(-1, 0.05, 1, 0.08)
-    ages = make_population(SMALL.age_shape, SMALL.node_count, pref,
-                           RngPolicy(SMALL.master_seed).stream("feature-gen")).ages
-    _, values = evaluate(pref, _small_target(), SMALL, replicate_draws(SMALL, 4),
-                         ages=ages if pass_ages else None)
+    draws = replicate_draws(SMALL, 4)
+    _, values = evaluate(pref, _small_target(), SMALL, draws)
     assert len(values) == 4
-    assert built == [pref]
+    assert len(scored) == len(ranked) == 1 and scored[0][0] == pref
+    ages = draws.ages
+    codes = set()
+    for r in range(4):
+        d = pair_draws(SMALL, RngPolicy(0).stream("encounter", r), RngPolicy(0).stream("noise", r))
+        codes.update((ages[d.i] * 90 + ages[d.j]).tolist())
+    used = scored[0][1] * 90 + scored[0][2]
+    assert used.tolist() == sorted(codes)
 
 
 def test_optimize_budget_one_single_evaluation():
@@ -235,6 +258,9 @@ def test_optimize_objective_matches_log_minimum():
         by_candidate.setdefault(key, []).append(rec.js)
     means = {k: np.mean(v) for k, v in by_candidate.items()}
     assert result.best.objective == pytest.approx(min(means.values()), abs=1e-12)
+    best = result.best.preference
+    best_rows = by_candidate[best.level, best.level_weight, best.difference, best.difference_weight]
+    assert result.best.objective_std == float(np.std(best_rows))
 
 
 def test_optimize_logs_what_evaluate_gives_each_candidate():
