@@ -207,9 +207,11 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     assert all(v >= 0 for v in runtimes.values())
 
 
-def test_evaluate_scores_each_code_in_use_once(monkeypatch):
+@pytest.mark.parametrize("population_ages", [False, True])
+def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
     # one call scores the age codes the replicates' met pairs use, once each,
-    # and runs one top-k over all replicates
+    # and runs one top-k over all replicates; the codes are those of the
+    # draws' ages, which are the ages make_population draws
     scored, ranked = [], []
     score = optimizer.age_pair_scores
     monkeypatch.setattr(optimizer, "age_pair_scores",
@@ -223,6 +225,10 @@ def test_evaluate_scores_each_code_in_use_once(monkeypatch):
     assert len(values) == 4
     assert len(scored) == len(ranked) == 1 and scored[0][0] == pref
     ages = draws.ages
+    if population_ages:
+        ages = make_population(SMALL.age_shape, SMALL.node_count, pref,
+                               RngPolicy(SMALL.master_seed).stream("feature-gen")).ages
+        assert np.array_equal(ages, draws.ages)
     codes = set()
     for r in range(4):
         d = pair_draws(SMALL, RngPolicy(0).stream("encounter", r), RngPolicy(0).stream("noise", r))
