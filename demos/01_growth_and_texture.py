@@ -31,8 +31,7 @@ def build(scenario):
         scenario.resolved_preference(),
         policy.stream("feature-gen"),
     )
-    draws = pair_draws(scenario, policy.stream("encounter", 0), policy.stream("noise", 0))
-    return generate_network(population, scenario, draws)
+    return generate_network(population, scenario, pair_draws(scenario))
 
 
 def main():

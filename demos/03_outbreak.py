@@ -35,8 +35,7 @@ def main():
         sc.age_shape, sc.node_count, sc.resolved_preference(),
         policy.stream("feature-gen"),
     )
-    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-    net = generate_network(population, sc, draws)
+    net = generate_network(population, sc, pair_draws(sc))
     trace = run_si(net, population, sc,
                    policy.counter_stream("infection", args.replicate))
 

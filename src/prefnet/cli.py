@@ -240,18 +240,16 @@ def _generate_artifacts(
     summary and the three pattern distributions. Records the seconds spent
     growing, writing the edge list and analysing in runtimes."""
     t0 = time.perf_counter()
-    policy = RngPolicy(scenario.master_seed)
     population = make_population(
         scenario.age_shape,
         scenario.node_count,
         scenario.resolved_preference(),
-        policy.stream("feature-gen"),
+        RngPolicy(scenario.master_seed).stream("feature-gen"),
     )
     net = generate_network(
         population,
         scenario,
-        pair_draws(scenario, policy.stream("encounter", 0), policy.stream("noise", 0)),
-        provenance_extra={"replicate": 0},
+        pair_draws(scenario),
     )
     runtimes["grow"] = time.perf_counter() - t0
     save_scenario(scenario, run.path("scenario.txt"))

@@ -8,9 +8,10 @@ nodes, rescaled to other sizes by largest-remainder rounding so the counts
 always sum exactly to the population size.
 
 One connection preference applies to the whole population, so the base
-score of a pair depends only on the two ages. A population therefore
-scores pairs from a 90 x 90 age table (`pair_score_table`), built once
-and shared by every network grown from it.
+score of a pair depends only on the two ages, through the pair's age code
+a * 90 + b. Growth therefore maps the met pairs to the age codes in use
+(`age_code_slots`), scores each of those codes once (`age_pair_scores`)
+and looks every pair's score up by its slot.
 
 Diversity of the group histogram is measured with Hill numbers: order q = 0
 counts occupied groups, q = 1 is the exponential of Shannon entropy, and
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,11 +112,29 @@ def age_pair_scores(preference: Preference, age_a, age_b) -> np.ndarray:
     return 0.5 * level_term + 0.5 * diff_term
 
 
-def pair_score_table(preference: Preference) -> np.ndarray:
-    """`age_pair_scores` of every pair of ages: entry a * 90 + b scores a
-    pair of nodes aged a and b."""
-    ages = np.arange(AGE_SPAN)
-    return age_pair_scores(preference, ages[:, None], ages[None, :]).ravel()
+def age_code_slots(
+    ages: np.ndarray, i: np.ndarray, j: np.ndarray, met: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The age codes a * 90 + b that met pairs use, and each pair's slot
+    among them.
+
+    i and j are (R, M) endpoint rows laid out as `netgen.pair_draws` lays
+    them out: row r holds met[r] pairs with endpoints offset by r * n, for
+    the n nodes aged `ages`, then pads. Returns the ages (a, b) of the
+    sorted codes in use, so that `age_pair_scores(preference, a, b)`
+    scores each code once, and an int16 (R, M) array of each pair's
+    position among them, 0 in the pads, whose codes are not counted.
+    """
+    # A code stays below 8100, so int16 holds it; "wrap" takes each
+    # endpoint modulo n, which undoes the row offsets.
+    ages16 = ages.astype(np.int16)
+    codes = ages16.take(i, mode="wrap") * AGE_SPAN + ages16.take(j, mode="wrap")
+    real = np.arange(codes.shape[1]) < met[:, None]
+    in_use = np.bincount(codes[real], minlength=AGE_SPAN * AGE_SPAN) > 0
+    used = np.flatnonzero(in_use)
+    slot = (np.cumsum(in_use) - 1).astype(np.int16).take(codes)
+    slot[~real] = 0
+    return (used // AGE_SPAN, used % AGE_SPAN), slot
 
 
 @dataclass
@@ -124,8 +142,7 @@ class Population:
     """Nodes with ages, all sharing one connection preference.
 
     ages holds integer years; features is the normalised (n, 1) feature
-    matrix; score_table is `pair_score_table(preference)`, built on first
-    use and kept for every network grown from this population.
+    matrix.
     """
 
     ages: np.ndarray
@@ -148,10 +165,6 @@ class Population:
     @property
     def groups(self) -> np.ndarray:
         return self.ages // GROUP_WIDTH
-
-    @cached_property
-    def score_table(self) -> np.ndarray:
-        return pair_score_table(self.preference)
 
 
 def make_population(

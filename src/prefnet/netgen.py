@@ -8,10 +8,12 @@ zeroed weight makes a node indifferent rather than hostile. The pair
 total averages the two terms, adds Gaussian jitter, and is gated by a
 Bernoulli encounter: pairs that never meet can never link. With one
 preference per population the averaged terms depend only on the two
-ages, so they are read from the population's 90 x 90 age table
-(`features.pair_score_table`). The encounters and jitter of a network are
-drawn apart from its scoring (`pair_draws`), so a fit can draw them once
-per replicate and grow every candidate's network from the same draws.
+ages, so each age pair that a met pair uses is scored once
+(`features.age_code_slots`). The encounters and jitter are drawn apart
+from the scoring, by `pair_draws`, the only code that reads the
+"encounter" and "noise" streams: it lays out R replicates as rows of one
+padded array, one row for a single network and R rows for a fit, which
+grows every candidate's replicate r from the same row r.
 
 The edge budget selects the top-scoring encountered pairs; ties break
 lexicographically by node ids so runs are exactly reproducible. Each edge
@@ -31,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .artifacts import write_json
-from .features import AGE_SPAN, Population
-from .scenario import Scenario
+from .features import age_code_slots, age_pair_scores, Population
+from .scenario import RngPolicy, Scenario
 
 # Pairs drawn per block by `pair_draws` and rows formatted per block by
 # `save_network`: the temporaries of either loop stay this size whatever
@@ -109,67 +111,77 @@ def _sorted_edge_order(edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairDraws:
-    """The random part of growing one network: which pairs met, and their
-    jitter.
+    """The random part of growing R replicate networks: which pairs met,
+    and their jitter.
 
-    i and j (int32) are the endpoints of the met pairs in pair order,
-    which is (i, j) order; noise holds each met pair's Gaussian jitter
-    (zeros when the jitter width is zero). Pairs that never met are not
-    kept, so the draws cost O(met pairs), not O(all pairs).
+    Row r of the (R, M) arrays holds replicate r's met pairs in pair
+    order, which is (i, j) order, padded to M, the largest met count: i
+    and j (int32) are the endpoints offset by r * n, so the degrees of all
+    replicates count in one array of R * n; jitter is each pair's Gaussian
+    jitter (zeros when the jitter width is zero), -inf in the pads so that
+    they never rank among the kept. met holds the met counts. Pairs that
+    never met are not kept, so the draws cost O(met pairs), not O(all
+    pairs).
     """
 
     node_count: int
     i: np.ndarray
     j: np.ndarray
-    noise: np.ndarray
-
-    @property
-    def met_count(self) -> int:
-        return int(self.i.shape[0])
+    jitter: np.ndarray
+    met: np.ndarray
 
 
-def pair_draws(
-    scenario: Scenario,
-    encounter_stream: np.random.Generator,
-    noise_stream: np.random.Generator,
-) -> PairDraws:
-    """Draw the encounters and jitter of one network.
+def pair_draws(scenario: Scenario, replicates: int = 1) -> PairDraws:
+    """Draw the encounters and jitter of replicates 0..R-1.
 
+    Replicate r reads the "encounter" and "noise" substreams indexed r.
     Unordered pairs are enumerated lexicographically; the encounter stream
     supplies one uniform per pair in that order, and the noise stream one
     Gaussian per pair (none at all when the jitter width is zero). Only the
     met pairs are kept. Pairs go a block of rows at a time, each block's
     draws continuing each stream where the last block left it, so the
     draws equal one draw over all pairs. A first pass keeps one bit per
-    pair for the encounters; the second fills the met-pair arrays, sized
-    from the first.
+    pair for every replicate's encounters; the second writes each
+    replicate's met pairs into its row, sized from the first.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be positive, got {replicates}")
     n = scenario.node_count
     sigma = scenario.noise_sigma
+    policy = RngPolicy(scenario.master_seed)
     cols = np.arange(n, dtype=np.int32)
     rows_per_block = max(1, _DRAW_BLOCK // n)
     blocks = [cols[r0 : r0 + rows_per_block] for r0 in range(0, n, rows_per_block)]
-    met_bits = []
-    for rows in blocks:
-        pairs = int((n - 1 - rows).sum())
-        met_bits.append(np.packbits(encounter_stream.random(pairs) < scenario.encounter_rate))
-    met_count = sum(int(np.bitwise_count(bits).sum()) for bits in met_bits)
-    i = np.empty(met_count, dtype=np.int32)
-    j = np.empty(met_count, dtype=np.int32)
-    noise = np.zeros(met_count)
-    at = 0
-    for rows, bits in zip(blocks, met_bits):
+    met_bits = []  # met_bits[r][b]: replicate r's encounters in block b
+    for r in range(replicates):
+        encounter = policy.stream("encounter", r)
+        met_bits.append([
+            np.packbits(encounter.random(int((n - 1 - rows).sum())) < scenario.encounter_rate)
+            for rows in blocks
+        ])
+    met = np.array([sum(int(np.bitwise_count(b).sum()) for b in bits) for bits in met_bits])
+    shape = (replicates, int(met.max()))
+    i = np.zeros(shape, dtype=np.int32)
+    j = np.zeros(shape, dtype=np.int32)
+    jitter = np.full(shape, -np.inf)
+    noise = [policy.stream("noise", r) for r in range(replicates)]
+    at = [0] * replicates
+    for b, rows in enumerate(blocks):
         # nonzero() reads the block's part of the upper triangle row-major,
         # which is pair order.
         bi, bj = np.nonzero(cols > rows[:, None])
-        met = np.unpackbits(bits, count=bi.shape[0]).view(bool)
-        block = slice(at, at + np.count_nonzero(met))
-        i[block] = rows[bi[met]]
-        j[block] = bj[met]
-        if sigma > 0:
-            noise[block] = noise_stream.normal(0.0, sigma, met.shape[0])[met]
-        at = block.stop
-    return PairDraws(n, i, j, noise)
+        bi = rows[bi]
+        for r in range(replicates):
+            hit = np.unpackbits(met_bits[r][b], count=bi.shape[0]).view(bool)
+            block = slice(at[r], at[r] + np.count_nonzero(hit))
+            i[r, block] = bi[hit] + r * n
+            j[r, block] = bj[hit] + r * n
+            if sigma > 0:
+                jitter[r, block] = noise[r].normal(0.0, sigma, hit.shape[0])[hit]
+            else:
+                jitter[r, block] = 0.0
+            at[r] = block.stop
+    return PairDraws(n, i, j, jitter, met)
 
 
 def budget_pairs(score: np.ndarray, met: np.ndarray, budget: int) -> np.ndarray:
@@ -211,23 +223,20 @@ def budget_pairs(score: np.ndarray, met: np.ndarray, budget: int) -> np.ndarray:
 
 
 def generate_network(
-    population: Population,
-    scenario: Scenario,
-    draws: PairDraws,
-    provenance_extra: dict | None = None,
+    population: Population, scenario: Scenario, draws: PairDraws
 ) -> NetworkSnapshot:
     """Grow a network by scoring the met pairs and keeping the budgeted best.
 
-    `draws` (from `pair_draws`) fixes which pairs met and their jitter; a
-    met pair scores its entry in the population's age table (the mean of
-    its level and difference terms, see `features.pair_score_table`) plus
-    its jitter. The edge budget keeps the k = min(budget, met)
-    highest-scoring met pairs, ranked by (score desc, i asc, j asc), by
-    the partial top-k of `budget_pairs`. Kept pairs stay in pair order, so
-    edge rows come out sorted. If fewer pairs met than the budget asks
-    for, all of them are linked and a shortfall warning is recorded. Edge
-    strength is (score + 2) / 4, an order-preserving map into (0, 1] for
-    the typical score range.
+    `draws` (one row from `pair_draws`) fixes which pairs met and their
+    jitter; a met pair scores `features.age_pair_scores` of its two ages
+    (the mean of its level and difference terms), looked up among the age
+    codes in use, plus its jitter. The edge budget keeps the
+    k = min(budget, met) highest-scoring met pairs, ranked by
+    (score desc, i asc, j asc), by the partial top-k of `budget_pairs`.
+    Kept pairs stay in pair order, so edge rows come out sorted. If fewer
+    pairs met than the budget asks for, all of them are linked and a
+    shortfall warning is recorded. Edge strength is (score + 2) / 4, an
+    order-preserving map into (0, 1] for the typical score range.
     """
     n = population.size
     if n != scenario.node_count:
@@ -236,31 +245,30 @@ def generate_network(
         )
     if draws.node_count != n:
         raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
-    # A pair's age code a * AGE_SPAN + b stays below 8100, so int16 holds it.
-    ages = population.ages.astype(np.int16)
-    score = population.score_table.take(ages.take(draws.i) * AGE_SPAN + ages.take(draws.j))
-    score += draws.noise
-    keep = budget_pairs(score[None], np.array([draws.met_count]), scenario.edge_budget)
+    if draws.met.shape[0] != 1:
+        raise ValueError(f"grows one network, got pair draws of {draws.met.shape[0]} replicates")
+    code_ages, slot = age_code_slots(population.ages, draws.i, draws.j, draws.met)
+    score = age_pair_scores(population.preference, *code_ages).take(slot)
+    del slot
+    score += draws.jitter
+    keep = budget_pairs(score, draws.met, scenario.edge_budget)
     chosen = np.flatnonzero(keep)
     gamma = edge_strength(score.take(chosen))
     del score, keep  # the met-pair arrays go before the edge arrays are built
     edges = np.empty((chosen.shape[0], 2), dtype=np.int64)
     edges[:, 0] = draws.i.take(chosen)
     edges[:, 1] = draws.j.take(chosen)
-
-    provenance = {
-        "kind": "generated",
-        "scenario": scenario.scenario_hash(),
-        "streams": ["encounter", "noise"],
-        "shortfall": draws.met_count < scenario.edge_budget,
-    }
-    if provenance_extra:
-        provenance.update(provenance_extra)
     return NetworkSnapshot(
         node_count=n,
         edges=edges,
         gamma=gamma,
-        provenance=provenance,
+        provenance={
+            "kind": "generated",
+            "scenario": scenario.scenario_hash(),
+            "streams": ["encounter", "noise"],
+            "shortfall": int(draws.met[0]) < scenario.edge_budget,
+            "replicate": 0,
+        },
     )
 
 

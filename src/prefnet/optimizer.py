@@ -6,9 +6,10 @@ distribution, averaged over R replicate networks. Replicates use common
 random numbers: replicate r of every candidate shares the same encounter
 and noise streams, so objective differences reflect the preferences, not
 the draws, and a rerun of the whole search is bit-identical. The search
-therefore draws the ages and each replicate's encounters and jitter once
-(`replicate_draws`), lays all R replicates out as rows of one padded
-array, and grows every candidate's replicate r from row r.
+therefore draws the ages and all replicates' encounters and jitter once
+(`replicate_draws`): `netgen.pair_draws` lays replicate r out as row r of
+one padded array, the same layout from which `generate_network` grows its
+one network, and every candidate's replicate r grows from row r.
 
 A candidate's scores depend on its weights only through the effective
 weights a = level * level_weight and b = difference * difference_weight,
@@ -41,8 +42,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .features import AGE_SPAN, age_pair_scores, group_counts, sample_ages
-from .netgen import budget_pairs, pair_draws
+from .features import age_code_slots, age_pair_scores, group_counts, sample_ages
+from .netgen import budget_pairs, pair_draws, PairDraws
 from .netmetrics import js_masses, pad_mass, PatternDistribution, support_union
 from .scenario import Preference, RngPolicy, Scenario
 
@@ -84,62 +85,30 @@ class OptimizeResult:
 @dataclass(frozen=True)
 class ReplicateDraws:
     """The random part of a search, drawn once: the ages and R replicates'
-    met pairs, laid out for `evaluate`.
+    pair draws, with what `evaluate` reads of the ages.
 
     ages are drawn from the "feature-gen" stream, as `make_population`
-    draws them. Row r of the (R, M) arrays holds replicate r's met pairs
-    in pair order (see `netgen.pair_draws`), padded to M, the largest met
-    count: `slot` indexes each pair's age code (a * 90 + b for ages a and
-    b) in the sorted codes in use, whose ages are `code_ages`; `jitter` is
-    the pair's Gaussian jitter, -inf in the pads so that they never rank
-    among the kept; `i` and `j` are the endpoints offset by r * n, so the
-    degrees of all replicates count in one array of R * n. `met` holds the
-    met counts.
+    draws them. pairs holds the replicates' met pairs as (R, M) rows (see
+    `netgen.pair_draws`); slot indexes each pair's age code among the
+    sorted codes in use, whose ages are `code_ages` (see
+    `features.age_code_slots`).
     """
 
-    node_count: int
     ages: np.ndarray
     code_ages: tuple[np.ndarray, np.ndarray]
     slot: np.ndarray
-    jitter: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    met: np.ndarray
+    pairs: PairDraws
 
 
 def replicate_draws(scenario: Scenario, replicates: int) -> ReplicateDraws:
-    """Ages and pair draws of replicates 0..R-1 for `evaluate`; replicate r
-    uses the encounter and noise substreams indexed r."""
-    if replicates < 1:
-        raise ValueError(f"replicates must be positive, got {replicates}")
-    n = scenario.node_count
-    policy = RngPolicy(scenario.master_seed)
-    ages = sample_ages(group_counts(scenario.age_shape, n), policy.stream("feature-gen"))
-    draws = [
-        pair_draws(scenario, policy.stream("encounter", r), policy.stream("noise", r))
-        for r in range(replicates)
-    ]
-    met = np.array([d.met_count for d in draws])
-    shape = (replicates, int(met.max()))
-    codes = np.zeros(shape, dtype=np.int16)  # a * 90 + b stays below 8100
-    jitter = np.full(shape, -np.inf)
-    i = np.zeros(shape, dtype=np.int32)
-    j = np.zeros(shape, dtype=np.int32)
-    ages16 = ages.astype(np.int16)
-    for r, d in enumerate(draws):
-        pairs = slice(0, d.met_count)
-        codes[r, pairs] = ages16.take(d.i) * AGE_SPAN + ages16.take(d.j)
-        jitter[r, pairs] = d.noise
-        i[r, pairs] = d.i + r * n
-        j[r, pairs] = d.j + r * n
-        draws[r] = None  # freed as soon as it is laid out
-    real = np.arange(shape[1]) < met[:, None]
-    in_use = np.bincount(codes[real], minlength=AGE_SPAN * AGE_SPAN) > 0
-    used = np.flatnonzero(in_use)
-    # Position of each code among the codes in use; pads point at slot 0.
-    slot = (np.cumsum(in_use) - 1).take(codes)
-    slot[~real] = 0
-    return ReplicateDraws(n, ages, (used // AGE_SPAN, used % AGE_SPAN), slot, jitter, i, j, met)
+    """Ages and pair draws of replicates 0..R-1 for `evaluate`."""
+    ages = sample_ages(
+        group_counts(scenario.age_shape, scenario.node_count),
+        RngPolicy(scenario.master_seed).stream("feature-gen"),
+    )
+    pairs = pair_draws(scenario, replicates)
+    code_ages, slot = age_code_slots(ages, pairs.i, pairs.j, pairs.met)
+    return ReplicateDraws(ages, code_ages, slot, pairs)
 
 
 def evaluate(
@@ -155,25 +124,26 @@ def evaluate(
     candidate compares candidates under common random numbers.
 
     Replicate r's value equals `js_divergence(degree_distribution(
-    generate_network(population, scenario, pair_draws(...))), target)` for
-    replicate r's population and pair draws bit for bit, but no network or
-    pattern object is built, and all replicates go in one pass: score the
-    age codes in use (`features.age_pair_scores`), keep each row's
-    budgeted best with `budget_pairs`, count the R * n degrees with two
-    `bincount`s and their frequencies with a third, divide by n, and take
-    every row's divergence from the target's mass, both padded onto the
-    union of 0..n-1 and the target's support as `js_divergence` pads them."""
+    generate_network(population, scenario, row_r)), target)` bit for bit,
+    for replicate r's population and row r of the pair draws as one-row
+    `PairDraws`, but no network or pattern object is built, and all
+    replicates go in one pass: score the age codes in use
+    (`features.age_pair_scores`), keep each row's budgeted best with
+    `budget_pairs`, count the R * n degrees with two `bincount`s and their
+    frequencies with a third, divide by n, and take every row's divergence
+    from the target's mass, both padded onto the union of 0..n-1 and the
+    target's support as `js_divergence` pads them."""
     if target.kind != "degree":
         raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
-    n = scenario.node_count
-    if draws.node_count != n:
-        raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
-    rows = draws.met.shape[0]
+    n, pairs = scenario.node_count, draws.pairs
+    if pairs.node_count != n:
+        raise ValueError(f"pair draws for {pairs.node_count} nodes do not fit {n} nodes")
+    rows = pairs.met.shape[0]
     score = age_pair_scores(preference, *draws.code_ages).take(draws.slot)
-    score += draws.jitter
-    kept = np.flatnonzero(budget_pairs(score, draws.met, scenario.edge_budget))
-    degrees = np.bincount(draws.i.take(kept), minlength=rows * n)
-    degrees += np.bincount(draws.j.take(kept), minlength=rows * n)
+    score += pairs.jitter
+    kept = np.flatnonzero(budget_pairs(score, pairs.met, scenario.edge_budget))
+    degrees = np.bincount(pairs.i.take(kept), minlength=rows * n)
+    degrees += np.bincount(pairs.j.take(kept), minlength=rows * n)
     # Offset row r's degrees by r * n to count every row's frequencies at once.
     degrees += np.repeat(np.arange(0, rows * n, n), n)
     counts = np.bincount(degrees, minlength=rows * n).reshape(rows, n)

@@ -116,7 +116,8 @@ RULE_PREFERENCES: dict[Rule, Preference] = {
 # obtained (target, seed, budget) is not recorded, and they are not the best
 # fit against the default scale-free degree target, where each loses to a
 # pure rule of its shape (mean JS over 5 replicates against ba:90,20, seed 0:
-# Uniform 0.228 against 0.209 for H+). The optimizer module fits weights.
+# Uniform 0.228 against 0.209 for H+; tests/test_optimizer.py checks every
+# shape). The optimizer module fits weights.
 PH_FITTED: dict[AgeShape, Preference] = {
     AgeShape.UNIFORM: Preference(-1, 0.05, 1, 0.08),
     AgeShape.BELL: Preference(-1, 0.03, 1, 0.06),
@@ -221,27 +222,13 @@ class Scenario:
         return replace(self, **changes)
 
     def canonical(self) -> str:
-        """Canonical text form; load(canonical()) reproduces the scenario."""
+        """Canonical text form; load(canonical()) reproduces the scenario.
+        One `key = value` line per field in field order, leaving out an
+        unset preference."""
         lines = [
-            f"node_count = {self.node_count}",
-            f"edge_budget = {self.edge_budget}",
-            f"encounter_rate = {self.encounter_rate!r}",
-            f"noise_sigma = {self.noise_sigma!r}",
-            f"age_shape = {self.age_shape.value}",
-            f"rule = {self.rule.value}",
-        ]
-        if self.preference is not None:
-            p = self.preference
-            lines.append(
-                "preference = "
-                f"{p.level} {p.level_weight!r} {p.difference} {p.difference_weight!r}"
-            )
-        lines += [
-            f"transmissibility = {self.transmissibility!r}",
-            f"horizon = {self.horizon}",
-            f"distance_cap = {self.distance_cap}",
-            f"seed_count = {self.seed_count}",
-            f"master_seed = {self.master_seed}",
+            f"{f.name} = {_FORMATTERS_BY_TYPE[f.type](value)}"
+            for f in fields(self)
+            if (value := getattr(self, f.name)) is not None
         ]
         return "\n".join(lines) + "\n"
 
@@ -293,7 +280,19 @@ def _parse_enum(enum, key: str, text: str):
         raise ScenarioParseError(f"{key}: expected one of {names}, got {text!r}") from None
 
 
-# Value parser of each scenario field, keyed by the field's annotation.
+def _format_preference(p: Preference) -> str:
+    return f"{p.level} {p.level_weight!r} {p.difference} {p.difference_weight!r}"
+
+
+# Value formatter and parser of each scenario field, keyed by the field's
+# annotation; each parser reads back what its formatter writes.
+_FORMATTERS_BY_TYPE = {
+    "int": str,
+    "float": repr,
+    "AgeShape": lambda value: value.value,
+    "Rule": lambda value: value.value,
+    "Preference | None": _format_preference,
+}
 _PARSERS_BY_TYPE = {
     "int": _parse_int,
     "float": _parse_float,

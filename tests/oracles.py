@@ -2,15 +2,17 @@
 
 Each scalar function scores or decides one pair or one node at a time,
 straight from the model's definitions; the package computes the same
-quantities in bulk (the age table in `features.pair_score_table`, the
-vectorised SI step in `epidemic.run_si`). The dense functions run the SI
+quantities in bulk (the age codes in use in `features.age_code_slots`,
+the vectorised SI step in `epidemic.run_si`). The dense functions run the SI
 process and the seed distances on an n x n adjacency matrix, the way the
 package did before it worked from the edge list and neighbour lists. The
 PaR functions mask the trace once per (time, distance) window, the way the
 package did before it read every window from one count table. `evaluate`
-grows the replicates of a fit one at a time, and `ba_target` makes each
-pick from a fresh cumulative sum, the way the package did before it
-scored all replicates in one array pass and kept running sums.
+grows the replicates of a fit one at a time from the raw streams and a
+90 x 90 age table, and `ba_target` makes each pick from a fresh
+cumulative sum, the way the package did before it scored all replicates
+in one array pass and kept running sums. `draws_row` hands a test the
+draws of one replicate's single network.
 """
 
 from types import SimpleNamespace
@@ -19,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from prefnet.epidemic import EpidemicTrace, SeedRule, select_seeds, Susceptibility
-from prefnet.features import AGE_SPAN, GROUP_COUNT, make_population, Population
-from prefnet.netgen import NetworkSnapshot, pair_draws
+from prefnet.features import AGE_SPAN, age_pair_scores, GROUP_COUNT, make_population, Population
+from prefnet.netgen import NetworkSnapshot, PairDraws
 from prefnet.netmetrics import PatternDistribution
 from prefnet.scenario import CounterStream, Preference, RngPolicy, Scenario
 
@@ -271,32 +273,48 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
     )
 
 
+def draws_row(draws: PairDraws, r: int) -> PairDraws:
+    """Row r of R replicates' pair draws as the one-row draws from which
+    `generate_network` grows replicate r's network."""
+    n, met = draws.node_count, int(draws.met[r])
+    rows = slice(r, r + 1)
+    return PairDraws(n, draws.i[rows, :met] - r * n, draws.j[rows, :met] - r * n,
+                     draws.jitter[rows, :met], draws.met[rows])
+
+
 def evaluate(
     preference: Preference, target: PatternDistribution, scenario: Scenario, replicates: int
 ) -> list[float]:
     """Degree-pattern divergence from the target of each replicate network,
-    grown and compared one replicate at a time: score the met pairs from
-    the age table, keep the budgeted best by a partial top-k, count
+    grown and compared one replicate at a time: draw every pair's encounter
+    and jitter from replicate r's streams, score the met pairs from a
+    90 x 90 age table, keep the budgeted best by a partial top-k, count
     degrees and their frequencies, and take the JS divergence against the
     target, both padded onto the union of 0..n-1 and the target's support."""
     n = scenario.node_count
     policy = RngPolicy(scenario.master_seed)
-    population = make_population(scenario.age_shape, n, preference, policy.stream("feature-gen"))
-    table, ages = population.score_table, population.ages
+    ages = make_population(scenario.age_shape, n, preference, policy.stream("feature-gen")).ages
+    every_age = np.arange(AGE_SPAN)
+    table = age_pair_scores(preference, every_age[:, None], every_age[None, :]).ravel()
+    iu, ju = np.triu_indices(n, 1)
     nodes = np.arange(n)
     union = np.union1d(nodes, target.support)
     target_mass = np.zeros(union.shape[0])
     target_mass[np.searchsorted(union, target.support)] = target.mass
     values = []
     for r in range(replicates):
-        d = pair_draws(scenario, policy.stream("encounter", r), policy.stream("noise", r))
-        score = table.take(ages.take(d.i) * AGE_SPAN + ages.take(d.j)) + d.noise
-        k = min(scenario.edge_budget, d.met_count)
+        met = policy.stream("encounter", r).random(iu.shape[0]) < scenario.encounter_rate
+        noise = np.zeros(iu.shape[0])
+        if scenario.noise_sigma > 0:
+            noise = policy.stream("noise", r).normal(0.0, scenario.noise_sigma, iu.shape[0])
+        i, j = iu[met], ju[met]
+        score = table.take(ages.take(i) * AGE_SPAN + ages.take(j)) + noise[met]
+        k = min(scenario.edge_budget, i.shape[0])
         kth = np.partition(score, -k)[-k] if k else np.inf
         keep = score > kth
         tied = np.flatnonzero(score == kth)
         keep[tied[: k - np.count_nonzero(keep)]] = True
-        degrees = np.bincount(d.i[keep], minlength=n) + np.bincount(d.j[keep], minlength=n)
+        degrees = np.bincount(i[keep], minlength=n) + np.bincount(j[keep], minlength=n)
         mass = np.zeros(union.shape[0])
         mass[np.searchsorted(union, nodes)] = np.bincount(degrees, minlength=n) / n
         m = 0.5 * (mass + target_mass)

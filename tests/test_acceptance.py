@@ -74,8 +74,7 @@ def _build(shape, rule, master_seed, **overrides):
         policy = RngPolicy(sc.master_seed)
         pop = make_population(sc.age_shape, sc.node_count,
                               sc.resolved_preference(), policy.stream("feature-gen"))
-        draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-        net = generate_network(pop, sc, draws)
+        net = generate_network(pop, sc, pair_draws(sc))
         _BUILT[key] = (sc, pop, net)
     return _BUILT[key]
 

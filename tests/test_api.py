@@ -3,11 +3,11 @@
 from pathlib import Path
 
 import prefnet
-from prefnet import epidemic, netgen
+from prefnet import epidemic, features, netgen
 
 # Scalar test oracles that now live in tests/oracles.py, and names deleted
-# with the per-node trait arrays or with the per-window PaR counts; none of
-# them is part of the package.
+# with the per-node trait arrays, with the per-window PaR counts or with the
+# 90 x 90 age table; none of them is part of the package.
 REMOVED = (
     "Traits",
     "node_traits",
@@ -18,6 +18,7 @@ REMOVED = (
     "PairScore",
     "transition_probability",
     "par_exact",
+    "pair_score_table",
 )
 
 
@@ -26,7 +27,10 @@ def test_public_names():
     assert len(set(prefnet.__all__)) == len(prefnet.__all__)
     for name in REMOVED:
         assert name not in prefnet.__all__
-        assert not any(hasattr(module, name) for module in (prefnet, netgen, epidemic))
+        assert not any(
+            hasattr(module, name) for module in (prefnet, features, netgen, epidemic)
+        )
+    assert not hasattr(features.Population, "score_table")
     namespace = {}
     exec("from prefnet import *", namespace)
     assert set(prefnet.__all__) <= set(namespace)

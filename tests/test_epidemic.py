@@ -57,8 +57,7 @@ def _generated(seed=0, **overrides):
     policy = RngPolicy(seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-    net = generate_network(pop, sc, draws)
+    net = generate_network(pop, sc, pair_draws(sc))
     return sc, policy, pop, net
 
 

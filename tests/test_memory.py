@@ -34,8 +34,7 @@ def _paper_density_net(n: int = N) -> NetworkSnapshot:
     sc = _paper_density(n)
     policy = RngPolicy(0)
     pop = make_population(sc.age_shape, n, sc.resolved_preference(), policy.stream("feature-gen"))
-    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-    return generate_network(pop, sc, draws)
+    return generate_network(pop, sc, pair_draws(sc))
 
 
 def _traced_peak(fn, *args) -> int:
@@ -69,15 +68,19 @@ def _fit_draws_and_one_evaluate(scenario: Scenario):
 
 
 def test_fit_memory_per_padded_slot():
-    # The prepared draws keep 24 bytes per padded slot (slot index 8,
-    # jitter 8, two int32 endpoints); building them holds the replicates'
-    # pair draws as well, and one evaluate adds the scores, their partition
-    # and the masks. Measured: 41.9 bytes per slot at n = 600 (5 x 143974
+    # The prepared draws keep 18 bytes per padded slot: the pair draws'
+    # jitter 8 and two int32 endpoints, and the int16 slot among the age
+    # codes in use. Building them adds the int16 age codes and their
+    # index conversions, and one evaluate adds the scores, their partition
+    # and the masks. Measured: 35.2 bytes per slot at n = 600 (5 x 143974
     # slots); the bound is 1.5 times that.
     _fit_draws_and_one_evaluate(_paper_density(90))
     draws = _fit_draws_and_one_evaluate(_paper_density(N))
+    pairs = draws.pairs
+    kept = draws.slot.nbytes + pairs.jitter.nbytes + pairs.i.nbytes + pairs.j.nbytes
+    assert kept == 18 * draws.slot.size
     peak = _traced_peak(_fit_draws_and_one_evaluate, _paper_density(N))
-    assert peak < 63 * draws.slot.size
+    assert peak < 53 * draws.slot.size
 
 
 def test_save_network_memory_does_not_grow_with_edges(tmp_path):
@@ -108,8 +111,8 @@ def test_small_blocks_give_the_same_results(tmp_path, monkeypatch):
     pop = make_population(sc.age_shape, 70, sc.resolved_preference(), policy.stream("feature-gen"))
 
     def run(out):
-        draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-        net = generate_network(pop, sc, draws)
+        draws = pair_draws(sc, 3)
+        net = generate_network(pop, sc, pair_draws(sc))
         save_network(net, out)
         star = _star_with_last_hub(40)
         return (draws, net, out.read_bytes(), clustering_values(net),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefnet.features import AGE_SPAN, make_population, pair_score_table, Population
+from prefnet.features import age_code_slots, age_pair_scores, AGE_SPAN, make_population, Population
 from prefnet.netgen import (
     ba_target,
     edge_strength,
@@ -17,15 +17,18 @@ from prefnet.netgen import (
 from prefnet.scenario import AgeShape, Preference, RngPolicy, Scenario
 
 import oracles
-from oracles import homophily_score, node_traits, pair_score, preferential_score, Traits
+from oracles import (
+    draws_row,
+    homophily_score,
+    node_traits,
+    pair_score,
+    preferential_score,
+    Traits,
+)
 
 P_PLUS = Preference(1, 1.0, 1, 0.0)
 P_MINUS = Preference(-1, 1.0, 1, 0.0)
 H_MINUS = Preference(1, 0.0, -1, 1.0)
-
-
-def _draws(sc, policy, replicate=0):
-    return pair_draws(sc, policy.stream("encounter", replicate), policy.stream("noise", replicate))
 
 
 def _traits(level, level_weight, difference, difference_weight):
@@ -81,9 +84,8 @@ _WEIGHT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
                  st.sampled_from([-1, 0, 1]), _WEIGHT))
 def test_score_table_matches_scalar_oracles(preference):
     pop = Population(np.arange(AGE_SPAN), preference)
-    table = pair_score_table(preference)
+    table = age_pair_scores(preference, pop.ages[:, None], pop.ages[None, :]).ravel()
     assert table.shape == (AGE_SPAN * AGE_SPAN,)
-    assert pop.score_table.tobytes() == table.tobytes()
     f, t = pop.features, node_traits(pop, 0)
     for a in range(AGE_SPAN):
         for b in range(AGE_SPAN):
@@ -149,7 +151,7 @@ def test_generate_full_encounter_exact_budget():
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, _draws(sc, policy))
+    net = generate_network(pop, sc, pair_draws(sc))
     assert net.edge_count == 1400
     assert net.degrees.mean() == pytest.approx(2 * 1400 / 90, abs=1e-12)
     assert net.degrees.sum() == 2800
@@ -160,8 +162,7 @@ def test_generate_matches_enumeration_oracle_for_p_plus():
     ages = np.array([0, 9, 9, 18, 27, 36, 45, 54, 72, 81])
     pop = Population(ages, P_PLUS)
     sc = Scenario(node_count=10, edge_budget=20, encounter_rate=1.0, noise_sigma=0.0)
-    policy = RngPolicy(0)
-    net = generate_network(pop, sc, _draws(sc, policy))
+    net = generate_network(pop, sc, pair_draws(sc))
     f = ages / 90
     scored = sorted(
         ((i, j) for i in range(10) for j in range(i + 1, 10)),
@@ -243,7 +244,7 @@ def test_generate_matches_full_lexsort_reference(sc):
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, _draws(sc, policy))
+    net = generate_network(pop, sc, pair_draws(sc))
     edges, gamma, met = _reference_network(
         pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
     )
@@ -261,9 +262,9 @@ def test_generate_deterministic_and_replicate_sensitive():
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    a = generate_network(pop, sc, _draws(sc, policy))
-    b = generate_network(pop, sc, _draws(sc, policy))
-    c = generate_network(pop, sc, _draws(sc, policy, 1))
+    a = generate_network(pop, sc, pair_draws(sc))
+    b = generate_network(pop, sc, pair_draws(sc))
+    c = generate_network(pop, sc, draws_row(pair_draws(sc, 2), 1))
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.gamma, b.gamma)
     assert not np.array_equal(a.edges, c.edges)
@@ -275,7 +276,7 @@ def test_generate_shortfall_links_all_encounters_and_warns():
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
     with pytest.warns(UserWarning, match="edge budget"):
-        net = generate_network(pop, sc, _draws(sc, policy))
+        net = generate_network(pop, sc, pair_draws(sc))
     # replay the encounter draws to count how many pairs actually met
     met = (RngPolicy(sc.master_seed).stream("encounter", 0).random(45) < 0.2).sum()
     assert net.edge_count == met < 40
@@ -287,33 +288,73 @@ def test_generate_zero_sigma_skips_noise_draws():
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    noise_stream = policy.stream("noise", 0)
-    draws = pair_draws(sc, policy.stream("encounter", 0), noise_stream)
-    untouched = RngPolicy(sc.master_seed).stream("noise", 0).random()
-    assert noise_stream.random() == untouched
-    assert draws.noise.shape == (draws.met_count,) and not draws.noise.any()
+    draws = pair_draws(sc)
+    assert draws.jitter.shape == (1, draws.met[0]) and not draws.jitter.any()
     assert generate_network(pop, sc, draws).edge_count == sc.edge_budget
 
 
 def test_pair_draws_keep_met_pairs_in_pair_order():
     sc = Scenario(node_count=12, edge_budget=10, encounter_rate=0.6, master_seed=7)
-    policy = RngPolicy(sc.master_seed)
-    draws = _draws(sc, policy)
+    draws = pair_draws(sc)
     iu, ju = np.triu_indices(12, 1)
     met = RngPolicy(7).stream("encounter", 0).random(66) < 0.6
     noise = RngPolicy(7).stream("noise", 0).normal(0.0, sc.noise_sigma, 66)
     assert draws.i.dtype == draws.j.dtype == np.int32
-    assert draws.met_count == met.sum() < 66
-    assert draws.i.tolist() == iu[met].tolist() and draws.j.tolist() == ju[met].tolist()
-    assert draws.noise.tobytes() == noise[met].tobytes()
+    assert draws.met.tolist() == [met.sum()] and met.sum() < 66
+    assert draws.i.tolist() == [iu[met].tolist()] and draws.j.tolist() == [ju[met].tolist()]
+    assert draws.jitter.tobytes() == noise[met].tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.005])
+def test_pair_draws_row_does_not_depend_on_replicate_count(sigma):
+    # row r reads only replicate r's streams, so it is the same in the
+    # draws of every R > r; rows are padded to the largest met count with
+    # -inf jitter, and their endpoints are offset by r * n
+    sc = Scenario(node_count=14, edge_budget=20, encounter_rate=0.5, noise_sigma=sigma,
+                  master_seed=5)
+    draws = [pair_draws(sc, replicates) for replicates in range(1, 5)]
+    for replicates, d in enumerate(draws, start=1):
+        assert d.i.shape == d.j.shape == d.jitter.shape == (replicates, d.met.max())
+        pads = np.arange(d.met.max()) >= d.met[:, None]
+        assert np.isneginf(d.jitter[pads]).all() and np.isfinite(d.jitter[~pads]).all()
+        for r in range(replicates):
+            real = slice(0, d.met[r])
+            assert (d.i[r, real] // 14 == r).all() and (d.j[r, real] // 14 == r).all()
+            first = draws[r]  # the draws of r + 1 replicates, whose last row is r
+            assert d.met[r] == first.met[r]
+            for a, b in ((d.i, first.i), (d.j, first.j), (d.jitter, first.jitter)):
+                assert a[r, real].tobytes() == b[r, real].tobytes()
+    assert draws[3].met.min() < draws[3].met.max()  # the last draws have pads
+
+
+def test_age_code_slots_score_each_code_in_use_once():
+    ages = np.array([5, 0, 5, 89])
+    sc = Scenario(node_count=4, edge_budget=2, encounter_rate=0.5, master_seed=3)
+    d = pair_draws(sc, 3)
+    (a, b), slot = age_code_slots(ages, d.i, d.j, d.met)
+    assert slot.dtype == np.int16 and slot.shape == d.i.shape
+    codes = a * AGE_SPAN + b
+    real = np.arange(d.i.shape[1]) < d.met[:, None]
+    pair_codes = ages[d.i % 4] * AGE_SPAN + ages[d.j % 4]
+    assert codes.tolist() == sorted(set(pair_codes[real].tolist()))
+    assert np.array_equal(codes[slot[real]], pair_codes[real])
+    assert not slot[~real].any()
+
+
+def test_generate_rejects_draws_of_several_replicates():
+    sc = Scenario(node_count=10, edge_budget=5)
+    pop = Population(np.arange(10), P_PLUS)
+    with pytest.raises(ValueError, match="got pair draws of 2 replicates"):
+        generate_network(pop, sc, pair_draws(sc, 2))
+    with pytest.raises(ValueError, match="replicates must be positive"):
+        pair_draws(sc, 0)
 
 
 def test_edge_strength_formula_and_range():
     ages = np.array([0, 9, 9, 18, 27, 36, 45, 54, 72, 81])
     pop = Population(ages, P_MINUS)
     sc = Scenario(node_count=10, edge_budget=15, encounter_rate=1.0, noise_sigma=0.0)
-    policy = RngPolicy(0)
-    net = generate_network(pop, sc, _draws(sc, policy))
+    net = generate_network(pop, sc, pair_draws(sc))
     f = pop.features
     for (i, j), g in zip(net.edges, net.gamma):
         t_i, t_j = node_traits(pop, int(i)), node_traits(pop, int(j))
@@ -327,12 +368,11 @@ def test_edge_strength_formula_and_range():
 def test_generate_population_size_mismatch():
     pop = Population(np.array([10, 20, 30]), P_PLUS)
     sc = Scenario(node_count=4, edge_budget=3)
-    policy = RngPolicy(0)
     with pytest.raises(ValueError):
-        generate_network(pop, sc, _draws(sc, policy))
+        generate_network(pop, sc, pair_draws(sc))
     fitting = Scenario(node_count=3, edge_budget=3)
     with pytest.raises(ValueError, match="pair draws for 4 nodes"):
-        generate_network(pop, fitting, _draws(sc, policy))
+        generate_network(pop, fitting, pair_draws(sc))
 
 
 def test_ba_target_edge_count_and_mean():
@@ -388,7 +428,7 @@ def test_adjacency_and_degrees_consistent():
     policy = RngPolicy(sc.master_seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    net = generate_network(pop, sc, _draws(sc, policy))
+    net = generate_network(pop, sc, pair_draws(sc))
     adj = np.zeros((net.node_count, net.node_count), dtype=bool)
     adj[net.edges[:, 0], net.edges[:, 1]] = True
     adj[net.edges[:, 1], net.edges[:, 0]] = True

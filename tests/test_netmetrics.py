@@ -31,8 +31,7 @@ def _sample_net(seed=0):
     policy = RngPolicy(seed)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-    return generate_network(pop, sc, draws)
+    return generate_network(pop, sc, pair_draws(sc))
 
 
 def _to_nx(net):
@@ -203,8 +202,7 @@ def test_shortest_path_matrix_on_sparse_h_minus_net():
     policy = RngPolicy(0)
     pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
                           policy.stream("feature-gen"))
-    draws = pair_draws(sc, policy.stream("encounter", 0), policy.stream("noise", 0))
-    net = generate_network(pop, sc, draws)
+    net = generate_network(pop, sc, pair_draws(sc))
     matrix = shortest_path_matrix(net)
     assert np.array_equal(matrix, _nx_path_matrix(net))
     assert matrix[matrix < 300].max() > 15 and (matrix == 300).any()

@@ -22,6 +22,7 @@ from prefnet.optimizer import (
 )
 from prefnet.scenario import (
     AgeShape,
+    PH_FITTED,
     Preference,
     RngPolicy,
     Rule,
@@ -59,8 +60,7 @@ def test_evaluate_zero_against_own_degree_pattern():
     policy = RngPolicy(SMALL.master_seed)
     pop = make_population(SMALL.age_shape, SMALL.node_count, pref,
                           policy.stream("feature-gen"))
-    draws = pair_draws(SMALL, policy.stream("encounter", 0), policy.stream("noise", 0))
-    net = generate_network(pop, SMALL, draws)
+    net = generate_network(pop, SMALL, pair_draws(SMALL))
     target = degree_distribution(net)
     _, values = evaluate(pref, target, SMALL, replicate_draws(SMALL, 1))
     assert values[0] == 0.0
@@ -140,8 +140,8 @@ def test_evaluate_equals_the_network_pipeline(case):
     policy = RngPolicy(scenario.master_seed)
     population = make_population(scenario.age_shape, scenario.node_count, pref,
                                  policy.stream("feature-gen"))
-    networks = [pair_draws(scenario, policy.stream("encounter", r), policy.stream("noise", r))
-                for r in range(replicates)]
+    pairs = pair_draws(scenario, replicates)
+    networks = [oracles.draws_row(pairs, r) for r in range(replicates)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         mean, values = evaluate(pref, target, scenario, draws)
@@ -150,7 +150,7 @@ def test_evaluate_equals_the_network_pipeline(case):
             for d in networks
         ]
         reference = oracles.evaluate(pref, target, scenario, replicates)
-    short = sum(d.met_count < scenario.edge_budget for d in networks)
+    short = int((pairs.met < scenario.edge_budget).sum())
     # evaluate warns of each shortfall as generate_network does, at the caller
     assert len(caught) == 2 * short
     assert [str(w.message) for w in caught[:short]] == [str(w.message) for w in caught[short:]]
@@ -172,6 +172,32 @@ def test_evaluate_equals_the_network_pipeline(case):
         assert _bits(evaluate(other, target, scenario, draws)[1]) == _bits(values)
 
 
+# Mean JS over 5 replicates against ba:90,20 at seed 0 of each shape's PH
+# preset and of the best pure rule, as the PH_FITTED comment states them.
+PH_PRESET_CLAIM = {
+    AgeShape.UNIFORM: (0.228, Rule.H_PLUS, 0.209),
+    AgeShape.BELL: (0.239, Rule.H_PLUS, 0.221),
+    AgeShape.INVERSE_BELL: (0.406, Rule.H_MINUS, 0.365),
+    AgeShape.LEFT_SKEWED: (0.426, Rule.H_PLUS, 0.310),
+    AgeShape.RIGHT_SKEWED: (0.278, Rule.H_PLUS, 0.273),
+}
+
+
+@pytest.mark.parametrize("shape", list(AgeShape), ids=lambda s: s.value)
+def test_ph_preset_loses_to_a_pure_rule_of_its_shape(shape):
+    preset_js, best_rule, best_js = PH_PRESET_CLAIM[shape]
+    scenario = Scenario(age_shape=shape)
+    target = degree_distribution(ba_target(90, 20, RngPolicy(0).stream("optimizer", 0)))
+    draws = replicate_draws(scenario, 5)
+    preset, _ = evaluate(PH_FITTED[shape], target, scenario, draws)
+    pure = {rule: evaluate(pref, target, scenario, draws)[0]
+            for rule, pref in RULE_PREFERENCES.items()}
+    assert round(preset, 3) == preset_js
+    assert min(pure, key=pure.get) is best_rule
+    assert round(pure[best_rule], 3) == best_js
+    assert pure[best_rule] < preset
+
+
 def test_optimize_budget_validation():
     with pytest.raises(ValueError):
         optimize(SMALL, _small_target(), budget=0)
@@ -181,7 +207,8 @@ def test_optimize_budget_validation():
 
 def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     # evaluate() grows one network per replicate, so the search grows each
-    # distinct effective preference once per replicate, from the same draws
+    # distinct effective preference once per replicate, from the same draws,
+    # drawn for all replicates at once
     built, evaluations = [], []
 
     def counting(fn, calls):
@@ -194,7 +221,7 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     monkeypatch.setattr(optimizer, "evaluate", counting(optimizer.evaluate, evaluations))
     runtimes = {}
     result = optimize(SMALL, _small_target(), budget=12, replicates=3, runtimes=runtimes)
-    assert len(built) == 3
+    assert len(built) == 1 and built[0][1] == 3
     # the first 12 grid candidates are level -1 at weight 0 with difference
     # -1 at all 7 weights, then difference 0 at 5 weights: 7 distinct (a, b)
     effective = {(p.level * p.level_weight, p.difference * p.difference_weight)
@@ -230,9 +257,10 @@ def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
                                RngPolicy(SMALL.master_seed).stream("feature-gen")).ages
         assert np.array_equal(ages, draws.ages)
     codes = set()
+    pairs = pair_draws(SMALL, 4)
     for r in range(4):
-        d = pair_draws(SMALL, RngPolicy(0).stream("encounter", r), RngPolicy(0).stream("noise", r))
-        codes.update((ages[d.i] * 90 + ages[d.j]).tolist())
+        d = oracles.draws_row(pairs, r)
+        codes.update((ages[d.i[0]] * 90 + ages[d.j[0]]).tolist())
     used = scored[0][1] * 90 + scored[0][2]
     assert used.tolist() == sorted(codes)
 

@@ -86,21 +86,53 @@ def test_preference_validation():
         Preference(1, 0.5, 1, -0.1)
 
 
+# Every field set, the preference line included.
+FULL = Scenario(
+    node_count=60,
+    edge_budget=500,
+    encounter_rate=0.75,
+    noise_sigma=0.01,
+    age_shape=AgeShape.BELL,
+    rule=Rule.PH,
+    preference=Preference(-1, 0.05, 1, 0.08),
+    transmissibility=0.4,
+    horizon=5,
+    distance_cap=4,
+    seed_count=2,
+    master_seed=123,
+)
+
+
+@pytest.mark.parametrize(
+    "sc, text, digest",
+    [
+        (
+            Scenario(),
+            "node_count = 90\nedge_budget = 1400\nencounter_rate = 0.8\n"
+            "noise_sigma = 0.005\nage_shape = Uniform\nrule = PH\n"
+            "transmissibility = 0.8\nhorizon = 6\ndistance_cap = 6\n"
+            "seed_count = 1\nmaster_seed = 0\n",
+            "4fa775567814f18db9f8f6db2e22c97654eb7e9c81015bd82d091526de50f357",
+        ),
+        (
+            FULL,
+            "node_count = 60\nedge_budget = 500\nencounter_rate = 0.75\n"
+            "noise_sigma = 0.01\nage_shape = Bell\nrule = PH\n"
+            "preference = -1 0.05 1 0.08\ntransmissibility = 0.4\nhorizon = 5\n"
+            "distance_cap = 4\nseed_count = 2\nmaster_seed = 123\n",
+            "f15782358d2ac2e35839e344cd17f621de6b37b9339d411a7174ccbae9071198",
+        ),
+    ],
+    ids=["default", "full"],
+)
+def test_canonical_text_and_hash_are_pinned(sc, text, digest):
+    # recorded literals: run manifests and sweep cells key on these bytes
+    assert sc.canonical() == text
+    assert sc.scenario_hash() == digest
+
+
 def test_canonical_round_trip_bytes(tmp_path):
-    sc = Scenario(
-        node_count=60,
-        edge_budget=500,
-        encounter_rate=0.75,
-        noise_sigma=0.01,
-        age_shape=AgeShape.BELL,
-        rule=Rule.PH,
-        preference=Preference(-1, 0.05, 1, 0.08),
-        transmissibility=0.4,
-        horizon=5,
-        distance_cap=4,
-        seed_count=2,
-        master_seed=123,
-    )
+    sc = FULL
     path = tmp_path / "run.scenario"
     save_scenario(sc, path)
     first = path.read_bytes()
