@@ -24,14 +24,8 @@ from prefnet import (
 
 
 def build(scenario):
-    policy = RngPolicy(scenario.master_seed)
-    population = make_population(
-        scenario.age_shape,
-        scenario.node_count,
-        scenario.resolved_preference(),
-        policy.stream("feature-gen"),
-    )
-    return generate_network(population, scenario, pair_draws(scenario))
+    # the rule changes the preference the scenario grows with, not the ages
+    return generate_network(make_population(scenario), scenario, pair_draws(scenario))
 
 
 def main():

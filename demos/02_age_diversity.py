@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from prefnet import AgeShape, RngPolicy, group_counts, hill_profile, sample_ages
+from prefnet import AgeShape, Scenario, group_counts, hill_profile, make_population
 
 
 def main():
@@ -31,8 +31,9 @@ def main():
         profile = hill_profile(group_counts(shape, args.nodes), orders)
         print(f"  {shape.value:>12}  " + " ".join(f"{v:3.1f}" for v in profile))
 
-    stream = RngPolicy(args.seed).stream("feature-gen")
-    ages = sample_ages(group_counts(AgeShape.BELL, args.nodes), stream)
+    bell = Scenario(node_count=args.nodes, edge_budget=0, age_shape=AgeShape.BELL,
+                    master_seed=args.seed)
+    ages = make_population(bell).ages
     print()
     print(f"sampled Bell ages (seed {args.seed}): "
           f"min {ages.min()}, median {int(np.median(ages))}, max {ages.max()}")

@@ -30,14 +30,10 @@ def main():
     args = cli.parse_args()
 
     sc = Scenario(transmissibility=args.tau, master_seed=args.seed)
-    policy = RngPolicy(sc.master_seed)
-    population = make_population(
-        sc.age_shape, sc.node_count, sc.resolved_preference(),
-        policy.stream("feature-gen"),
-    )
+    population = make_population(sc)
     net = generate_network(population, sc, pair_draws(sc))
     trace = run_si(net, population, sc,
-                   policy.counter_stream("infection", args.replicate))
+                   RngPolicy(sc.master_seed).counter_stream("infection", args.replicate))
 
     seed = int(trace.seeds[0])
     print(f"tau={args.tau}, master seed {args.seed}, replicate {args.replicate}")

@@ -240,17 +240,8 @@ def _generate_artifacts(
     summary and the three pattern distributions. Records the seconds spent
     growing, writing the edge list and analysing in runtimes."""
     t0 = time.perf_counter()
-    population = make_population(
-        scenario.age_shape,
-        scenario.node_count,
-        scenario.resolved_preference(),
-        RngPolicy(scenario.master_seed).stream("feature-gen"),
-    )
-    net = generate_network(
-        population,
-        scenario,
-        pair_draws(scenario),
-    )
+    population = make_population(scenario)
+    net = generate_network(population, scenario, pair_draws(scenario))
     runtimes["grow"] = time.perf_counter() - t0
     save_scenario(scenario, run.path("scenario.txt"))
     population_to_csv(population, run.path("population.csv"))
@@ -393,7 +384,7 @@ def cmd_sweep(args) -> int:
             print(f"sweep: {len(results)}/{len(names)} cells", file=sys.stderr, flush=True)
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
             take(pool.map(run_cell, names, scenarios))
     else:
         take(map(run_cell, names, scenarios))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_csv
-from .features import GROUP_COUNT, GROUP_WIDTH, Population
+from .features import AGE_SPAN, GROUP_COUNT, GROUP_WIDTH, Population
 from .netgen import NetworkSnapshot
 from .scenario import CounterStream, Scenario
 
@@ -138,7 +138,7 @@ class SeedRule:
 def seed_scores(net: NetworkSnapshot, population: Population, rule: SeedRule) -> np.ndarray:
     """Sign-weighted seeding score per node."""
     n = net.node_count
-    age_norm = population.features[:, 0]
+    age_norm = population.ages / AGE_SPAN
     degree_norm = net.degrees / (n - 1) if n > 1 else net.degrees.astype(np.float64)
     coeff = np.array(rule.signs, dtype=np.float64) * np.array(rule.weights)
     return age_norm * coeff[0] + degree_norm * coeff[1]

@@ -7,11 +7,13 @@ shapes; each shape is a fixed 9-group template at the reference size of 90
 nodes, rescaled to other sizes by largest-remainder rounding so the counts
 always sum exactly to the population size.
 
-One connection preference applies to the whole population, so the base
-score of a pair depends only on the two ages, through the pair's age code
-a * 90 + b. Growth therefore maps the met pairs to the age codes in use
-(`age_code_slots`), scores each of those codes once (`age_pair_scores`)
-and looks every pair's score up by its slot.
+A population is its ages only. The connection preference is the rule's,
+and the Scenario holds it (`Scenario.resolved_preference`); it applies to
+every node, so the base score of a pair depends only on the two ages,
+through the pair's age code a * 90 + b. Growth therefore maps the met
+pairs to the age codes in use (`age_code_slots`), scores each of those
+codes once (`age_pair_scores`) and looks every pair's score up by its
+slot. `make_population` is the only code that draws a scenario's ages.
 
 Diversity of the group histogram is measured with Hill numbers: order q = 0
 counts occupied groups, q = 1 is the exponential of Shannon entropy, and
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .scenario import AgeShape, Preference
+from .scenario import AgeShape, Preference, RngPolicy, Scenario
 
 GROUP_COUNT = 9
 GROUP_WIDTH = 10
@@ -139,14 +141,9 @@ def age_code_slots(
 
 @dataclass
 class Population:
-    """Nodes with ages, all sharing one connection preference.
-
-    ages holds integer years; features is the normalised (n, 1) feature
-    matrix.
-    """
+    """Nodes with ages in integer years, node v aged ages[v]."""
 
     ages: np.ndarray
-    preference: Preference
 
     def __post_init__(self) -> None:
         self.ages = np.asarray(self.ages, dtype=np.int64)
@@ -158,23 +155,15 @@ class Population:
         return int(self.ages.shape[0])
 
     @property
-    def features(self) -> np.ndarray:
-        """Normalised feature matrix, shape (n, 1), values in [0, 1)."""
-        return (self.ages / AGE_SPAN)[:, None]
-
-    @property
     def groups(self) -> np.ndarray:
         return self.ages // GROUP_WIDTH
 
 
-def make_population(
-    shape: AgeShape,
-    node_count: int,
-    preference: Preference,
-    stream: np.random.Generator,
-) -> Population:
-    """Sample a population of the given shape with one shared preference."""
-    return Population(sample_ages(group_counts(shape, node_count), stream), preference)
+def make_population(scenario: Scenario) -> Population:
+    """Draw the scenario's population: the group counts of its age shape at
+    its node count, and each node's age from its "feature-gen" stream."""
+    counts = group_counts(scenario.age_shape, scenario.node_count)
+    return Population(sample_ages(counts, RngPolicy(scenario.master_seed).stream("feature-gen")))
 
 
 def hill_number(counts, q: float) -> float:

@@ -6,9 +6,9 @@ level weight) and a difference term (does each side like the feature gap,
 scaled by its difference weight). Both terms are centred at 1 so that a
 zeroed weight makes a node indifferent rather than hostile. The pair
 total averages the two terms, adds Gaussian jitter, and is gated by a
-Bernoulli encounter: pairs that never meet can never link. With one
-preference per population the averaged terms depend only on the two
-ages, so each age pair that a met pair uses is scored once
+Bernoulli encounter: pairs that never meet can never link. With the
+scenario's one preference for every node the averaged terms depend only
+on the two ages, so each age pair that a met pair uses is scored once
 (`features.age_code_slots`). The encounters and jitter are drawn apart
 from the scoring, by `pair_draws`, the only code that reads the
 "encounter" and "noise" streams: it lays out R replicates as rows of one
@@ -229,10 +229,11 @@ def generate_network(
 
     `draws` (one row from `pair_draws`) fixes which pairs met and their
     jitter; a met pair scores `features.age_pair_scores` of its two ages
-    (the mean of its level and difference terms), looked up among the age
-    codes in use, plus its jitter. The edge budget keeps the
-    k = min(budget, met) highest-scoring met pairs, ranked by
-    (score desc, i asc, j asc), by the partial top-k of `budget_pairs`.
+    under `scenario.resolved_preference()` (the mean of its level and
+    difference terms), looked up among the age codes in use, plus its
+    jitter. The edge budget keeps the k = min(budget, met)
+    highest-scoring met pairs, ranked by (score desc, i asc, j asc), by
+    the partial top-k of `budget_pairs`.
     Kept pairs stay in pair order, so edge rows come out sorted. If fewer
     pairs met than the budget asks for, all of them are linked and a
     shortfall warning is recorded. Edge strength is (score + 2) / 4, an
@@ -248,7 +249,7 @@ def generate_network(
     if draws.met.shape[0] != 1:
         raise ValueError(f"grows one network, got pair draws of {draws.met.shape[0]} replicates")
     code_ages, slot = age_code_slots(population.ages, draws.i, draws.j, draws.met)
-    score = age_pair_scores(population.preference, *code_ages).take(slot)
+    score = age_pair_scores(scenario.resolved_preference(), *code_ages).take(slot)
     del slot
     score += draws.jitter
     keep = budget_pairs(score, draws.met, scenario.edge_budget)

@@ -6,10 +6,12 @@ distribution, averaged over R replicate networks. Replicates use common
 random numbers: replicate r of every candidate shares the same encounter
 and noise streams, so objective differences reflect the preferences, not
 the draws, and a rerun of the whole search is bit-identical. The search
-therefore draws the ages and all replicates' encounters and jitter once
-(`replicate_draws`): `netgen.pair_draws` lays replicate r out as row r of
-one padded array, the same layout from which `generate_network` grows its
-one network, and every candidate's replicate r grows from row r.
+therefore prepares the scenario's population and all replicates'
+encounters and jitter once (`replicate_draws`): the ages come from
+`features.make_population`, as for a single network, and
+`netgen.pair_draws` lays replicate r out as row r of one padded array,
+the same layout from which `generate_network` grows its one network, so
+every candidate's replicate r grows from row r.
 
 A candidate's scores depend on its weights only through the effective
 weights a = level * level_weight and b = difference * difference_weight,
@@ -42,10 +44,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .features import age_code_slots, age_pair_scores, group_counts, sample_ages
+from .features import age_code_slots, age_pair_scores, make_population
 from .netgen import budget_pairs, pair_draws, PairDraws
 from .netmetrics import js_masses, pad_mass, PatternDistribution, support_union
-from .scenario import Preference, RngPolicy, Scenario
+from .scenario import Preference, Scenario
 
 LEVEL_GRID: tuple[int, ...] = (-1, 0, 1)
 WEIGHT_GRID: tuple[float, ...] = (0.0, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0)
@@ -84,31 +86,25 @@ class OptimizeResult:
 
 @dataclass(frozen=True)
 class ReplicateDraws:
-    """The random part of a search, drawn once: the ages and R replicates'
-    pair draws, with what `evaluate` reads of the ages.
+    """The random part of a search, drawn once: R replicates' pair draws
+    and what `evaluate` reads of the population's ages.
 
-    ages are drawn from the "feature-gen" stream, as `make_population`
-    draws them. pairs holds the replicates' met pairs as (R, M) rows (see
+    pairs holds the replicates' met pairs as (R, M) rows (see
     `netgen.pair_draws`); slot indexes each pair's age code among the
     sorted codes in use, whose ages are `code_ages` (see
-    `features.age_code_slots`).
+    `features.age_code_slots`), for the ages of `make_population`.
     """
 
-    ages: np.ndarray
     code_ages: tuple[np.ndarray, np.ndarray]
     slot: np.ndarray
     pairs: PairDraws
 
 
 def replicate_draws(scenario: Scenario, replicates: int) -> ReplicateDraws:
-    """Ages and pair draws of replicates 0..R-1 for `evaluate`."""
-    ages = sample_ages(
-        group_counts(scenario.age_shape, scenario.node_count),
-        RngPolicy(scenario.master_seed).stream("feature-gen"),
-    )
+    """Age codes and pair draws of replicates 0..R-1 for `evaluate`."""
     pairs = pair_draws(scenario, replicates)
-    code_ages, slot = age_code_slots(ages, pairs.i, pairs.j, pairs.met)
-    return ReplicateDraws(ages, code_ages, slot, pairs)
+    code_ages, slot = age_code_slots(make_population(scenario).ages, pairs.i, pairs.j, pairs.met)
+    return ReplicateDraws(code_ages, slot, pairs)
 
 
 def evaluate(
@@ -124,15 +120,16 @@ def evaluate(
     candidate compares candidates under common random numbers.
 
     Replicate r's value equals `js_divergence(degree_distribution(
-    generate_network(population, scenario, row_r)), target)` bit for bit,
-    for replicate r's population and row r of the pair draws as one-row
-    `PairDraws`, but no network or pattern object is built, and all
-    replicates go in one pass: score the age codes in use
-    (`features.age_pair_scores`), keep each row's budgeted best with
-    `budget_pairs`, count the R * n degrees with two `bincount`s and their
-    frequencies with a third, divide by n, and take every row's divergence
-    from the target's mass, both padded onto the union of 0..n-1 and the
-    target's support as `js_divergence` pads them."""
+    generate_network(make_population(scenario), fitted, row_r)), target)`
+    bit for bit, for `fitted`, the scenario with `preference` set, and
+    row r of the pair draws as one-row `PairDraws`, but no network or
+    pattern object is built, and all replicates go in one pass: score the
+    age codes in use (`features.age_pair_scores`), keep each row's
+    budgeted best with `budget_pairs`, count the R * n degrees with two
+    `bincount`s and their frequencies with a third, divide by n, and take
+    every row's divergence from the target's mass, both padded onto the
+    union of 0..n-1 and the target's support as `js_divergence` pads
+    them."""
     if target.kind != "degree":
         raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
     n, pairs = scenario.node_count, draws.pairs

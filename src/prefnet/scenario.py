@@ -364,7 +364,7 @@ PRESET_NAMES: tuple[str, ...] = tuple(
 )
 
 
-def preset(name: str, master_seed: int = 0) -> Scenario:
+def preset(name: str) -> Scenario:
     """Build one of the 25 named scenarios, '<shape>_<rule>' with shape in
     U, B, I, L, R and rule in P+, P-, H+, H-, PH. Example: 'U_PH'.
 
@@ -379,7 +379,7 @@ def preset(name: str, master_seed: int = 0) -> Scenario:
     shape = SHAPE_CODES[shape_code]
     rule = RULE_CODES[rule_code]
     pref = PH_FITTED[shape] if rule is Rule.PH else None
-    return Scenario(age_shape=shape, rule=rule, preference=pref, master_seed=master_seed)
+    return Scenario(age_shape=shape, rule=rule, preference=pref)
 
 
 # ---------------------------------------------------------------------------

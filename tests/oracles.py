@@ -21,7 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from prefnet.epidemic import EpidemicTrace, SeedRule, select_seeds, Susceptibility
-from prefnet.features import AGE_SPAN, age_pair_scores, GROUP_COUNT, make_population, Population
+from prefnet.features import (
+    AGE_SPAN, age_pair_scores, GROUP_COUNT, group_counts, Population, sample_ages,
+)
 from prefnet.netgen import NetworkSnapshot, PairDraws
 from prefnet.netmetrics import PatternDistribution
 from prefnet.scenario import CounterStream, Preference, RngPolicy, Scenario
@@ -36,9 +38,10 @@ class Traits(NamedTuple):
     difference_weight: np.ndarray
 
 
-def node_traits(population: Population, v: int) -> Traits:
-    """Traits of node v: the population's one preference, as length-1 vectors."""
-    p = population.preference
+def node_traits(preference: Preference) -> Traits:
+    """Traits of any node under the one preference that applies to every
+    node, as length-1 vectors."""
+    p = preference
     return Traits(
         np.array([p.level], dtype=float),
         np.array([p.level_weight], dtype=float),
@@ -92,20 +95,22 @@ def pair_score(
     i: int,
     j: int,
     population: Population,
+    preference: Preference,
     encounter_stream: np.random.Generator,
     noise_stream: np.random.Generator,
     *,
     encounter_rate: float,
     noise_sigma: float,
 ) -> SimpleNamespace:
-    """Score a single pair, consuming one encounter draw and (if the jitter
-    width is positive) one noise draw. total = (mean of the two terms +
-    noise) when the pair encounters, else 0."""
+    """Score a single pair of the population under `preference`, consuming
+    one encounter draw and (if the jitter width is positive) one noise
+    draw. total = (mean of the two terms + noise) when the pair encounters,
+    else 0."""
     if i == j:
         raise ValueError(f"pair requires distinct nodes, got ({i}, {j})")
-    f = population.features
-    pp = preferential_score(f[i], f[j], node_traits(population, i), node_traits(population, j))
-    ph = homophily_score(f[i], f[j], node_traits(population, i), node_traits(population, j))
+    f, t = population.ages / AGE_SPAN, node_traits(preference)
+    pp = preferential_score(f[i], f[j], t, t)
+    ph = homophily_score(f[i], f[j], t, t)
     encountered = bool(encounter_stream.random() < encounter_rate)
     noise = float(noise_stream.normal(0.0, noise_sigma)) if noise_sigma > 0 else 0.0
     total = (0.5 * pp + 0.5 * ph + noise) if encountered else 0.0
@@ -286,14 +291,15 @@ def evaluate(
     preference: Preference, target: PatternDistribution, scenario: Scenario, replicates: int
 ) -> list[float]:
     """Degree-pattern divergence from the target of each replicate network,
-    grown and compared one replicate at a time: draw every pair's encounter
-    and jitter from replicate r's streams, score the met pairs from a
+    grown and compared one replicate at a time: draw the ages from the
+    "feature-gen" stream and every pair's encounter and jitter from
+    replicate r's streams, score the met pairs under `preference` from a
     90 x 90 age table, keep the budgeted best by a partial top-k, count
     degrees and their frequencies, and take the JS divergence against the
     target, both padded onto the union of 0..n-1 and the target's support."""
     n = scenario.node_count
     policy = RngPolicy(scenario.master_seed)
-    ages = make_population(scenario.age_shape, n, preference, policy.stream("feature-gen")).ages
+    ages = sample_ages(group_counts(scenario.age_shape, n), policy.stream("feature-gen"))
     every_age = np.arange(AGE_SPAN)
     table = age_pair_scores(preference, every_age[:, None], every_age[None, :]).ravel()
     iu, ju = np.triu_indices(n, 1)

@@ -34,7 +34,6 @@ from prefnet.optimizer import evaluate, optimize, replicate_draws
 from prefnet.scenario import (
     RULE_PREFERENCES,
     AgeShape,
-    Preference,
     RngPolicy,
     Rule,
     Scenario,
@@ -71,9 +70,7 @@ def _build(shape, rule, master_seed, **overrides):
     if key not in _BUILT:
         sc = Scenario(age_shape=shape, rule=rule, master_seed=master_seed,
                       **overrides)
-        policy = RngPolicy(sc.master_seed)
-        pop = make_population(sc.age_shape, sc.node_count,
-                              sc.resolved_preference(), policy.stream("feature-gen"))
+        pop = make_population(sc)
         net = generate_network(pop, sc, pair_draws(sc))
         _BUILT[key] = (sc, pop, net)
     return _BUILT[key]
@@ -249,8 +246,7 @@ def test_criterion_08_seed_selection():
         # two disjoint triangles: every degree equal, lowest id must win
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         tie_net = NetworkSnapshot(6, np.array(edges), np.ones(len(edges)))
-        tie_pop = make_population(AgeShape.UNIFORM, 6, Preference(1, 0.0, 1, 0.0),
-                                  RngPolicy(0).stream("feature-gen"))
+        tie_pop = make_population(Scenario(node_count=6, edge_budget=0))
         assert select_seeds(tie_net, tie_pop, SeedRule()).tolist() == [0]
 
 
@@ -302,11 +298,11 @@ def test_criterion_10_formula_anchors():
         assert abs(edge_strength(0.0) - 0.5) < tol
         assert abs(edge_strength(2.0) - 1.0) < tol
         assert abs(edge_strength(-2.0) - 0.0) < tol
-        _, pop, net = _build(AgeShape.UNIFORM, Rule.PH, 0,
-                             encounter_rate=1.0, noise_sigma=0.0)
-        f = pop.features[:, 0]
-        a = pop.preference.level * pop.preference.level_weight
-        b = pop.preference.difference * pop.preference.difference_weight
+        sc, pop, net = _build(AgeShape.UNIFORM, Rule.PH, 0,
+                              encounter_rate=1.0, noise_sigma=0.0)
+        f, p = pop.ages / 90, sc.resolved_preference()
+        a = p.level * p.level_weight
+        b = p.difference * p.difference_weight
         i, j = net.edges[:, 0], net.edges[:, 1]
         level = (f[j] * a + f[i] * a) / 2 + 1
         gap = np.abs(f[i] - f[j])
@@ -316,8 +312,7 @@ def test_criterion_10_formula_anchors():
 
         # seed scores over extended features [age/90, degree/(n-1)]
         star = NetworkSnapshot(4, np.array([(0, 1), (0, 2), (0, 3)]), np.ones(3))
-        pop4 = make_population(AgeShape.UNIFORM, 4, Preference(1, 0.0, 1, 0.0),
-                               RngPolicy(0).stream("feature-gen"))
+        pop4 = make_population(Scenario(node_count=4, edge_budget=0))
         ages = pop4.ages
         rule = SeedRule(signs=(1, 1), weights=(1.0, 0.5))
         scores = seed_scores(star, pop4, rule)
@@ -340,7 +335,7 @@ def test_criterion_10_formula_anchors():
         path = NetworkSnapshot(7, np.array([(k, k + 1) for k in range(6)]),
                                np.ones(6))
         ages7 = np.array([80, 10, 20, 30, 40, 50, 60])
-        pop7 = Population(ages7, Preference(1, 0.0, 1, 0.0))
+        pop7 = Population(ages7)
         sc7 = Scenario(node_count=7, edge_budget=6, transmissibility=1.0)
         end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0))
         trace7 = run_si(path, pop7, sc7, RngPolicy(0).counter_stream("infection", 0),
@@ -351,9 +346,8 @@ def test_criterion_10_formula_anchors():
         complete = NetworkSnapshot(
             5, np.array([(i, j) for i in range(5) for j in range(i + 1, 5)]),
             np.ones(10))
-        pop5 = make_population(AgeShape.UNIFORM, 5, Preference(1, 0.0, 1, 0.0),
-                               RngPolicy(0).stream("feature-gen"))
         sc5 = Scenario(node_count=5, edge_budget=10, transmissibility=1.0)
+        pop5 = make_population(sc5)
         trace5 = run_si(complete, pop5, sc5,
                         RngPolicy(0).counter_stream("infection", 0))
         assert abs(par(trace5, 1, 1) - 1.0) < tol

@@ -1,9 +1,10 @@
 """The package's public names."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import prefnet
-from prefnet import epidemic, features, netgen
+from prefnet import epidemic, features, netgen, optimizer
 
 # Scalar test oracles that now live in tests/oracles.py, and names deleted
 # with the per-node trait arrays, with the per-window PaR counts or with the
@@ -46,3 +47,30 @@ def test_artifact_format_lives_in_one_module():
         if call in path.read_text(encoding="utf-8")
     }
     assert users == {"artifacts.py"}
+
+
+def test_each_random_stream_opens_in_one_module():
+    # A scenario's ages are drawn in features.py alone, and its encounters
+    # and jitter in netgen.py alone, so every consumer sees the same draws.
+    package = Path(prefnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    openers = {
+        label: {
+            name
+            for name, text in sources.items()
+            for call in ("stream", "counter_stream")
+            if f'.{call}("{label}"' in text
+        }
+        for label in ("feature-gen", "encounter", "noise")
+    }
+    assert openers == {
+        "feature-gen": {"features.py"},
+        "encounter": {"netgen.py"},
+        "noise": {"netgen.py"},
+    }
+    # The preference belongs to the Scenario, and the fit's draws keep no
+    # second copy of the ages.
+    population = features.Population([0, 45, 89])
+    assert not hasattr(population, "preference")
+    assert not hasattr(population, "features")
+    assert "ages" not in {f.name for f in fields(optimizer.ReplicateDraws)}

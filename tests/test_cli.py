@@ -262,6 +262,35 @@ def test_sweep_jobs_below_one_rejected(tmp_path, capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # A stand-in pool records the workers asked for and maps in this
+    # process, so the test starts no process whatever --jobs says.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    one_cell = ["sweep", "--set", "node_count=45", "--set", "edge_budget=350",
+                "--shapes", "U", "--rules", "PH", "--taus", "0.2"]
+    serial, wide = tmp_path / "serial", tmp_path / "wide"
+    assert main(one_cell + ["--out", str(serial), "--jobs", "1"]) == 0
+    assert asked == []
+    assert main(one_cell + ["--out", str(wide), "--jobs", "64"]) == 0
+    assert asked == [1]
+    _assert_identical_runs(serial, wide)
+
+
 def test_metric_kernels_run_once_per_network(tmp_path, monkeypatch):
     calls = {"clustering_values": [], "shortest_path_matrix": []}
     for name, seen in calls.items():

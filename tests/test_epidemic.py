@@ -22,12 +22,10 @@ from prefnet.epidemic import (
 )
 from prefnet.features import AGE_SPAN, make_population, Population
 from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws
-from prefnet.scenario import Preference, RngPolicy, Scenario
+from prefnet.scenario import RngPolicy, Scenario
 
 import oracles
 from oracles import transition_probability
-
-PREF = Preference(-1, 0.05, 1, 0.08)
 
 
 def _net(node_count, edges):
@@ -55,8 +53,7 @@ def _bfs_ball(edges, node_count, sources, radius):
 def _generated(seed=0, **overrides):
     sc = Scenario(master_seed=seed, **overrides)
     policy = RngPolicy(seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     net = generate_network(pop, sc, pair_draws(sc))
     return sc, policy, pop, net
 
@@ -99,7 +96,7 @@ def test_transition_probability_hand_values():
 
 def test_transition_probability_two_conditions():
     ages = np.array([15, 25, 35, 45])
-    pop = Population(ages, PREF)
+    pop = Population(ages)
     s = Susceptibility(("exposed", "age_group"), (1, 3), (0.5, 0.4))
     # node 2 is in decade group 3: both conditions met, 0.5 * 0.4 = 0.2
     assert transition_probability(2, s, 1, population=pop) == pytest.approx(0.2, abs=1e-12)
@@ -114,7 +111,7 @@ def test_transition_probability_two_conditions():
 def test_transition_probability_empty_met_set_is_certain():
     # no met condition leaves the empty product, 1: exposure then converts
     ages = np.array([15, 25])
-    pop = Population(ages, PREF)
+    pop = Population(ages)
     s = Susceptibility(("age_group",), (7,), (0.3,))
     assert transition_probability(0, s, 1, population=pop) == 1.0
 
@@ -142,7 +139,7 @@ def test_seed_rule_validation():
 def test_select_seeds_max_degree():
     # star: center 0 has the top degree
     star = _net(6, [(0, v) for v in range(1, 6)])
-    pop = Population(np.array([10, 20, 30, 40, 50, 60]), PREF)
+    pop = Population(np.array([10, 20, 30, 40, 50, 60]))
     seeds = select_seeds(star, pop, SeedRule(count=1))
     assert list(seeds) == [0]
 
@@ -150,7 +147,7 @@ def test_select_seeds_max_degree():
 def test_select_seeds_tie_breaks_to_lowest_id():
     # two disjoint triangles: all degrees equal, lowest id wins
     net = _net(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    pop = Population(np.array([50, 40, 30, 20, 10, 0]), PREF)
+    pop = Population(np.array([50, 40, 30, 20, 10, 0]))
     seeds = select_seeds(net, pop, SeedRule(count=1))
     assert list(seeds) == [0]
     two = select_seeds(net, pop, SeedRule(count=2))
@@ -159,7 +156,7 @@ def test_select_seeds_tie_breaks_to_lowest_id():
 
 def test_select_seeds_age_based_rule():
     net = _net(4, [(0, 1), (1, 2), (2, 3)])
-    pop = Population(np.array([80, 10, 20, 30]), PREF)
+    pop = Population(np.array([80, 10, 20, 30]))
     oldest = select_seeds(net, pop, SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1))
     assert list(oldest) == [0]
     youngest = select_seeds(net, pop, SeedRule(signs=(-1, 0), weights=(1.0, 1.0), count=1))
@@ -168,7 +165,7 @@ def test_select_seeds_age_based_rule():
 
 def test_seed_scores_formula():
     net = _net(3, [(0, 1), (0, 2)])
-    pop = Population(np.array([45, 9, 81]), PREF)
+    pop = Population(np.array([45, 9, 81]))
     scores = seed_scores(net, pop, SeedRule(signs=(1, 1), weights=(0.5, 1.0)))
     # age/90 * 0.5 + degree/(n-1) * 1.0
     expected = np.array([45 / 90 * 0.5 + 1.0, 9 / 90 * 0.5 + 0.5, 81 / 90 * 0.5 + 0.5])
@@ -177,7 +174,7 @@ def test_seed_scores_formula():
 
 def test_select_seeds_zero_count():
     net = _net(3, [(0, 1)])
-    pop = Population(np.array([10, 20, 30]), PREF)
+    pop = Population(np.array([10, 20, 30]))
     assert select_seeds(net, pop, SeedRule(count=0)).shape == (0,)
 
 
@@ -216,7 +213,7 @@ def test_run_si_distance_cap_blocks_far_nodes():
     # path of 7: seed at the end, cap 2 stops the wave at distance 2
     edges = [(v, v + 1) for v in range(6)]
     net = _net(7, edges)
-    pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]), PREF)
+    pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=2, master_seed=0)
     end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1)
@@ -273,7 +270,7 @@ def _si_cases(draw):
         master_seed=draw(st.integers(0, 2**16)),
     )
     extra = draw(st.integers(1, 4))
-    return _net(n, edges), Population(np.array(ages), PREF), sc, extra
+    return _net(n, edges), Population(np.array(ages)), sc, extra
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,7 +331,7 @@ def test_run_si_matches_dense_oracle_on_generated_net(tau):
 def test_infection_by_distance_star():
     n = 8
     star = _net(n, [(0, v) for v in range(1, n)])
-    pop = Population(np.full(n, 40), PREF)
+    pop = Population(np.full(n, 40))
     sc = Scenario(node_count=n, edge_budget=n - 1, transmissibility=1.0,
                   horizon=2, distance_cap=2, master_seed=0)
     trace = run_si(star, pop, sc, RngPolicy(0).counter_stream("infection", 0))
@@ -354,7 +351,7 @@ def test_infection_by_distance_zero_tau():
 def _p7_trace():
     edges = [(v, v + 1) for v in range(6)]
     net = _net(7, edges)
-    pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]), PREF)
+    pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=6, master_seed=0)
     end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1)
@@ -379,7 +376,7 @@ def test_par_hand_values():
 def test_par_complete_graph_one_step():
     n = 5
     net = _net(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    pop = Population(np.full(n, 30), PREF)
+    pop = Population(np.full(n, 30))
     sc = Scenario(node_count=n, edge_budget=10, transmissibility=1.0, horizon=2,
                   distance_cap=2, master_seed=0)
     trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
@@ -467,7 +464,7 @@ def test_par_reads_match_the_per_window_oracle(horizon, cap, nodes):
         horizon=horizon,
         distance_cap=cap,
     )
-    pop = Population(ages, PREF)
+    pop = Population(ages)
     expected = oracles.par_matrix(trace)
     assert np.array_equal(par_matrix(trace), expected, equal_nan=True)
     final_d = min(cap, horizon)

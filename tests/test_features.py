@@ -18,9 +18,7 @@ from prefnet.features import (
     sample_ages,
     SHAPE_TEMPLATES,
 )
-from prefnet.scenario import AgeShape, Preference, RngPolicy
-
-PREF = Preference(-1, 0.05, 1, 0.08)
+from prefnet.scenario import AgeShape, Preference, RngPolicy, Rule, Scenario
 
 
 def test_templates_sum_to_reference_size():
@@ -110,19 +108,25 @@ def test_sample_ages_deterministic():
 
 
 def test_population_features_and_groups():
-    pop = make_population(AgeShape.UNIFORM, 90, PREF, RngPolicy(0).stream("feature-gen"))
-    assert pop.size == 90
-    assert pop.features.shape == (90, 1)
-    assert np.allclose(pop.features[:, 0], pop.ages / AGE_SPAN)
-    assert (pop.features >= 0).all() and (pop.features < 1).all()
-    assert np.array_equal(pop.groups, pop.ages // 10)
-    # one preference applies to every node
-    assert pop.preference == PREF
+    # the scenario fixes the shape, the size and the "feature-gen" stream;
+    # its rule and preference do not touch the ages
+    for shape in AgeShape:
+        sc = Scenario(node_count=47, edge_budget=30, age_shape=shape, master_seed=9)
+        pop = make_population(sc)
+        counts = group_counts(shape, 47)
+        assert pop.size == 47
+        assert np.array_equal(pop.ages, sample_ages(counts, RngPolicy(9).stream("feature-gen")))
+        assert np.array_equal(pop.groups, pop.ages // 10)
+        assert np.array_equal(np.bincount(pop.groups, minlength=GROUP_COUNT), counts)
+        pure = sc.with_overrides(rule=Rule.H_MINUS, preference=Preference(1, 0.5, -1, 0.25))
+        assert np.array_equal(make_population(pure).ages, pop.ages)
+        reseeded = sc.with_overrides(master_seed=10)
+        assert not np.array_equal(make_population(reseeded).ages, pop.ages)
 
 
 def test_population_rejects_out_of_range_ages():
     with pytest.raises(ValueError):
-        Population(np.array([10, 95]), PREF)
+        Population(np.array([10, 95]))
 
 
 def test_hill_q0_counts_occupied_groups():

@@ -32,9 +32,7 @@ def _paper_density(n: int) -> Scenario:
 def _paper_density_net(n: int = N) -> NetworkSnapshot:
     """A generated network at the paper's density."""
     sc = _paper_density(n)
-    policy = RngPolicy(0)
-    pop = make_population(sc.age_shape, n, sc.resolved_preference(), policy.stream("feature-gen"))
-    return generate_network(pop, sc, pair_draws(sc))
+    return generate_network(make_population(sc), sc, pair_draws(sc))
 
 
 def _traced_peak(fn, *args) -> int:
@@ -107,8 +105,7 @@ def _star_with_last_hub(leaves: int) -> NetworkSnapshot:
 
 def test_small_blocks_give_the_same_results(tmp_path, monkeypatch):
     sc = Scenario(node_count=70, edge_budget=900, master_seed=4)
-    policy = RngPolicy(4)
-    pop = make_population(sc.age_shape, 70, sc.resolved_preference(), policy.stream("feature-gen"))
+    pop = make_population(sc)
 
     def run(out):
         draws = pair_draws(sc, 3)

@@ -14,7 +14,7 @@ from prefnet.netgen import (
     pair_draws,
     save_network,
 )
-from prefnet.scenario import AgeShape, Preference, RngPolicy, Scenario
+from prefnet.scenario import AgeShape, Preference, RngPolicy, Rule, RULE_PREFERENCES, Scenario
 
 import oracles
 from oracles import (
@@ -83,10 +83,10 @@ _WEIGHT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 @given(st.builds(Preference, st.sampled_from([-1, 0, 1]), _WEIGHT,
                  st.sampled_from([-1, 0, 1]), _WEIGHT))
 def test_score_table_matches_scalar_oracles(preference):
-    pop = Population(np.arange(AGE_SPAN), preference)
-    table = age_pair_scores(preference, pop.ages[:, None], pop.ages[None, :]).ravel()
+    ages = np.arange(AGE_SPAN)
+    table = age_pair_scores(preference, ages[:, None], ages[None, :]).ravel()
     assert table.shape == (AGE_SPAN * AGE_SPAN,)
-    f, t = pop.features, node_traits(pop, 0)
+    f, t = ages / AGE_SPAN, node_traits(preference)
     for a in range(AGE_SPAN):
         for b in range(AGE_SPAN):
             expected = (0.5 * preferential_score(f[a], f[b], t, t)
@@ -96,23 +96,21 @@ def test_score_table_matches_scalar_oracles(preference):
 
 def test_pair_score_components_and_gate():
     ages = np.array([18, 72, 45, 9])
-    pop = Population(ages, P_PLUS)
+    pop = Population(ages)
     always = Scenario(node_count=4, edge_budget=6, encounter_rate=1.0, noise_sigma=0.0)
     policy = RngPolicy(3)
     ps = pair_score(
-        0, 1, pop, policy.stream("encounter", 0), policy.stream("noise", 0),
+        0, 1, pop, P_PLUS, policy.stream("encounter", 0), policy.stream("noise", 0),
         encounter_rate=always.encounter_rate, noise_sigma=always.noise_sigma,
     )
     assert ps.encountered
     assert ps.noise == 0.0
     assert ps.total == pytest.approx(0.5 * ps.level_term + 0.5 * ps.difference_term, abs=1e-12)
-    f = pop.features
-    assert ps.level_term == pytest.approx(
-        preferential_score(f[0], f[1], node_traits(pop, 0), node_traits(pop, 1)), abs=1e-12
-    )
+    f, t = ages / AGE_SPAN, node_traits(P_PLUS)
+    assert ps.level_term == pytest.approx(preferential_score(f[0], f[1], t, t), abs=1e-12)
     # encounter rate 0 gates the total to zero but leaves the terms intact
     ps0 = pair_score(
-        0, 1, pop, policy.stream("encounter", 1), policy.stream("noise", 1),
+        0, 1, pop, P_PLUS, policy.stream("encounter", 1), policy.stream("noise", 1),
         encounter_rate=0.0, noise_sigma=0.0,
     )
     assert not ps0.encountered
@@ -122,14 +120,14 @@ def test_pair_score_components_and_gate():
 
 def test_pair_score_noise_moves_total_not_terms():
     ages = np.array([18, 72])
-    pop = Population(ages, P_PLUS)
+    pop = Population(ages)
     policy = RngPolicy(11)
     quiet = pair_score(
-        0, 1, pop, policy.stream("encounter", 0), policy.stream("noise", 0),
+        0, 1, pop, P_PLUS, policy.stream("encounter", 0), policy.stream("noise", 0),
         encounter_rate=1.0, noise_sigma=0.0,
     )
     noisy = pair_score(
-        0, 1, pop, policy.stream("encounter", 0), policy.stream("noise", 0),
+        0, 1, pop, P_PLUS, policy.stream("encounter", 0), policy.stream("noise", 0),
         encounter_rate=1.0, noise_sigma=0.005,
     )
     assert noisy.level_term == quiet.level_term
@@ -139,18 +137,16 @@ def test_pair_score_noise_moves_total_not_terms():
 
 
 def test_pair_score_rejects_self_pair():
-    pop = Population(np.array([10, 20]), P_PLUS)
+    pop = Population(np.array([10, 20]))
     policy = RngPolicy(0)
     with pytest.raises(ValueError):
-        pair_score(1, 1, pop, policy.stream("encounter", 0), policy.stream("noise", 0),
+        pair_score(1, 1, pop, P_PLUS, policy.stream("encounter", 0), policy.stream("noise", 0),
                    encounter_rate=1.0, noise_sigma=0.0)
 
 
 def test_generate_full_encounter_exact_budget():
     sc = Scenario(encounter_rate=1.0, master_seed=4)
-    policy = RngPolicy(sc.master_seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     net = generate_network(pop, sc, pair_draws(sc))
     assert net.edge_count == 1400
     assert net.degrees.mean() == pytest.approx(2 * 1400 / 90, abs=1e-12)
@@ -160,8 +156,9 @@ def test_generate_full_encounter_exact_budget():
 def test_generate_matches_enumeration_oracle_for_p_plus():
     # deliberate age duplicates exercise the lexicographic tie-break
     ages = np.array([0, 9, 9, 18, 27, 36, 45, 54, 72, 81])
-    pop = Population(ages, P_PLUS)
-    sc = Scenario(node_count=10, edge_budget=20, encounter_rate=1.0, noise_sigma=0.0)
+    pop = Population(ages)
+    sc = Scenario(node_count=10, edge_budget=20, encounter_rate=1.0, noise_sigma=0.0,
+                  preference=P_PLUS)
     net = generate_network(pop, sc, pair_draws(sc))
     f = ages / 90
     scored = sorted(
@@ -174,14 +171,12 @@ def test_generate_matches_enumeration_oracle_for_p_plus():
 
 def test_h_minus_score_strictly_decreasing_in_gap():
     ages = np.array([0, 11, 23, 34, 47, 55, 68, 79, 89, 3])
-    pop = Population(ages, H_MINUS)
-    f = pop.features
+    f, t = ages / AGE_SPAN, node_traits(H_MINUS)
     pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     scores, gaps = {}, {}
     for i, j in pairs:
-        t_i, t_j = node_traits(pop, i), node_traits(pop, j)
-        total = 0.5 * preferential_score(f[i], f[j], t_i, t_j) + 0.5 * homophily_score(
-            f[i], f[j], t_i, t_j
+        total = 0.5 * preferential_score(f[i], f[j], t, t) + 0.5 * homophily_score(
+            f[i], f[j], t, t
         )
         scores[(i, j)] = total
         gaps[(i, j)] = abs(int(ages[i]) - int(ages[j]))  # exact age-gap ordering
@@ -191,12 +186,12 @@ def test_h_minus_score_strictly_decreasing_in_gap():
                 assert scores[a] > scores[b]
 
 
-def _reference_network(population, scenario, encounter_stream, noise_stream):
-    """Edges and gamma ranked by a full lexsort of every met pair on
-    (score desc, i asc, j asc), then re-sorted by (i, j)."""
-    n, p = population.size, population.preference
+def _reference_network(population, p, scenario, encounter_stream, noise_stream):
+    """Edges and gamma under preference p, ranked by a full lexsort of every
+    met pair on (score desc, i asc, j asc), then re-sorted by (i, j)."""
+    n = population.size
     iu, ju = np.triu_indices(n, 1)
-    f = population.features[:, 0]
+    f = population.ages / AGE_SPAN
     a = p.level * p.level_weight
     b = p.difference * p.difference_weight
     level_term = (f[ju] * a + f[iu] * a) / 2 + 1.0
@@ -242,11 +237,10 @@ def _growth_cases(draw):
 @given(_growth_cases())
 def test_generate_matches_full_lexsort_reference(sc):
     policy = RngPolicy(sc.master_seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     net = generate_network(pop, sc, pair_draws(sc))
     edges, gamma, met = _reference_network(
-        pop, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
+        pop, sc.preference, sc, policy.stream("encounter", 0), policy.stream("noise", 0)
     )
     assert np.array_equal(net.edges, edges)
     assert net.gamma.tobytes() == gamma.tobytes()
@@ -257,11 +251,30 @@ def test_generate_matches_full_lexsort_reference(sc):
     assert (np.diff(keys) > 0).all()
 
 
+def test_generate_scores_with_the_scenario_preference():
+    # one population and one set of draws, grown under two scenarios that
+    # differ only in their rule: each network is its own rule's, and its
+    # provenance names its own scenario
+    base = Scenario(node_count=30, edge_budget=60, master_seed=3)
+    pop, draws = make_population(base), pair_draws(base)
+    nets = {}
+    for rule in (Rule.P_PLUS, Rule.H_MINUS):
+        sc = base.with_overrides(rule=rule)
+        net = nets[rule] = generate_network(pop, sc, draws)
+        edges, gamma, _ = _reference_network(
+            pop, RULE_PREFERENCES[rule], sc,
+            RngPolicy(3).stream("encounter", 0), RngPolicy(3).stream("noise", 0),
+        )
+        assert np.array_equal(net.edges, edges)
+        assert net.gamma.tobytes() == gamma.tobytes()
+        assert net.provenance["scenario"] == sc.scenario_hash()
+    assert not np.array_equal(nets[Rule.P_PLUS].edges, nets[Rule.H_MINUS].edges)
+    assert nets[Rule.P_PLUS].provenance["scenario"] != nets[Rule.H_MINUS].provenance["scenario"]
+
+
 def test_generate_deterministic_and_replicate_sensitive():
     sc = Scenario(master_seed=8)
-    policy = RngPolicy(sc.master_seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     a = generate_network(pop, sc, pair_draws(sc))
     b = generate_network(pop, sc, pair_draws(sc))
     c = generate_network(pop, sc, draws_row(pair_draws(sc, 2), 1))
@@ -272,9 +285,7 @@ def test_generate_deterministic_and_replicate_sensitive():
 
 def test_generate_shortfall_links_all_encounters_and_warns():
     sc = Scenario(node_count=10, edge_budget=40, encounter_rate=0.2, master_seed=5)
-    policy = RngPolicy(sc.master_seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     with pytest.warns(UserWarning, match="edge budget"):
         net = generate_network(pop, sc, pair_draws(sc))
     # replay the encounter draws to count how many pairs actually met
@@ -285,9 +296,7 @@ def test_generate_shortfall_links_all_encounters_and_warns():
 
 def test_generate_zero_sigma_skips_noise_draws():
     sc = Scenario(noise_sigma=0.0, master_seed=2)
-    policy = RngPolicy(sc.master_seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     draws = pair_draws(sc)
     assert draws.jitter.shape == (1, draws.met[0]) and not draws.jitter.any()
     assert generate_network(pop, sc, draws).edge_count == sc.edge_budget
@@ -343,7 +352,7 @@ def test_age_code_slots_score_each_code_in_use_once():
 
 def test_generate_rejects_draws_of_several_replicates():
     sc = Scenario(node_count=10, edge_budget=5)
-    pop = Population(np.arange(10), P_PLUS)
+    pop = Population(np.arange(10))
     with pytest.raises(ValueError, match="got pair draws of 2 replicates"):
         generate_network(pop, sc, pair_draws(sc, 2))
     with pytest.raises(ValueError, match="replicates must be positive"):
@@ -352,21 +361,21 @@ def test_generate_rejects_draws_of_several_replicates():
 
 def test_edge_strength_formula_and_range():
     ages = np.array([0, 9, 9, 18, 27, 36, 45, 54, 72, 81])
-    pop = Population(ages, P_MINUS)
-    sc = Scenario(node_count=10, edge_budget=15, encounter_rate=1.0, noise_sigma=0.0)
+    pop = Population(ages)
+    sc = Scenario(node_count=10, edge_budget=15, encounter_rate=1.0, noise_sigma=0.0,
+                  preference=P_MINUS)
     net = generate_network(pop, sc, pair_draws(sc))
-    f = pop.features
+    f, t = ages / AGE_SPAN, node_traits(P_MINUS)
     for (i, j), g in zip(net.edges, net.gamma):
-        t_i, t_j = node_traits(pop, int(i)), node_traits(pop, int(j))
-        total = 0.5 * preferential_score(f[i], f[j], t_i, t_j) + 0.5 * homophily_score(
-            f[i], f[j], t_i, t_j
+        total = 0.5 * preferential_score(f[i], f[j], t, t) + 0.5 * homophily_score(
+            f[i], f[j], t, t
         )
         assert g == pytest.approx((total + 2) / 4, abs=1e-12)
         assert 0 < g <= 1
 
 
 def test_generate_population_size_mismatch():
-    pop = Population(np.array([10, 20, 30]), P_PLUS)
+    pop = Population(np.array([10, 20, 30]))
     sc = Scenario(node_count=4, edge_budget=3)
     with pytest.raises(ValueError):
         generate_network(pop, sc, pair_draws(sc))
@@ -425,9 +434,7 @@ def test_ba_target_validation():
 
 def test_adjacency_and_degrees_consistent():
     sc = Scenario(master_seed=6)
-    policy = RngPolicy(sc.master_seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     net = generate_network(pop, sc, pair_draws(sc))
     adj = np.zeros((net.node_count, net.node_count), dtype=bool)
     adj[net.edges[:, 0], net.edges[:, 1]] = True

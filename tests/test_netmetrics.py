@@ -28,9 +28,7 @@ def _net(node_count, edges):
 
 def _sample_net(seed=0):
     sc = Scenario(master_seed=seed)
-    policy = RngPolicy(seed)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     return generate_network(pop, sc, pair_draws(sc))
 
 
@@ -199,9 +197,7 @@ def test_shortest_path_matrix_on_sparse_h_minus_net():
     # the H- rule links similar ages, so a budget of one edge per node
     # grows long chains, many pieces and isolated nodes
     sc = Scenario(node_count=300, edge_budget=300, rule=Rule.H_MINUS, master_seed=0)
-    policy = RngPolicy(0)
-    pop = make_population(sc.age_shape, sc.node_count, sc.resolved_preference(),
-                          policy.stream("feature-gen"))
+    pop = make_population(sc)
     net = generate_network(pop, sc, pair_draws(sc))
     matrix = shortest_path_matrix(net)
     assert np.array_equal(matrix, _nx_path_matrix(net))

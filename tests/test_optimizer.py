@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from prefnet import optimizer
-from prefnet.features import make_population
+from prefnet.features import age_code_slots, group_counts, make_population, sample_ages
 from prefnet.netgen import ba_target, generate_network, pair_draws
 from prefnet.netmetrics import degree_distribution, js_divergence, PatternDistribution
 from prefnet.optimizer import (
@@ -57,10 +57,8 @@ def test_evaluate_zero_against_own_degree_pattern():
     # replicate 0 of evaluate() regenerates exactly the pipeline network,
     # so scoring a preference against its own pattern gives divergence 0
     pref = Preference(1, 0.0, -1, 1.0)
-    policy = RngPolicy(SMALL.master_seed)
-    pop = make_population(SMALL.age_shape, SMALL.node_count, pref,
-                          policy.stream("feature-gen"))
-    net = generate_network(pop, SMALL, pair_draws(SMALL))
+    net = generate_network(make_population(SMALL), SMALL.with_overrides(preference=pref),
+                           pair_draws(SMALL))
     target = degree_distribution(net)
     _, values = evaluate(pref, target, SMALL, replicate_draws(SMALL, 1))
     assert values[0] == 0.0
@@ -137,16 +135,14 @@ def _bits(values):
 def test_evaluate_equals_the_network_pipeline(case):
     scenario, pref, target, replicates = case
     draws = replicate_draws(scenario, replicates)
-    policy = RngPolicy(scenario.master_seed)
-    population = make_population(scenario.age_shape, scenario.node_count, pref,
-                                 policy.stream("feature-gen"))
+    population, fitted = make_population(scenario), scenario.with_overrides(preference=pref)
     pairs = pair_draws(scenario, replicates)
     networks = [oracles.draws_row(pairs, r) for r in range(replicates)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         mean, values = evaluate(pref, target, scenario, draws)
         expected = [
-            js_divergence(degree_distribution(generate_network(population, scenario, d)), target)
+            js_divergence(degree_distribution(generate_network(population, fitted, d)), target)
             for d in networks
         ]
         reference = oracles.evaluate(pref, target, scenario, replicates)
@@ -238,7 +234,7 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
 def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
     # one call scores the age codes the replicates' met pairs use, once each,
     # and runs one top-k over all replicates; the codes are those of the
-    # draws' ages, which are the ages make_population draws
+    # ages make_population draws, which come from the "feature-gen" stream
     scored, ranked = [], []
     score = optimizer.age_pair_scores
     monkeypatch.setattr(optimizer, "age_pair_scores",
@@ -251,13 +247,16 @@ def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
     _, values = evaluate(pref, _small_target(), SMALL, draws)
     assert len(values) == 4
     assert len(scored) == len(ranked) == 1 and scored[0][0] == pref
-    ages = draws.ages
-    if population_ages:
-        ages = make_population(SMALL.age_shape, SMALL.node_count, pref,
-                               RngPolicy(SMALL.master_seed).stream("feature-gen")).ages
-        assert np.array_equal(ages, draws.ages)
-    codes = set()
     pairs = pair_draws(SMALL, 4)
+    if population_ages:
+        ages = make_population(SMALL).ages
+        code_ages, slot = age_code_slots(ages, pairs.i, pairs.j, pairs.met)
+        assert all(np.array_equal(a, b) for a, b in zip(code_ages, draws.code_ages))
+        assert slot.tobytes() == draws.slot.tobytes()
+    else:
+        stream = RngPolicy(SMALL.master_seed).stream("feature-gen")
+        ages = sample_ages(group_counts(SMALL.age_shape, SMALL.node_count), stream)
+    codes = set()
     for r in range(4):
         d = oracles.draws_row(pairs, r)
         codes.update((ages[d.i[0]] * 90 + ages[d.j[0]]).tolist())

@@ -222,9 +222,10 @@ def test_preset_u_ph():
 def test_all_presets_valid():
     assert len(PRESET_NAMES) == 25
     for name in PRESET_NAMES:
-        sc = preset(name, master_seed=3)
-        assert sc.master_seed == 3
-        sc.resolved_preference()
+        sc = preset(name)
+        seeded = sc.with_overrides(master_seed=3)
+        assert sc.master_seed == 0 and seeded.master_seed == 3
+        assert seeded.resolved_preference() == sc.resolved_preference()
 
 
 def test_preset_unknown():
