@@ -28,10 +28,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
+from stat import S_ISREG
 
 from . import __version__
 from .artifacts import read_json, write_csv, write_json
-from .epidemic import risk_report, run_si, trace_to_csv
+from .epidemic import EpidemicTrace, risk_report, run_si, Susceptibility, trace_to_csv
 from .features import (
     group_counts,
     make_population,
@@ -43,6 +44,7 @@ from .netgen import (
     generate_network,
     load_edge_list,
     pair_draws,
+    PairDraws,
     save_network,
     NetworkSnapshot,
 )
@@ -115,8 +117,11 @@ class _RunDir:
     def write_manifest(self, command: str, scenario: Scenario, runtimes: dict) -> None:
         """Write manifest.json: inputs by hash, outputs by name, stage seconds."""
         for name in self.outputs:
-            target = self.root / name
-            if not target.is_file() or target.stat().st_size == 0:
+            try:  # a string path: no Path to parse (and its parts to intern) per output
+                written = os.stat(os.path.join(self.root, name))
+            except OSError:
+                written = None
+            if written is None or not S_ISREG(written.st_mode) or written.st_size == 0:
                 raise AssertionError(f"manifest lists missing or empty output: {name}")
         payload = {
             "command": command,
@@ -233,16 +238,23 @@ def _parse_taus(text: str | None) -> list[float]:
 # Shared artifact writers
 
 
-def _generate_artifacts(
-    run: _RunDir, scenario: Scenario, runtimes: dict
-) -> tuple[NetworkSnapshot, Population, NetworkPatterns]:
-    """Grow the replicate-0 network and write population, edge list,
-    summary and the three pattern distributions. Records the seconds spent
-    growing, writing the edge list and analysing in runtimes."""
+def _grow(scenario: Scenario, runtimes: dict) -> tuple[Population, NetworkSnapshot]:
+    """Draw the population and the replicate-0 pairs and grow the network;
+    records the seconds spent in runtimes["grow"]."""
     t0 = time.perf_counter()
     population = make_population(scenario)
     net = generate_network(population, scenario, pair_draws(scenario))
     runtimes["grow"] = time.perf_counter() - t0
+    return population, net
+
+
+def _generate_artifacts(
+    run: _RunDir, scenario: Scenario, population: Population, net: NetworkSnapshot,
+    runtimes: dict,
+) -> NetworkPatterns:
+    """Write population, edge list, summary and the three pattern
+    distributions of a grown network. Records the seconds spent writing the
+    edge list and analysing in runtimes."""
     save_scenario(scenario, run.path("scenario.txt"))
     population_to_csv(population, run.path("population.csv"))
     shape = scenario.age_shape
@@ -259,16 +271,24 @@ def _generate_artifacts(
     distribution_to_csv(patterns.degree, run.path("degree_distribution.csv"))
     distribution_to_csv(patterns.clustering, run.path("clustering_distribution.csv"))
     distribution_to_csv(patterns.path_length, run.path("path_length_distribution.csv"))
-    return net, population, patterns
+    return patterns
+
+
+def _outbreaks(
+    net: NetworkSnapshot, population: Population, scenario: Scenario, taus: list[float]
+) -> list[EpidemicTrace]:
+    """One outbreak per transmissibility on the replicate-0 infection draws,
+    all stepped in one run_si call."""
+    stream = RngPolicy(scenario.master_seed).counter_stream("infection", 0)
+    ladder = [Susceptibility.from_transmissibility(tau) for tau in taus]
+    return run_si(net, population, scenario, stream, susceptibility=ladder)
 
 
 def _epidemic_artifacts(
-    run: _RunDir, net: NetworkSnapshot, population: Population, scenario: Scenario
+    run: _RunDir, trace: EpidemicTrace, net: NetworkSnapshot, population: Population
 ) -> dict:
-    """Run the outbreak on the replicate-0 draws and write its trace,
-    infection-by-distance table and risk report."""
-    stream = RngPolicy(scenario.master_seed).counter_stream("infection", 0)
-    trace = run_si(net, population, scenario, stream)
+    """Write an outbreak's trace, infection-by-distance table and risk
+    report."""
     trace_to_csv(trace, run.path("trace.csv"))
     report = risk_report(trace, population, net)
     write_csv(
@@ -289,7 +309,8 @@ def cmd_generate(args) -> int:
     run = _resolve_out(args)
     runtimes: dict = {}
     t0 = time.perf_counter()
-    net, _, patterns = _generate_artifacts(run, scenario, runtimes)
+    population, net = _grow(scenario, runtimes)
+    patterns = _generate_artifacts(run, scenario, population, net, runtimes)
     runtimes["generate"] = time.perf_counter() - t0
     run.write_manifest("generate", scenario, runtimes)
     stats = patterns.summary
@@ -305,9 +326,11 @@ def cmd_epidemic(args) -> int:
     run = _resolve_out(args)
     runtimes: dict = {}
     t0 = time.perf_counter()
-    net, population, _ = _generate_artifacts(run, scenario, runtimes)
+    population, net = _grow(scenario, runtimes)
+    _generate_artifacts(run, scenario, population, net, runtimes)
     t1 = time.perf_counter()
-    report = _epidemic_artifacts(run, net, population, scenario)
+    [trace] = _outbreaks(net, population, scenario, [scenario.transmissibility])
+    report = _epidemic_artifacts(run, trace, net, population)
     runtimes["generate"] = t1 - t0
     runtimes["epidemic"] = time.perf_counter() - t1
     run.write_manifest("epidemic", scenario, runtimes)
@@ -319,19 +342,26 @@ def cmd_epidemic(args) -> int:
 
 
 def _run_sweep_cell(
-    root: Path, target: PatternDistribution, taus: list[float], name: str, scenario: Scenario
+    root: Path,
+    target: PatternDistribution,
+    taus: list[float],
+    draws: PairDraws,
+    name: str,
+    scenario: Scenario,
+    population: Population,
 ) -> tuple[dict, list[str], float]:
-    """One (shape, rule) cell; runs in a worker process under --jobs > 1.
-    Returns the cell's aggregate entry, the outputs it wrote and its
-    seconds."""
+    """One (shape, rule) cell, grown from the sweep's pair draws and its
+    shape's population; runs in a worker process when cells run in
+    parallel. Returns the cell's aggregate entry, the outputs it wrote and
+    its seconds."""
     t0 = time.perf_counter()
     cell = _RunDir(root).sub(f"cells/{name}")
-    net, population, patterns = _generate_artifacts(cell, scenario, {})
+    net = generate_network(population, scenario, draws)
+    patterns = _generate_artifacts(cell, scenario, population, net, {})
+    diag = min(scenario.horizon, scenario.distance_cap)
     par_rows = []
-    for tau in taus:
-        sc_tau = scenario.with_overrides(transmissibility=float(tau))
-        report = _epidemic_artifacts(cell.sub(f"tau_{tau!r}"), net, population, sc_tau)
-        diag = min(sc_tau.horizon, sc_tau.distance_cap)
+    for tau, trace in zip(taus, _outbreaks(net, population, scenario, taus)):
+        report = _epidemic_artifacts(cell.sub(f"tau_{tau!r}"), trace, net, population)
         par_rows.append(
             {
                 "tau": tau,
@@ -375,7 +405,11 @@ def cmd_sweep(args) -> int:
     grid = [(shape, rule) for shape in shapes for rule in rules]
     names = [f"{code_of_shape[shape]}_{rule.value}" for shape, rule in grid]
     scenarios = [scenario.with_overrides(age_shape=shape, rule=rule) for shape, rule in grid]
-    run_cell = partial(_run_sweep_cell, run.root, target, taus)
+    population_of_shape = {
+        shape: make_population(scenario.with_overrides(age_shape=shape)) for shape in shapes
+    }
+    populations = [population_of_shape[shape] for shape, _ in grid]
+    run_cell = partial(_run_sweep_cell, run.root, target, taus, pair_draws(scenario))
     results = []
 
     def take(cell_results) -> None:
@@ -383,11 +417,12 @@ def cmd_sweep(args) -> int:
             results.append(result)
             print(f"sweep: {len(results)}/{len(names)} cells", file=sys.stderr, flush=True)
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
-            take(pool.map(run_cell, names, scenarios))
+    workers = min(args.jobs, len(names))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            take(pool.map(run_cell, names, scenarios, populations))
     else:
-        take(map(run_cell, names, scenarios))
+        take(map(run_cell, names, scenarios, populations))
 
     entries = [entry for entry, _, _ in results]
     diag = min(scenario.horizon, scenario.distance_cap)

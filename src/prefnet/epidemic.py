@@ -11,7 +11,11 @@ from the nearest seed; nodes beyond the cap never convert.
 Randomness is counter-addressed: the uniform that decides node v at step t
 depends only on the stream key and (t, v), so traces are reproducible no
 matter how many draws other steps consumed, and replicates can be compared
-under common random numbers.
+under common random numbers. Since the draws do not depend on the
+susceptibility either, `run_si` steps a ladder of susceptibilities (the
+transmissibilities of a sweep cell, say) as the rows of one run: the rows
+share the seeds, the seed distances and each step's uniforms, and each row
+equals its own single run.
 
 Outcomes are reported as the population-at-risk share PaR(T, D): the
 fraction of nodes infected within T steps at seed distance at most D
@@ -23,6 +27,8 @@ over the node count.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,17 +224,23 @@ def run_si(
     scenario: Scenario,
     stream: CounterStream,
     seed_rule: SeedRule | None = None,
-    susceptibility: Susceptibility | None = None,
-) -> EpidemicTrace:
+    susceptibility: Susceptibility | Sequence[Susceptibility] | None = None,
+) -> EpidemicTrace | list[EpidemicTrace]:
     """Run the synchronous SI process for scenario.horizon steps.
 
     At each step t, every susceptible node v with E > 0 infected
     neighbours and seed distance within the cap converts when its uniform
     draw (addressed by (t, v) in the infection stream) falls below
-    1 - (1 - p1)^E. E is counted with one bincount over the infected
-    nodes' neighbour lists. Susceptibility defaults to the scenario's plain
+    1 - (1 - p1)^E. Susceptibility defaults to the scenario's plain
     transmissibility, seeding to the scenario's count of highest-degree
     nodes.
+
+    Given a sequence of susceptibilities (a transmissibility ladder, say),
+    returns one trace per entry, stepped together as the rows of one run:
+    the seeds, the seed distances and each step's uniforms are shared by
+    every row, and E is counted for all rows with one bincount over the
+    infected nodes' neighbour lists, row r's entries offset by r * n. Each
+    row equals its own single-susceptibility run.
     """
     n = net.node_count
     if population.size != n or scenario.node_count != n:
@@ -237,29 +249,43 @@ def run_si(
         seed_rule = SeedRule(count=scenario.seed_count)
     if susceptibility is None:
         susceptibility = Susceptibility.from_transmissibility(scenario.transmissibility)
+    ladder = isinstance(susceptibility, Sequence)
+    rows = list(susceptibility) if ladder else [susceptibility]
+    if not rows:
+        raise ValueError("susceptibility: need at least one entry")
 
     seeds = select_seeds(net, population, seed_rule)
     distances = multi_source_distances(net, seeds)
     nbr, deg = net.neighbours, net.degrees
+    if len(rows) > 1:
+        nbr = (nbr + np.arange(0, len(rows) * n, n)[:, None]).ravel()
     reachable = distances <= scenario.distance_cap
 
-    status = np.zeros((scenario.horizon + 1, n), dtype=bool)
-    status[0, seeds] = True
+    status = np.zeros((len(rows), scenario.horizon + 1, n), dtype=bool)
+    status[:, 0, seeds] = True
+    p1 = np.empty((len(rows), n))
     for t in range(1, scenario.horizon + 1):
-        prev = status[t - 1]
-        exposures = np.bincount(nbr[np.repeat(prev, deg)], minlength=n)
-        p1 = susceptibility.per_exposure(exposures, population, prev)
+        prev = status[:, t - 1]
+        exposures = np.bincount(
+            nbr[np.repeat(prev, deg, axis=1).ravel()], minlength=len(rows) * n
+        ).reshape(len(rows), n)
+        for r, row in enumerate(rows):
+            p1[r] = row.per_exposure(exposures[r], population, prev[r])
         prob = 1.0 - (1.0 - p1) ** exposures
         eligible = (~prev) & (exposures > 0) & reachable
         draws = stream.uniforms(t, n)
-        status[t] = prev | (eligible & (draws < prob))
-    return EpidemicTrace(
-        seeds=seeds,
-        status=status,
-        distances=distances,
-        horizon=scenario.horizon,
-        distance_cap=scenario.distance_cap,
-    )
+        status[:, t] = prev | (eligible & (draws < prob))
+    traces = [
+        EpidemicTrace(
+            seeds=seeds,
+            status=row_status,
+            distances=distances,
+            horizon=scenario.horizon,
+            distance_cap=scenario.distance_cap,
+        )
+        for row_status in status
+    ]
+    return traces if ladder else traces[0]
 
 
 def infection_by_distance(trace: EpidemicTrace) -> np.ndarray:
@@ -342,10 +368,8 @@ def risk_report(
         "distance_cap": trace.distance_cap,
         "infected_total": int(trace.status[-1].sum()),
         "final_share": float(matrix[final_t, final_d]),
-        "par": [
-            [None if np.isnan(x) else float(x) for x in row] for row in matrix
-        ],
-        "par_by_group": [None if np.isnan(x) else float(x) for x in groups],
+        "par": [[None if math.isnan(x) else x for x in row] for row in matrix.tolist()],
+        "par_by_group": [None if math.isnan(x) else x for x in groups.tolist()],
         "infection_by_distance": table.tolist(),
         "group_width": GROUP_WIDTH,
     }

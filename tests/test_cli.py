@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ import pytest
 import prefnet
 from prefnet import cli, netmetrics
 from prefnet.cli import main
-from prefnet.scenario import load_scenario, Preference, Rule, save_scenario, Scenario
+from prefnet.scenario import (
+    CounterStream, load_scenario, Preference, Rule, save_scenario, Scenario,
+)
 
 
 def _read_json(path):
@@ -285,10 +288,56 @@ def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
                 "--shapes", "U", "--rules", "PH", "--taus", "0.2"]
     serial, wide = tmp_path / "serial", tmp_path / "wide"
     assert main(one_cell + ["--out", str(serial), "--jobs", "1"]) == 0
-    assert asked == []
     assert main(one_cell + ["--out", str(wide), "--jobs", "64"]) == 0
-    assert asked == [1]
+    assert asked == []  # one cell runs in this process: no pool at all
     _assert_identical_runs(serial, wide)
+    two_cells = ["sweep", "--set", "node_count=45", "--set", "edge_budget=350",
+                 "--shapes", "U", "--rules", "P+,PH", "--taus", "0.2"]
+    serial, wide = tmp_path / "serial2", tmp_path / "wide2"
+    assert main(two_cells + ["--out", str(serial), "--jobs", "1"]) == 0
+    assert main(two_cells + ["--out", str(wide), "--jobs", "64"]) == 0
+    assert asked == [2]
+    _assert_identical_runs(serial, wide)
+
+
+@pytest.mark.parametrize("kind", ["missing", "empty", "directory"])
+def test_manifest_rejects_a_missing_or_empty_output(tmp_path, kind):
+    run = cli._RunDir(tmp_path)
+    run.path("written.txt").write_text("x\n")
+    target = run.path("bad")
+    if kind == "empty":
+        target.write_text("")
+    elif kind == "directory":
+        target.mkdir()
+    with pytest.raises(AssertionError, match="missing or empty output: bad"):
+        run.write_manifest("generate", Scenario(), {})
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_sweep_computes_shared_inputs_once(tmp_path, monkeypatch):
+    # 2 shapes x 2 rules x 3 taus: one pair draw per sweep, one population
+    # per shape, one run_si per cell for its whole tau ladder, and one set
+    # of infection uniforms per cell and step, shared by the cell's taus.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    sweep = ["sweep", "--set", "node_count=45", "--set", "edge_budget=350",
+             "--shapes", "U,B", "--rules", "P+,PH", "--taus", "0.0,0.5,1.0"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    with monkeypatch.context() as patch:
+        for name in ("pair_draws", "make_population", "run_si"):
+            patch.setattr(cli, name, counted(name, getattr(cli, name)))
+        patch.setattr(CounterStream, "uniforms", counted("uniforms", CounterStream.uniforms))
+        assert main(sweep + ["--out", str(serial), "--jobs", "1"]) == 0
+    horizon = Scenario().horizon
+    assert calls == {"pair_draws": 1, "make_population": 2, "run_si": 4, "uniforms": 4 * horizon}
+    assert main(sweep + ["--out", str(parallel), "--jobs", "2"]) == 0
+    _assert_identical_runs(serial, parallel)
 
 
 def test_metric_kernels_run_once_per_network(tmp_path, monkeypatch):

@@ -314,6 +314,49 @@ def test_run_si_and_distances_match_dense_oracle(case, susceptibility, data):
     )
 
 
+_LADDER_ROWS = (
+    Susceptibility.from_transmissibility(0.0),
+    Susceptibility.from_transmissibility(1.0),
+    Susceptibility.from_transmissibility(0.3),
+    Susceptibility(("exposed", "susceptible"), (1, 1), (0.6, 0.5)),
+    _AGE_SUSCEPTIBILITY,
+)
+
+
+def _ladder_case(n, edges, ages, **fields):
+    sc = Scenario(node_count=n, edge_budget=len(edges), master_seed=7, **fields)
+    return _net(n, edges), Population(np.array(ages)), sc, 1
+
+
+_PATH_6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)]
+_PATH_AGES = [5, 35, 35, 70, 12, 35]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_si_cases(), st.lists(st.sampled_from(_LADDER_ROWS), min_size=1, max_size=6))
+@example(_ladder_case(6, _PATH_6, _PATH_AGES, seed_count=0), list(_LADDER_ROWS))
+@example(_ladder_case(6, _PATH_6, _PATH_AGES, horizon=0), list(_LADDER_ROWS))
+@example(_ladder_case(6, _PATH_6, _PATH_AGES, horizon=6, distance_cap=2), list(_LADDER_ROWS))
+def test_run_si_ladder_rows_equal_their_own_runs(case, ladder):
+    net, pop, sc, _ = case
+    stream = RngPolicy(sc.master_seed).counter_stream("infection", 0)
+    traces = run_si(net, pop, sc, stream, susceptibility=ladder)
+    assert len(traces) == len(ladder)
+    for row, trace in zip(ladder, traces):
+        alone = run_si(net, pop, sc, stream, susceptibility=row)
+        ref = oracles.run_si(net, pop, sc, stream, susceptibility=row)
+        for other in (alone, ref):
+            assert np.array_equal(trace.seeds, other.seeds)
+            assert np.array_equal(trace.distances, other.distances)
+            assert np.array_equal(trace.status, other.status)
+
+
+def test_run_si_rejects_an_empty_ladder():
+    net, pop, sc, _ = _ladder_case(6, _PATH_6, _PATH_AGES)
+    with pytest.raises(ValueError, match="susceptibility"):
+        run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0), susceptibility=[])
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.4, 1.0])
 def test_run_si_matches_dense_oracle_on_generated_net(tau):
     sc, policy, pop, net = _generated(5, transmissibility=tau, horizon=8, distance_cap=4)
