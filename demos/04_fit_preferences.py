@@ -35,8 +35,9 @@ def main():
 
     result = optimize(sc, target, budget=args.budget, replicates=args.replicates)
     best = result.best
+    scores = sum(len(r.js) for r in result.log)
     print(f"budget {args.budget} x {args.replicates} replicates "
-          f"-> {result.evaluations} evaluations, {len(result.log)} logged replicate scores")
+          f"-> {result.evaluations} evaluations, {scores} logged replicate scores")
     print(f"best preference: level {best.preference.level:+d} "
           f"w={best.preference.level_weight:.3f}, "
           f"difference {best.preference.difference:+d} "
@@ -46,9 +47,9 @@ def main():
 
     print()
     print("pure rules on the same target, same replicate draws:")
-    draws = replicate_draws(sc, args.replicates)
+    draws = replicate_draws(sc, args.replicates, target)
     for rule, pref in RULE_PREFERENCES.items():
-        mean, _ = evaluate(pref, target, sc, draws)
+        mean, _ = evaluate(pref, sc, draws)
         marker = "  <- beaten" if best.objective < mean else ""
         print(f"  {rule.value:>3}: {mean:.4f}{marker}")
 

@@ -99,25 +99,26 @@ class _Parser(argparse.ArgumentParser):
 class _RunDir:
     """A run's output directory. `path` hands out where an artifact goes
     and records its name, so the manifest lists exactly what was written;
-    `sub` shares the record with a subdirectory."""
+    `sub` shares the record with a subdirectory. Paths are plain strings:
+    no `Path` is parsed (and its parts interned) per artifact."""
 
-    root: Path
+    root: str
     prefix: str = ""
     outputs: list[str] = field(default_factory=list)
 
-    def path(self, name: str) -> Path:
+    def path(self, name: str) -> str:
         self.outputs.append(self.prefix + name)
-        return self.root / self.prefix / name
+        return os.path.join(self.root, self.prefix + name)
 
     def sub(self, name: str) -> _RunDir:
         prefix = f"{self.prefix}{name}/"
-        (self.root / prefix).mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.join(self.root, prefix), exist_ok=True)
         return _RunDir(self.root, prefix, self.outputs)
 
     def write_manifest(self, command: str, scenario: Scenario, runtimes: dict) -> None:
         """Write manifest.json: inputs by hash, outputs by name, stage seconds."""
         for name in self.outputs:
-            try:  # a string path: no Path to parse (and its parts to intern) per output
+            try:
                 written = os.stat(os.path.join(self.root, name))
             except OSError:
                 written = None
@@ -131,7 +132,7 @@ class _RunDir:
             "outputs": sorted(self.outputs),
             "runtimes": {k: round(v, 6) for k, v in runtimes.items()},
         }
-        write_json(self.root / "manifest.json", payload)
+        write_json(os.path.join(self.root, "manifest.json"), payload)
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -150,9 +151,9 @@ def _resolve_out(args) -> _RunDir:
         raise ScenarioError(
             f"output directory: pass --out or set the {OUT_ENV} environment variable"
         )
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return _RunDir(path)
+    root = str(Path(out))  # as pathlib prints it: out/ and ./out print as out
+    os.makedirs(root, exist_ok=True)
+    return _RunDir(root)
 
 
 def _ba_m_for(n: int, edge_budget: int) -> int:
@@ -342,7 +343,7 @@ def cmd_epidemic(args) -> int:
 
 
 def _run_sweep_cell(
-    root: Path,
+    root: str,
     target: PatternDistribution,
     taus: list[float],
     draws: PairDraws,
@@ -396,6 +397,7 @@ def cmd_sweep(args) -> int:
     shapes = _parse_axis(args.shapes, SHAPE_CODES, "shapes")
     rules = _parse_axis(args.rules, RULE_CODES, "rules")
     taus = _parse_taus(args.taus)
+    t_target = time.perf_counter()
     target, target_text = _resolve_target(args.target, scenario)
 
     t0 = time.perf_counter()
@@ -447,7 +449,7 @@ def cmd_sweep(args) -> int:
         ),
     )
     write_json(run.path("aggregate.json"), {"target": target_text, "taus": taus, "cells": entries})
-    runtimes = {"sweep": time.perf_counter() - t0}
+    runtimes = {"target": t0 - t_target, "sweep": time.perf_counter() - t0}
     for entry, outputs, seconds in results:
         run.outputs += outputs
         runtimes[f"cell:{entry['name']}"] = seconds
@@ -459,8 +461,9 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     scenario = _resolve_scenario(args)
     run = _resolve_out(args)
+    t_target = time.perf_counter()
     target, target_text = _resolve_target(args.target, scenario)
-    runtimes: dict = {}
+    runtimes: dict = {"target": time.perf_counter() - t_target}
 
     def progress(spent: int, best: float) -> None:
         print(

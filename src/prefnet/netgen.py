@@ -41,6 +41,9 @@ from .scenario import RngPolicy, Scenario
 # the network's size.
 _DRAW_BLOCK = 1 << 16
 _WRITE_BLOCK = 1 << 12
+# An edge list's node ids stay below int64's largest value, so that its
+# node count, max id + 1, fits int64.
+_ID_LIMIT = 2**63 - 1
 
 
 def edge_strength(score):
@@ -340,8 +343,8 @@ def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
     """Read an edge list CSV with columns i,j[,gamma]; the first non-empty
     row is a header when its first cell is not a number. Gamma must be
     finite; self-loops, repeated pairs (in either orientation), negative
-    ids and ids at or beyond node_count are errors that name the line.
-    Node count defaults to max id + 1."""
+    ids, ids at or beyond node_count and ids whose node count would not fit
+    int64 are errors that name the line. Node count defaults to max id + 1."""
     rows: list[tuple[int, int, float]] = []
     first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -367,6 +370,11 @@ def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
             raise ValueError(
                 f"{path}: line {line}: node id {max(i, j)} out of range for "
                 f"node_count {node_count}"
+            )
+        if max(i, j) >= _ID_LIMIT:
+            raise ValueError(
+                f"{path}: line {line}: node id {max(i, j)} too large; ids must be below "
+                f"{_ID_LIMIT} for the node count to fit int64"
             )
         if i > j:
             i, j = j, i

@@ -6,12 +6,13 @@ distribution, averaged over R replicate networks. Replicates use common
 random numbers: replicate r of every candidate shares the same encounter
 and noise streams, so objective differences reflect the preferences, not
 the draws, and a rerun of the whole search is bit-identical. The search
-therefore prepares the scenario's population and all replicates'
-encounters and jitter once (`replicate_draws`): the ages come from
-`features.make_population`, as for a single network, and
-`netgen.pair_draws` lays replicate r out as row r of one padded array,
-the same layout from which `generate_network` grows its one network, so
-every candidate's replicate r grows from row r.
+therefore prepares once (`replicate_draws`) everything that does not
+depend on the candidate: the scenario's population, all replicates'
+encounters and jitter, and the target's mass padded onto the supports it
+is compared over. The ages come from `features.make_population`, as for
+a single network, and `netgen.pair_draws` lays replicate r out as row r
+of one padded array, the same layout from which `generate_network` grows
+its one network, so every candidate's replicate r grows from row r.
 
 A candidate's scores depend on its weights only through the effective
 weights a = level * level_weight and b = difference * difference_weight,
@@ -29,9 +30,9 @@ around the grid winner (signs frozen), probing +/- step on each axis and
 halving the step when nothing improves. Weight 0 is a legal grid value, so
 every pure rule is itself a candidate and the winner can never be worse
 than any of them. The budget caps the evaluations: each new candidate
-spends one and logs its R rows, even when it shares its (a, b) with an
-earlier one; repeated visits to a candidate are served from cache without
-spending budget.
+spends one and logs one record of its R values, even when it shares its
+(a, b) with an earlier one; repeated visits to a candidate are served
+from cache without spending budget.
 """
 
 from __future__ import annotations
@@ -67,14 +68,15 @@ class Candidate:
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One replicate of one objective evaluation, in evaluation order."""
+    """One spent objective evaluation, in evaluation order: the candidate's
+    preference fields and `js`, its R replicate values in replicate order.
+    Candidates with the same effective weights share one `js` tuple."""
 
     level: int
     level_weight: float
     difference: int
     difference_weight: float
-    replicate: int
-    js: float
+    js: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -86,38 +88,52 @@ class OptimizeResult:
 
 @dataclass(frozen=True)
 class ReplicateDraws:
-    """The random part of a search, drawn once: R replicates' pair draws
-    and what `evaluate` reads of the population's ages.
+    """What a search prepares once for `evaluate`: R replicates' pair
+    draws, what it reads of the population's ages, and the target.
 
     pairs holds the replicates' met pairs as (R, M) rows (see
     `netgen.pair_draws`); slot indexes each pair's age code among the
     sorted codes in use, whose ages are `code_ages` (see
     `features.age_code_slots`), for the ages of `make_population`.
+    target_mass is the target's mass padded onto the union of 0..n-1 and
+    its support, as `js_divergence` pads it; degree d sits in column
+    `columns[d]` of that union. offsets is r * n for each of row r's n
+    degrees, so that one `bincount` counts every row's frequencies.
     """
 
     code_ages: tuple[np.ndarray, np.ndarray]
     slot: np.ndarray
     pairs: PairDraws
+    target_mass: np.ndarray
+    columns: np.ndarray
+    offsets: np.ndarray
 
 
-def replicate_draws(scenario: Scenario, replicates: int) -> ReplicateDraws:
-    """Age codes and pair draws of replicates 0..R-1 for `evaluate`."""
+def replicate_draws(
+    scenario: Scenario, replicates: int, target: PatternDistribution
+) -> ReplicateDraws:
+    """Age codes and pair draws of replicates 0..R-1, and the padded
+    target degree pattern, for `evaluate`."""
+    if target.kind != "degree":
+        raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
+    n = scenario.node_count
     pairs = pair_draws(scenario, replicates)
     code_ages, slot = age_code_slots(make_population(scenario).ages, pairs.i, pairs.j, pairs.met)
-    return ReplicateDraws(code_ages, slot, pairs)
+    nodes = np.arange(n)
+    union = support_union(nodes, target.support)
+    offsets = np.repeat(np.arange(0, replicates * n, n), n)
+    return ReplicateDraws(code_ages, slot, pairs, pad_mass(target, union),
+                          np.searchsorted(union, nodes), offsets)
 
 
 def evaluate(
-    preference: Preference,
-    target: PatternDistribution,
-    scenario: Scenario,
-    draws: ReplicateDraws,
+    preference: Preference, scenario: Scenario, draws: ReplicateDraws
 ) -> tuple[float, list[float]]:
     """Mean and per-replicate degree-pattern divergence from the target for
     networks grown under `preference`, one network per replicate's draws.
 
-    Passing the same draws (`replicate_draws(scenario, R)`) for every
-    candidate compares candidates under common random numbers.
+    Passing the same draws (`replicate_draws(scenario, R, target)`) for
+    every candidate compares candidates under common random numbers.
 
     Replicate r's value equals `js_divergence(degree_distribution(
     generate_network(make_population(scenario), fitted, row_r)), target)`
@@ -127,11 +143,7 @@ def evaluate(
     age codes in use (`features.age_pair_scores`), keep each row's
     budgeted best with `budget_pairs`, count the R * n degrees with two
     `bincount`s and their frequencies with a third, divide by n, and take
-    every row's divergence from the target's mass, both padded onto the
-    union of 0..n-1 and the target's support as `js_divergence` pads
-    them."""
-    if target.kind != "degree":
-        raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
+    every row's divergence from the draws' padded target mass."""
     n, pairs = scenario.node_count, draws.pairs
     if pairs.node_count != n:
         raise ValueError(f"pair draws for {pairs.node_count} nodes do not fit {n} nodes")
@@ -141,15 +153,16 @@ def evaluate(
     kept = np.flatnonzero(budget_pairs(score, pairs.met, scenario.edge_budget))
     degrees = np.bincount(pairs.i.take(kept), minlength=rows * n)
     degrees += np.bincount(pairs.j.take(kept), minlength=rows * n)
-    # Offset row r's degrees by r * n to count every row's frequencies at once.
-    degrees += np.repeat(np.arange(0, rows * n, n), n)
+    degrees += draws.offsets
     counts = np.bincount(degrees, minlength=rows * n).reshape(rows, n)
-    nodes = np.arange(n)
-    union = support_union(nodes, target.support)
-    mass = np.zeros((rows, union.shape[0]))
-    mass[:, np.searchsorted(union, nodes)] = counts / n
-    values = js_masses(mass, pad_mass(target, union))
+    mass = np.zeros((rows, draws.target_mass.shape[0]))
+    mass[:, draws.columns] = counts / n
+    values = js_masses(mass, draws.target_mass)
     return float(np.mean(values)), values.tolist()
+
+
+# A candidate's objective: the mean and the R replicate values.
+_Objective = tuple[float, tuple[float, ...]]
 
 
 def _clip01(x: float) -> float:
@@ -167,27 +180,28 @@ def optimize(
     """Search for the preference whose networks best match the target
     degree pattern, spending at most `budget` objective evaluations.
 
-    The ages and the replicates' pair draws are drawn once for the whole
-    search. If `runtimes` is given, the seconds spent drawing them and
-    searching are recorded in it as "draws" and "search". If `progress` is
-    given, it is called with the evaluations spent and the best objective
-    so far after the grid scan and after each halving of the refinement
-    step."""
+    The ages, the replicates' pair draws and the padded target are built
+    once for the whole search. If `runtimes` is given, the seconds spent
+    building them and searching are recorded in it as "draws" and
+    "search". If `progress` is given, it is called with the evaluations
+    spent and the best objective so far after the grid scan and after each
+    halving of the refinement step."""
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     t0 = time.perf_counter()
-    draws = replicate_draws(scenario, replicates)
+    draws = replicate_draws(scenario, replicates, target)
     t1 = time.perf_counter()
 
     log: list[EvalRecord] = []
-    cache: dict[tuple, tuple[float, float]] = {}
+    cache: dict[tuple, _Objective] = {}
     # evaluate() results by effective weights (a, b), on which alone the
     # scores depend; -0.0 and 0.0 are one key, and give the same scores.
-    shared: dict[tuple[float, float], tuple[float, list[float], float]] = {}
+    shared: dict[tuple[float, float], _Objective] = {}
     spent = 0
 
-    def run(pref: Preference) -> tuple[float, float] | None:
-        """Objective (mean, std) of a candidate, None once budget is gone."""
+    def run(pref: Preference) -> _Objective | None:
+        """Objective mean and replicate values of a candidate, None once
+        budget is gone."""
         nonlocal spent
         key = (
             pref.level,
@@ -205,26 +219,17 @@ def optimize(
             pref.difference * pref.difference_weight,
         )
         if effective not in shared:
-            mean, values = evaluate(pref, target, scenario, draws)
-            shared[effective] = (mean, values, float(np.std(values)))
-        mean, values, std = shared[effective]
-        for r, v in enumerate(values):
-            log.append(
-                EvalRecord(
-                    pref.level,
-                    pref.level_weight,
-                    pref.difference,
-                    pref.difference_weight,
-                    r,
-                    v,
-                )
-            )
-        result = (mean, std)
+            mean, values = evaluate(pref, scenario, draws)
+            shared[effective] = (mean, tuple(values))
+        result = shared[effective]
+        log.append(EvalRecord(
+            pref.level, pref.level_weight, pref.difference, pref.difference_weight, result[1]
+        ))
         cache[key] = result
         return result
 
     best_pref: Preference | None = None
-    best: tuple[float, float] | None = None
+    best: _Objective | None = None
 
     for values in itertools.product(LEVEL_GRID, WEIGHT_GRID, LEVEL_GRID, WEIGHT_GRID):
         pref = Preference(*values)
@@ -246,7 +251,7 @@ def optimize(
             (0.0, step),
             (0.0, -step),
         )
-        improved: tuple[Preference, tuple[float, float]] | None = None
+        improved: tuple[Preference, _Objective] | None = None
         for d_lw, d_dw in probes:
             pref = Preference(
                 best_pref.level,
@@ -269,27 +274,25 @@ def optimize(
     if runtimes is not None:
         runtimes["draws"] = t1 - t0
         runtimes["search"] = time.perf_counter() - t1
+    # Only the winner's spread is reported, so it is the only one computed.
     return OptimizeResult(
-        best=Candidate(best_pref, best[0], best[1], replicates),
+        best=Candidate(best_pref, best[0], float(np.std(best[1])), replicates),
         log=tuple(log),
         evaluations=spent,
     )
 
 
 def log_to_csv(log, path) -> None:
+    """Write one row per replicate of each record, in log order."""
     header = ["level", "level_weight", "difference", "difference_weight", "replicate", "js"]
-    rows = (
-        [
-            rec.level,
-            repr(rec.level_weight),
-            rec.difference,
-            repr(rec.difference_weight),
-            rec.replicate,
-            repr(rec.js),
-        ]
-        for rec in log
-    )
-    write_csv(path, header, rows)
+    write_csv(path, header, _log_rows(log))
+
+
+def _log_rows(log):
+    for rec in log:
+        fields = [rec.level, repr(rec.level_weight), rec.difference, repr(rec.difference_weight)]
+        for r, v in enumerate(rec.js):
+            yield fields + [r, repr(v)]
 
 
 def result_to_json(result: OptimizeResult, path) -> None:

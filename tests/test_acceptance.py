@@ -172,9 +172,9 @@ def test_criterion_05_divergence_dominance():
         assert elapsed < 300.0, f"optimisation took {elapsed:.1f}s"
         assert result.evaluations <= 700
         assert result.best.objective <= 0.45
-        draws = replicate_draws(sc, 5)
+        draws = replicate_draws(sc, 5, target)
         for rule, pref in RULE_PREFERENCES.items():
-            pure_mean, _ = evaluate(pref, target, sc, draws)
+            pure_mean, _ = evaluate(pref, sc, draws)
             assert result.best.objective < pure_mean, (rule, pure_mean)
 
 

@@ -78,8 +78,8 @@ def test_generate_preset_and_overrides(tmp_path):
 STAGES = {
     "generate": ["grow", "write_network", "analyze", "generate"],
     "epidemic": ["grow", "write_network", "analyze", "generate", "epidemic"],
-    "optimize": ["draws", "search", "optimize"],
-    "sweep": ["sweep", "cell:U_P+", "cell:U_PH"],
+    "optimize": ["target", "draws", "search", "optimize"],
+    "sweep": ["target", "sweep", "cell:U_P+", "cell:U_PH"],
 }
 EXTRA = {
     "optimize": ["--budget", "3", "--replicates", "2"],
@@ -300,11 +300,20 @@ def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
     _assert_identical_runs(serial, wide)
 
 
+@pytest.mark.parametrize("out", ["run/", "./run", "run"])
+def test_run_directory_prints_as_given_without_trailing_separator(tmp_path, monkeypatch, capsys,
+                                                                  out):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(" -> run\n")
+    assert (tmp_path / "run" / "manifest.json").is_file()
+
+
 @pytest.mark.parametrize("kind", ["missing", "empty", "directory"])
 def test_manifest_rejects_a_missing_or_empty_output(tmp_path, kind):
     run = cli._RunDir(tmp_path)
-    run.path("written.txt").write_text("x\n")
-    target = run.path("bad")
+    Path(run.path("written.txt")).write_text("x\n")
+    target = Path(run.path("bad"))
     if kind == "empty":
         target.write_text("")
     elif kind == "directory":
@@ -489,6 +498,16 @@ def test_optimize_repeated_edgelist_row_names_both_lines(tmp_path, capsys):
     assert f"{net_csv}: lines 2 and 4: repeated edge 0,1" in capsys.readouterr().err
 
 
+def test_optimize_edgelist_id_beyond_int64_names_the_line(tmp_path, capsys):
+    # max id + 1 is the node count, which must fit int64
+    net_csv = tmp_path / "target.csv"
+    net_csv.write_text("i,j\n0,1\n0,9223372036854775807\n", encoding="utf-8")
+    code = main(["optimize", "--out", str(tmp_path / "opt"),
+                 "--target", f"edgelist:{net_csv}", "--budget", "2", "--replicates", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {net_csv}: line 3: node id")
+
+
 def test_optimize_bad_target(tmp_path):
     assert main(["optimize", "--out", str(tmp_path), "--target", "ba:90"]) == 1
     assert main(["optimize", "--out", str(tmp_path), "--target", "magic:1"]) == 1
@@ -521,6 +540,9 @@ def test_report_on_sweep(tmp_path, capsys):
     assert set(report["js"]) == {"U_P+", "U_PH"}
     text = capsys.readouterr().out
     assert "best cell" in text
+    # the seconds spent building the target are a stage of their own
+    seconds = _read_json(out / "manifest.json")["runtimes"]["target"]
+    assert f"  runtime target {seconds:.3f} s" in text.splitlines()
 
 
 def test_report_final_share_is_at_the_largest_tau(tmp_path, capsys):

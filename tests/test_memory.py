@@ -60,8 +60,8 @@ def test_analyze_builds_no_dense_int64_or_float64_matrix():
 
 def _fit_draws_and_one_evaluate(scenario: Scenario):
     target = degree_distribution(ba_target(90, 20, RngPolicy(0).stream("optimizer", 0)))
-    draws = replicate_draws(scenario, 5)
-    evaluate(scenario.resolved_preference(), target, scenario, draws)
+    draws = replicate_draws(scenario, 5, target)
+    evaluate(scenario.resolved_preference(), scenario, draws)
     return draws
 
 

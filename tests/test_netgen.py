@@ -508,8 +508,14 @@ def test_edge_list_rejects_self_loop(tmp_path):
         ("0,1\n1,2\n1,0\n", None, "raw.csv: lines 2 and 4: repeated edge 0,1"),
         ("0,1\n-1,2\n", None, "raw.csv: line 3: node ids must be non-negative, got -1,2"),
         ("0,1\n1,5\n", 5, "raw.csv: line 3: node id 5 out of range for node_count 5"),
+        ("0,1\n0,18446744073709551616\n", None,
+         "raw.csv: line 3: node id 18446744073709551616 too large; ids must be below "
+         "9223372036854775807 for the node count to fit int64"),
+        ("0,9223372036854775807\n", None,
+         "raw.csv: line 2: node id 9223372036854775807 too large"),
     ],
-    ids=["repeat", "repeat-reversed", "negative", "beyond-node-count"],
+    ids=["repeat", "repeat-reversed", "negative", "beyond-node-count", "beyond-int64",
+         "node-count-beyond-int64"],
 )
 def test_edge_list_bad_rows_name_file_and_line(tmp_path, rows, node_count, message):
     path = tmp_path / "raw.csv"

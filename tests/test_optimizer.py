@@ -1,5 +1,7 @@
 """Objective evaluation and the two-phase weight search."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -46,8 +48,8 @@ def test_weight_grid_includes_pure_rule_weights():
 def test_evaluate_deterministic_common_random_numbers():
     target = _small_target()
     pref = Preference(-1, 0.05, 1, 0.08)
-    mean_a, values_a = evaluate(pref, target, SMALL, replicate_draws(SMALL, 3))
-    mean_b, values_b = evaluate(pref, target, SMALL, replicate_draws(SMALL, 3))
+    mean_a, values_a = evaluate(pref, SMALL, replicate_draws(SMALL, 3, target))
+    mean_b, values_b = evaluate(pref, SMALL, replicate_draws(SMALL, 3, target))
     assert values_a == values_b
     assert mean_a == pytest.approx(np.mean(values_a), abs=1e-12)
     assert len(values_a) == 3
@@ -60,7 +62,7 @@ def test_evaluate_zero_against_own_degree_pattern():
     net = generate_network(make_population(SMALL), SMALL.with_overrides(preference=pref),
                            pair_draws(SMALL))
     target = degree_distribution(net)
-    _, values = evaluate(pref, target, SMALL, replicate_draws(SMALL, 1))
+    _, values = evaluate(pref, SMALL, replicate_draws(SMALL, 1, target))
     assert values[0] == 0.0
 
 
@@ -68,11 +70,11 @@ def test_evaluate_validation():
     pref, target = Preference(1, 1.0, 1, 0.0), _small_target()
     clustering = PatternDistribution("clustering", [0], [1.0])
     with pytest.raises(ValueError, match="cannot compare 'degree' with 'clustering'"):
-        evaluate(pref, clustering, SMALL, replicate_draws(SMALL, 1))
+        replicate_draws(SMALL, 1, clustering)
     with pytest.raises(ValueError, match="pair draws for 44 nodes do not fit 45 nodes"):
-        evaluate(pref, target, SMALL, replicate_draws(Scenario(node_count=44, edge_budget=9), 1))
+        evaluate(pref, SMALL, replicate_draws(Scenario(node_count=44, edge_budget=9), 1, target))
     with pytest.raises(ValueError):
-        replicate_draws(SMALL, 0)
+        replicate_draws(SMALL, 0, target)
 
 
 def _kernel_case(n, budget, rate, sigma, shape, seed, preference, target_n, replicates):
@@ -134,13 +136,13 @@ def _bits(values):
                       RULE_PREFERENCES[Rule.P_PLUS], 9, 2))
 def test_evaluate_equals_the_network_pipeline(case):
     scenario, pref, target, replicates = case
-    draws = replicate_draws(scenario, replicates)
+    draws = replicate_draws(scenario, replicates, target)
     population, fitted = make_population(scenario), scenario.with_overrides(preference=pref)
     pairs = pair_draws(scenario, replicates)
     networks = [oracles.draws_row(pairs, r) for r in range(replicates)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mean, values = evaluate(pref, target, scenario, draws)
+        mean, values = evaluate(pref, scenario, draws)
         expected = [
             js_divergence(degree_distribution(generate_network(population, fitted, d)), target)
             for d in networks
@@ -165,7 +167,7 @@ def test_evaluate_equals_the_network_pipeline(case):
                        *twin(pref.difference, pref.difference_weight))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert _bits(evaluate(other, target, scenario, draws)[1]) == _bits(values)
+        assert _bits(evaluate(other, scenario, draws)[1]) == _bits(values)
 
 
 # Mean JS over 5 replicates against ba:90,20 at seed 0 of each shape's PH
@@ -184,9 +186,9 @@ def test_ph_preset_loses_to_a_pure_rule_of_its_shape(shape):
     preset_js, best_rule, best_js = PH_PRESET_CLAIM[shape]
     scenario = Scenario(age_shape=shape)
     target = degree_distribution(ba_target(90, 20, RngPolicy(0).stream("optimizer", 0)))
-    draws = replicate_draws(scenario, 5)
-    preset, _ = evaluate(PH_FITTED[shape], target, scenario, draws)
-    pure = {rule: evaluate(pref, target, scenario, draws)[0]
+    draws = replicate_draws(scenario, 5, target)
+    preset, _ = evaluate(PH_FITTED[shape], scenario, draws)
+    pure = {rule: evaluate(pref, scenario, draws)[0]
             for rule, pref in RULE_PREFERENCES.items()}
     assert round(preset, 3) == preset_js
     assert min(pure, key=pure.get) is best_rule
@@ -204,8 +206,8 @@ def test_optimize_budget_validation():
 def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     # evaluate() grows one network per replicate, so the search grows each
     # distinct effective preference once per replicate, from the same draws,
-    # drawn for all replicates at once
-    built, evaluations = [], []
+    # drawn for all replicates at once, with the target padded once
+    built, evaluations, unions, padded = [], [], [], []
 
     def counting(fn, calls):
         def wrapper(*args, **kwargs):
@@ -215,19 +217,30 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
 
     monkeypatch.setattr(optimizer, "pair_draws", counting(optimizer.pair_draws, built))
     monkeypatch.setattr(optimizer, "evaluate", counting(optimizer.evaluate, evaluations))
+    monkeypatch.setattr(optimizer, "support_union", counting(optimizer.support_union, unions))
+    monkeypatch.setattr(optimizer, "pad_mass", counting(optimizer.pad_mass, padded))
     runtimes = {}
     result = optimize(SMALL, _small_target(), budget=12, replicates=3, runtimes=runtimes)
     assert len(built) == 1 and built[0][1] == 3
+    assert len(unions) == len(padded) == 1
     # the first 12 grid candidates are level -1 at weight 0 with difference
     # -1 at all 7 weights, then difference 0 at 5 weights: 7 distinct (a, b)
     effective = {(p.level * p.level_weight, p.difference * p.difference_weight)
                  for p, *_ in evaluations}
     assert len(evaluations) == len(effective) == 7
     assert result.evaluations == 12
-    assert len(result.log) == 12 * 3
-    assert all(args[3] is evaluations[0][3] for args in evaluations)
+    assert all(args[2] is evaluations[0][2] for args in evaluations)
     assert sorted(runtimes) == ["draws", "search"]
     assert all(v >= 0 for v in runtimes.values())
+    # one record per spent evaluation; candidates that share (a, b) share
+    # one tuple of its replicate values
+    assert len(result.log) == result.evaluations
+    assert all(type(rec.js) is tuple and len(rec.js) == 3 for rec in result.log)
+    by_effective = {}
+    for rec in result.log:
+        key = (rec.level * rec.level_weight, rec.difference * rec.difference_weight)
+        assert by_effective.setdefault(key, rec.js) is rec.js
+    assert len(by_effective) == 7
 
 
 @pytest.mark.parametrize("population_ages", [False, True])
@@ -243,8 +256,8 @@ def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
     monkeypatch.setattr(optimizer, "budget_pairs",
                         lambda *args: ranked.append(args) or top_k(*args))
     pref = Preference(-1, 0.05, 1, 0.08)
-    draws = replicate_draws(SMALL, 4)
-    _, values = evaluate(pref, _small_target(), SMALL, draws)
+    draws = replicate_draws(SMALL, 4, _small_target())
+    _, values = evaluate(pref, SMALL, draws)
     assert len(values) == 4
     assert len(scored) == len(ranked) == 1 and scored[0][0] == pref
     pairs = pair_draws(SMALL, 4)
@@ -267,8 +280,8 @@ def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
 def test_optimize_budget_one_single_evaluation():
     target = _small_target()
     result = optimize(SMALL, target, budget=1, replicates=3)
-    assert result.evaluations == 1
-    assert len(result.log) == 3  # one row per replicate
+    assert result.evaluations == len(result.log) == 1
+    assert len(result.log[0].js) == 3  # one value per replicate
     first = Preference(LEVEL_GRID[0], WEIGHT_GRID[0], LEVEL_GRID[0], WEIGHT_GRID[0])
     assert result.best.preference == first
 
@@ -288,7 +301,8 @@ def test_optimize_objective_matches_log_minimum():
     by_candidate = {}
     for rec in result.log:
         key = (rec.level, rec.level_weight, rec.difference, rec.difference_weight)
-        by_candidate.setdefault(key, []).append(rec.js)
+        assert key not in by_candidate and len(rec.js) == 2
+        by_candidate[key] = rec.js
     means = {k: np.mean(v) for k, v in by_candidate.items()}
     assert result.best.objective == pytest.approx(min(means.values()), abs=1e-12)
     best = result.best.preference
@@ -302,12 +316,11 @@ def test_optimize_logs_what_evaluate_gives_each_candidate():
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
     result = optimize(SMALL, target, budget=full_grid, replicates=2)
-    draws = replicate_draws(SMALL, 2)
-    for start in range(0, len(result.log), 2):
-        rows = result.log[start : start + 2]
-        pref = Preference(rows[0].level, rows[0].level_weight,
-                          rows[0].difference, rows[0].difference_weight)
-        assert _bits([r.js for r in rows]) == _bits(evaluate(pref, target, SMALL, draws)[1])
+    draws = replicate_draws(SMALL, 2, target)
+    assert len(result.log) == full_grid
+    for rec in result.log:
+        pref = Preference(rec.level, rec.level_weight, rec.difference, rec.difference_weight)
+        assert _bits(rec.js) == _bits(evaluate(pref, SMALL, draws)[1])
 
 
 def test_optimize_dominates_pure_rules():
@@ -318,7 +331,7 @@ def test_optimize_dominates_pure_rules():
     result = optimize(SMALL, target, budget=full_grid, replicates=2)
     assert result.evaluations == full_grid
     for pref in RULE_PREFERENCES.values():
-        mean, _ = evaluate(pref, target, SMALL, replicate_draws(SMALL, 2))
+        mean, _ = evaluate(pref, SMALL, replicate_draws(SMALL, 2, target))
         assert result.best.objective <= mean + 1e-12
 
 
@@ -342,7 +355,7 @@ def test_optimize_log_round_trip(tmp_path):
     log_to_csv(result.log, log_path)
     lines = log_path.read_text().strip().splitlines()
     assert lines[0] == "level,level_weight,difference,difference_weight,replicate,js"
-    assert len(lines) == 1 + len(result.log)
+    assert len(lines) == 1 + 2 * result.evaluations
     json_path = tmp_path / "best.json"
     result_to_json(result, json_path)
     import json
@@ -350,3 +363,22 @@ def test_optimize_log_round_trip(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["evaluations"] == result.evaluations
     assert payload["best"]["level"] == result.best.preference.level
+
+
+def test_eval_log_writes_one_row_per_replicate_of_a_refined_fit(tmp_path):
+    # a budget beyond the grid reaches the refinement, whose weights are
+    # not grid values; the log file holds one row per (record, replicate)
+    target = _small_target()
+    full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
+    result = optimize(SMALL, target, budget=full_grid + 20, replicates=2)
+    assert result.evaluations > full_grid
+    path = tmp_path / "eval_log.csv"
+    log_to_csv(result.log, path)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["level", "level_weight", "difference", "difference_weight", "replicate", "js"])
+    for rec in result.log:
+        for r, v in enumerate(rec.js):
+            writer.writerow([rec.level, repr(rec.level_weight), rec.difference,
+                             repr(rec.difference_weight), r, repr(v)])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
