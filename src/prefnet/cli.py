@@ -14,8 +14,8 @@ seconds, `cell:<name>`, for a sweep). Apart from those runtimes, reruns
 of the same command are byte-identical.
 
 Exit codes: 0 success, 1 validation or usage error (a malformed manifest
-given to `report` included) or a closed stdout, 2 I/O error, 3 internal
-invariant violation.
+given to `report` included), a run too large for memory or a closed
+stdout, 2 I/O error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -709,6 +709,10 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"error: {err or 'out of memory'}; lower node_count, edge_budget, horizon "
+              "or distance_cap, or the node ids of an edge-list target", file=sys.stderr)
+        return 1
     except Exception as err:  # noqa: BLE001 - invariant violations surface as exit 3
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

@@ -9,11 +9,9 @@ always sum exactly to the population size.
 
 A population is its ages only. The connection preference is the rule's,
 and the Scenario holds it (`Scenario.resolved_preference`); it applies to
-every node, so the base score of a pair depends only on the two ages,
-through the pair's age code a * 90 + b. Growth therefore maps the met
-pairs to the age codes in use (`age_code_slots`), scores each of those
-codes once (`age_pair_scores`) and looks every pair's score up by its
-slot. `make_population` is the only code that draws a scenario's ages.
+every node, so the base score of a pair depends only on the two ages
+(`age_pair_scores`), which is how `netgen` scores each age pair in use
+once. `make_population` is the only code that draws a scenario's ages.
 
 Diversity of the group histogram is measured with Hill numbers: order q = 0
 counts occupied groups, q = 1 is the exponential of Shannon entropy, and
@@ -58,8 +56,6 @@ def group_counts(shape: AgeShape, node_count: int) -> np.ndarray:
     if node_count < 0:
         raise ValueError(f"node_count must be non-negative, got {node_count}")
     template = np.array(SHAPE_TEMPLATES[shape], dtype=np.int64)
-    if node_count == REFERENCE_SIZE:
-        return template.copy()
     # Integer arithmetic keeps the tie rule exact: quota = t*n/90, compared
     # by numerator so equal fractional parts never split on float rounding.
     scaled = template * node_count
@@ -112,31 +108,6 @@ def age_pair_scores(preference: Preference, age_a, age_b) -> np.ndarray:
     gap = np.abs(f_a - f_b)
     diff_term = (gap * b + gap * b) / 2 + 1.0
     return 0.5 * level_term + 0.5 * diff_term
-
-
-def age_code_slots(
-    ages: np.ndarray, i: np.ndarray, j: np.ndarray, met: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The age codes a * 90 + b that met pairs use, and each pair's slot
-    among them.
-
-    i and j are (R, M) endpoint rows laid out as `netgen.pair_draws` lays
-    them out: row r holds met[r] pairs with endpoints offset by r * n, for
-    the n nodes aged `ages`, then pads. Returns the ages (a, b) of the
-    sorted codes in use, so that `age_pair_scores(preference, a, b)`
-    scores each code once, and an int16 (R, M) array of each pair's
-    position among them, 0 in the pads, whose codes are not counted.
-    """
-    # A code stays below 8100, so int16 holds it; "wrap" takes each
-    # endpoint modulo n, which undoes the row offsets.
-    ages16 = ages.astype(np.int16)
-    codes = ages16.take(i, mode="wrap") * AGE_SPAN + ages16.take(j, mode="wrap")
-    real = np.arange(codes.shape[1]) < met[:, None]
-    in_use = np.bincount(codes[real], minlength=AGE_SPAN * AGE_SPAN) > 0
-    used = np.flatnonzero(in_use)
-    slot = (np.cumsum(in_use) - 1).astype(np.int16).take(codes)
-    slot[~real] = 0
-    return (used // AGE_SPAN, used % AGE_SPAN), slot
 
 
 @dataclass

@@ -6,14 +6,19 @@ level weight) and a difference term (does each side like the feature gap,
 scaled by its difference weight). Both terms are centred at 1 so that a
 zeroed weight makes a node indifferent rather than hostile. The pair
 total averages the two terms, adds Gaussian jitter, and is gated by a
-Bernoulli encounter: pairs that never meet can never link. With the
-scenario's one preference for every node the averaged terms depend only
-on the two ages, so each age pair that a met pair uses is scored once
-(`features.age_code_slots`). The encounters and jitter are drawn apart
-from the scoring, by `pair_draws`, the only code that reads the
-"encounter" and "noise" streams: it lays out R replicates as rows of one
-padded array, one row for a single network and R rows for a fit, which
-grows every candidate's replicate r from the same row r.
+Bernoulli encounter: pairs that never meet can never link.
+
+This module alone decides growth, in three steps. `pair_draws`, the only
+code that reads the "encounter" and "noise" streams, draws which pairs
+met and their jitter; it lays out R replicates as rows of one padded
+array, one row for a single network and R rows for a fit, which grows
+every candidate's replicate r from the same row r. With the scenario's
+one preference for every node the averaged terms depend only on the two
+ages, so `age_code_slots` maps the met pairs to the age codes in use,
+each scored once by `features.age_pair_scores`. `keep_pairs` scores
+every row's met pairs and keeps each row's budgeted best; both
+`generate_network` (one row) and `optimizer.evaluate` (R rows) grow
+through it.
 
 The edge budget selects the top-scoring encountered pairs; ties break
 lexicographically by node ids so runs are exactly reproducible. Each edge
@@ -33,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .artifacts import write_json
-from .features import age_code_slots, age_pair_scores, Population
-from .scenario import RngPolicy, Scenario
+from .features import AGE_SPAN, age_pair_scores, Population
+from .scenario import Preference, RngPolicy, Scenario
 
 # Pairs drawn per block by `pair_draws` and rows formatted per block by
 # `save_network`: the temporaries of either loop stay this size whatever
@@ -187,12 +192,43 @@ def pair_draws(scenario: Scenario, replicates: int = 1) -> PairDraws:
     return PairDraws(n, i, j, jitter, met)
 
 
-def budget_pairs(score: np.ndarray, met: np.ndarray, budget: int) -> np.ndarray:
-    """Keep each row's budgeted best met pairs: returns a mask of the
-    k = min(budget, met[r]) kept pairs of every row r of the (R, M) scores.
+def age_code_slots(
+    ages: np.ndarray, draws: PairDraws
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The age codes a * 90 + b that the met pairs of `draws` use, and each
+    pair's slot among them.
 
-    Row r holds the scores of its met[r] pairs in pair order, then pads
-    that score -inf, so they rank last and are never kept. Pairs rank by
+    Row r of `draws` holds met[r] pairs with endpoints offset by r * n, for
+    the n nodes aged `ages`, then pads. Returns the ages (a, b) of the
+    sorted codes in use, so that `features.age_pair_scores` scores each
+    code once, and an int16 (R, M) array of each pair's position among
+    them, 0 in the pads, whose codes are not counted.
+    """
+    # A code stays below 8100, so int16 holds it; "wrap" takes each
+    # endpoint modulo n, which undoes the row offsets.
+    ages16 = ages.astype(np.int16)
+    codes = ages16.take(draws.i, mode="wrap") * AGE_SPAN + ages16.take(draws.j, mode="wrap")
+    real = np.arange(codes.shape[1]) < draws.met[:, None]
+    in_use = np.bincount(codes[real], minlength=AGE_SPAN * AGE_SPAN) > 0
+    used = np.flatnonzero(in_use)
+    slot = (np.cumsum(in_use) - 1).astype(np.int16).take(codes)
+    slot[~real] = 0
+    return (used // AGE_SPAN, used % AGE_SPAN), slot
+
+
+def keep_pairs(
+    preference: Preference, budget: int, draws: PairDraws,
+    code_ages: tuple[np.ndarray, np.ndarray], slot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every row's met pairs and keep each row's budgeted best:
+    returns the flat indices, in pair order, of the k = min(budget,
+    met[r]) kept pairs of every row r of `draws`, and the (R, M) scores.
+
+    A met pair scores `features.age_pair_scores` of its two ages under
+    `preference` (the mean of its level and difference terms), looked up
+    by its `slot` among the age codes in use, whose ages are `code_ages`
+    (see `age_code_slots`), plus its jitter. The pads' -inf jitter makes
+    their scores -inf, so they rank last and are never kept. Pairs rank by
     (score desc, pair order asc) in a partial top-k: one partition of all
     rows finds each row's budget-th largest score, every pair at or above
     it is kept, and of the pairs tied at it only the first in pair order
@@ -200,7 +236,9 @@ def budget_pairs(score: np.ndarray, met: np.ndarray, budget: int) -> np.ndarray:
     with one shortfall warning per such row, pointing at the caller of
     `generate_network` or `optimizer.evaluate`.
     """
-    rows, width = score.shape
+    score = age_pair_scores(preference, *code_ages).take(slot)
+    score += draws.jitter
+    met, width = draws.met, score.shape[1]
     for count in met[met < budget].tolist():
         warnings.warn(
             f"only {count} pairs encountered, below the edge budget "
@@ -208,13 +246,15 @@ def budget_pairs(score: np.ndarray, met: np.ndarray, budget: int) -> np.ndarray:
             stacklevel=3,
         )
     if budget == 0 or width == 0:
-        return np.zeros(score.shape, dtype=bool)
+        return np.zeros(0, dtype=np.intp), score
     # Sorted ascending, a row's budget-th largest score sits at column
     # width - budget. A row with fewer met pairs reads a pad there, or its
     # lowest score when the budget exceeds the width; either way it keeps
-    # every met pair, and its pads go with the surplus ties below.
+    # every met pair, and its pads go with the surplus ties below. The
+    # thresholds are copied out, so the partitioned copy of every score
+    # goes before the keep mask is built.
     col = max(width - budget, 0)
-    kth = np.partition(score, col, axis=1)[:, col]
+    kth = np.partition(score, col, axis=1)[:, col].copy()
     keep = score >= kth[:, None]
     # Beyond a row's k, drop the pairs tied at its threshold, the last in
     # pair order first.
@@ -222,7 +262,7 @@ def budget_pairs(score: np.ndarray, met: np.ndarray, budget: int) -> np.ndarray:
     for r in np.flatnonzero(excess).tolist():
         tied = np.flatnonzero(score[r] == kth[r])
         keep[r, tied[tied.shape[0] - excess[r] :]] = False
-    return keep
+    return np.flatnonzero(keep), score
 
 
 def generate_network(
@@ -231,12 +271,9 @@ def generate_network(
     """Grow a network by scoring the met pairs and keeping the budgeted best.
 
     `draws` (one row from `pair_draws`) fixes which pairs met and their
-    jitter; a met pair scores `features.age_pair_scores` of its two ages
-    under `scenario.resolved_preference()` (the mean of its level and
-    difference terms), looked up among the age codes in use, plus its
-    jitter. The edge budget keeps the k = min(budget, met)
-    highest-scoring met pairs, ranked by (score desc, i asc, j asc), by
-    the partial top-k of `budget_pairs`.
+    jitter; `keep_pairs` scores the met pairs under
+    `scenario.resolved_preference()` and keeps the k = min(budget, met)
+    highest-scoring ones, ranked by (score desc, i asc, j asc).
     Kept pairs stay in pair order, so edge rows come out sorted. If fewer
     pairs met than the budget asks for, all of them are linked and a
     shortfall warning is recorded. Edge strength is (score + 2) / 4, an
@@ -251,14 +288,10 @@ def generate_network(
         raise ValueError(f"pair draws for {draws.node_count} nodes do not fit {n} nodes")
     if draws.met.shape[0] != 1:
         raise ValueError(f"grows one network, got pair draws of {draws.met.shape[0]} replicates")
-    code_ages, slot = age_code_slots(population.ages, draws.i, draws.j, draws.met)
-    score = age_pair_scores(scenario.resolved_preference(), *code_ages).take(slot)
-    del slot
-    score += draws.jitter
-    keep = budget_pairs(score, draws.met, scenario.edge_budget)
-    chosen = np.flatnonzero(keep)
+    chosen, score = keep_pairs(scenario.resolved_preference(), scenario.edge_budget, draws,
+                               *age_code_slots(population.ages, draws))
     gamma = edge_strength(score.take(chosen))
-    del score, keep  # the met-pair arrays go before the edge arrays are built
+    del score  # the met-pair scores go before the edge arrays are built
     edges = np.empty((chosen.shape[0], 2), dtype=np.int64)
     edges[:, 0] = draws.i.take(chosen)
     edges[:, 1] = draws.j.take(chosen)

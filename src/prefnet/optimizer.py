@@ -10,19 +10,20 @@ therefore prepares once (`replicate_draws`) everything that does not
 depend on the candidate: the scenario's population, all replicates'
 encounters and jitter, and the target's mass padded onto the supports it
 is compared over. The ages come from `features.make_population`, as for
-a single network, and `netgen.pair_draws` lays replicate r out as row r
-of one padded array, the same layout from which `generate_network` grows
-its one network, so every candidate's replicate r grows from row r.
+a single network, and `netgen` decides growth: `pair_draws` lays
+replicate r out as row r of one padded array, the layout from which
+`generate_network` grows its one network, and `keep_pairs` grows all
+rows, so every candidate's replicate r grows from row r by the same rule.
 
 A candidate's scores depend on its weights only through the effective
 weights a = level * level_weight and b = difference * difference_weight,
 so a zero weight makes its sign irrelevant and many grid candidates share
 one (a, b). The search calls `evaluate` once per distinct (a, b) and hands
 its per-replicate values to every candidate that shares it. `evaluate`
-works on plain arrays, all replicates in one pass: it scores the age
-codes the met pairs use, keeps in every row the pairs `generate_network`
-would link, and compares each row's degree frequencies with the target,
-building no network or pattern object.
+works on plain arrays, all replicates in one pass: `keep_pairs` keeps in
+every row the pairs `generate_network` would link, and `evaluate`
+compares each row's degree frequencies with the target, building no
+network or pattern object.
 
 The search is two-phase: a coarse scan over all sign combinations crossed
 with a small weight ladder, then a local pattern search on the two weights
@@ -45,8 +46,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .features import age_code_slots, age_pair_scores, make_population
-from .netgen import budget_pairs, pair_draws, PairDraws
+from .features import make_population
+from .netgen import age_code_slots, keep_pairs, pair_draws, PairDraws
 from .netmetrics import js_masses, pad_mass, PatternDistribution, support_union
 from .scenario import Preference, Scenario
 
@@ -94,7 +95,7 @@ class ReplicateDraws:
     pairs holds the replicates' met pairs as (R, M) rows (see
     `netgen.pair_draws`); slot indexes each pair's age code among the
     sorted codes in use, whose ages are `code_ages` (see
-    `features.age_code_slots`), for the ages of `make_population`.
+    `netgen.age_code_slots`), for the ages of `make_population`.
     target_mass is the target's mass padded onto the union of 0..n-1 and
     its support, as `js_divergence` pads it; degree d sits in column
     `columns[d]` of that union. offsets is r * n for each of row r's n
@@ -118,7 +119,7 @@ def replicate_draws(
         raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
     n = scenario.node_count
     pairs = pair_draws(scenario, replicates)
-    code_ages, slot = age_code_slots(make_population(scenario).ages, pairs.i, pairs.j, pairs.met)
+    code_ages, slot = age_code_slots(make_population(scenario).ages, pairs)
     nodes = np.arange(n)
     union = support_union(nodes, target.support)
     offsets = np.repeat(np.arange(0, replicates * n, n), n)
@@ -139,18 +140,16 @@ def evaluate(
     generate_network(make_population(scenario), fitted, row_r)), target)`
     bit for bit, for `fitted`, the scenario with `preference` set, and
     row r of the pair draws as one-row `PairDraws`, but no network or
-    pattern object is built, and all replicates go in one pass: score the
-    age codes in use (`features.age_pair_scores`), keep each row's
-    budgeted best with `budget_pairs`, count the R * n degrees with two
+    pattern object is built, and all replicates go in one pass: keep each
+    row's budgeted best with `netgen.keep_pairs`, the kernel
+    `generate_network` grows through, count the R * n degrees with two
     `bincount`s and their frequencies with a third, divide by n, and take
     every row's divergence from the draws' padded target mass."""
     n, pairs = scenario.node_count, draws.pairs
     if pairs.node_count != n:
         raise ValueError(f"pair draws for {pairs.node_count} nodes do not fit {n} nodes")
     rows = pairs.met.shape[0]
-    score = age_pair_scores(preference, *draws.code_ages).take(draws.slot)
-    score += pairs.jitter
-    kept = np.flatnonzero(budget_pairs(score, pairs.met, scenario.edge_budget))
+    kept, _ = keep_pairs(preference, scenario.edge_budget, pairs, draws.code_ages, draws.slot)
     degrees = np.bincount(pairs.i.take(kept), minlength=rows * n)
     degrees += np.bincount(pairs.j.take(kept), minlength=rows * n)
     degrees += draws.offsets

@@ -2,8 +2,9 @@
 
 Each scalar function scores or decides one pair or one node at a time,
 straight from the model's definitions; the package computes the same
-quantities in bulk (the age codes in use in `features.age_code_slots`,
-the vectorised SI step in `epidemic.run_si`). The dense functions run the SI
+quantities in bulk (growth of one network or of a fit's replicates in
+`netgen.keep_pairs`, which scores each age code in use once; the
+vectorised SI step in `epidemic.run_si`). The dense functions run the SI
 process and the seed distances on an n x n adjacency matrix, the way the
 package did before it worked from the edge list and neighbour lists. The
 PaR functions mask the trace once per (time, distance) window, the way the

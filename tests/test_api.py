@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import prefnet
 from prefnet import epidemic, features, netgen, optimizer
 
 # Scalar test oracles that now live in tests/oracles.py, and names deleted
-# with the per-node trait arrays, with the per-window PaR counts or with the
-# 90 x 90 age table; none of them is part of the package.
+# with the per-node trait arrays, with the per-window PaR counts, with the
+# 90 x 90 age table or when growth became one kernel (`netgen.keep_pairs`);
+# none of them is part of the package.
 REMOVED = (
     "Traits",
     "node_traits",
@@ -20,6 +22,7 @@ REMOVED = (
     "transition_probability",
     "par_exact",
     "pair_score_table",
+    "budget_pairs",
 )
 
 
@@ -29,7 +32,7 @@ def test_public_names():
     for name in REMOVED:
         assert name not in prefnet.__all__
         assert not any(
-            hasattr(module, name) for module in (prefnet, features, netgen, epidemic)
+            hasattr(module, name) for module in (prefnet, features, netgen, epidemic, optimizer)
         )
     assert not hasattr(features.Population, "score_table")
     namespace = {}
@@ -74,3 +77,24 @@ def test_each_random_stream_opens_in_one_module():
     assert not hasattr(population, "preference")
     assert not hasattr(population, "features")
     assert "ages" not in {f.name for f in fields(optimizer.ReplicateDraws)}
+
+
+def test_growth_is_decided_in_one_module():
+    # Pairs are scored and ranked in netgen.py alone, by the one kernel that
+    # both generate_network and optimizer.evaluate grow through; features.py
+    # keeps the score formula but not the pair layout.
+    package = Path(prefnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    callers = {
+        call: {
+            name
+            for name, text in sources.items()
+            if re.search(rf"(?<!def ){re.escape(call)}", text)
+        }
+        for call in ("age_pair_scores(", "np.partition")
+    }
+    assert callers == {"age_pair_scores(": {"netgen.py"}, "np.partition": {"netgen.py"}}
+    assert not hasattr(features, "age_code_slots")
+    assert hasattr(netgen, "age_code_slots") and hasattr(netgen, "keep_pairs")
+    assert not re.search(r"import[^\n]*\b(age_pair_scores|budget_pairs)\b",
+                         sources["optimizer.py"])

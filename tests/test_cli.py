@@ -3,12 +3,16 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import prefnet
 from prefnet import cli, netmetrics
@@ -167,6 +171,39 @@ def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
     assert (tmp_path / "run" / "manifest.json").is_file()
 
 
+def _cap_address_space():
+    # 3 GiB of address space: every allocation these runs ask for is far
+    # beyond it, and fails at once instead of reaching for the machine.
+    limit = 3 << 30
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.parametrize("case", ["distance_cap", "edge_list_id"])
+def test_a_run_too_large_for_memory_exits_1_naming_the_size_fields(tmp_path, case):
+    # Each run asks numpy for far more than 3 GiB: a 52 GiB distance count
+    # table, or degree counts for 10^12 + 1 nodes. Run only under the cap.
+    if case == "distance_cap":
+        args = ["epidemic", "--set", "distance_cap=1000000000"]
+    else:
+        edges = tmp_path / "edges.csv"
+        edges.write_text("0,1\n1,1000000000000\n", encoding="utf-8")
+        args = ["optimize", "--target", f"edgelist:{edges}", "--budget", "2"]
+    src = str(Path(prefnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "prefnet.cli", *args, "--out", str(tmp_path / "run")]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+                            preexec_fn=_cap_address_space)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: Unable to allocate ")
+    assert "internal error" not in result.stderr
+    for field_name in ("node_count", "edge_budget", "horizon", "distance_cap", "edge-list"):
+        assert field_name in result.stderr
+
+
 def test_out_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PREFNET_OUT", str(tmp_path / "envout"))
     assert main(["generate", "--set", "node_count=30", "--set", "edge_budget=100"]) == 0
@@ -249,6 +286,47 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(SMALL_SWEEP + ["--out", str(serial)]) == 0
     assert main(SMALL_SWEEP + ["--out", str(parallel), "--jobs", "2"]) == 0
     _assert_identical_runs(serial, parallel)
+
+
+# A float written as NaN or an infinity by json (NaN, Infinity) or by repr
+# (nan, inf); risk tables write an undefined PaR cell as null.
+_NON_FINITE = re.compile(rb"\b(NaN|Infinity|nan|inf)\b")
+
+
+@st.composite
+def _small_sweeps(draw):
+    n = draw(st.integers(2, 40))
+    taus = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True))
+    return [
+        "sweep",
+        "--set", f"node_count={n}",
+        "--set", f"edge_budget={draw(st.integers(0, n * (n - 1) // 2))}",
+        "--set", f"master_seed={draw(st.integers(0, 2**32 - 1))}",
+        "--shapes", ",".join(draw(st.lists(st.sampled_from("UBILR"), min_size=1, max_size=2,
+                                           unique=True))),
+        "--rules", ",".join(draw(st.lists(st.sampled_from(["P+", "P-", "H+", "H-", "PH"]),
+                                          min_size=1, max_size=2, unique=True))),
+        "--taus", ",".join(repr(t) for t in taus),
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(_small_sweeps())
+def test_small_sweeps_rerun_identically_in_parallel_and_stay_finite(sweep):
+    # Drawn seeds and sizes: a serial sweep, its rerun and a --jobs 2 sweep
+    # exit alike with 0 or 1 and, apart from manifest runtimes, write the
+    # same bytes, none of them a NaN or an infinity.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # shortfalls of small budgets
+        runs = [Path(tmp, name) for name in ("serial", "rerun", "parallel")]
+        codes = [main(sweep + ["--out", str(out), "--jobs", jobs])
+                 for out, jobs in zip(runs, ("1", "1", "2"))]
+        assert codes[0] in (0, 1) and codes == [codes[0]] * 3
+        if codes[0] == 0:
+            for out in runs[1:]:
+                _assert_identical_runs(runs[0], out)
+            for rel, content in _tree_bytes(runs[0]).items():
+                assert not _NON_FINITE.search(content), rel
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefnet.features import age_code_slots, age_pair_scores, AGE_SPAN, make_population, Population
+from prefnet.features import age_pair_scores, AGE_SPAN, make_population, Population
 from prefnet.netgen import (
+    age_code_slots,
     ba_target,
     edge_strength,
     generate_network,
@@ -340,7 +341,7 @@ def test_age_code_slots_score_each_code_in_use_once():
     ages = np.array([5, 0, 5, 89])
     sc = Scenario(node_count=4, edge_budget=2, encounter_rate=0.5, master_seed=3)
     d = pair_draws(sc, 3)
-    (a, b), slot = age_code_slots(ages, d.i, d.j, d.met)
+    (a, b), slot = age_code_slots(ages, d)
     assert slot.dtype == np.int16 and slot.shape == d.i.shape
     codes = a * AGE_SPAN + b
     real = np.arange(d.i.shape[1]) < d.met[:, None]

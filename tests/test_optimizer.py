@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from prefnet import optimizer
-from prefnet.features import age_code_slots, group_counts, make_population, sample_ages
-from prefnet.netgen import ba_target, generate_network, pair_draws
+from prefnet import netgen, optimizer
+from prefnet.features import group_counts, make_population, sample_ages
+from prefnet.netgen import age_code_slots, ba_target, generate_network, pair_draws
 from prefnet.netmetrics import degree_distribution, js_divergence, PatternDistribution
 from prefnet.optimizer import (
     evaluate,
@@ -245,25 +245,30 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
 
 @pytest.mark.parametrize("population_ages", [False, True])
 def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
-    # one call scores the age codes the replicates' met pairs use, once each,
-    # and runs one top-k over all replicates; the codes are those of the
-    # ages make_population draws, which come from the "feature-gen" stream
-    scored, ranked = [], []
-    score = optimizer.age_pair_scores
-    monkeypatch.setattr(optimizer, "age_pair_scores",
+    # one call grows all replicates through one netgen kernel call, which
+    # scores the age codes the replicates' met pairs use, once each, and
+    # runs one top-k over all replicates; the codes are those of the ages
+    # make_population draws, which come from the "feature-gen" stream
+    grown, scored, ranked = [], [], []
+    kernel = optimizer.keep_pairs
+    monkeypatch.setattr(optimizer, "keep_pairs",
+                        lambda *args: grown.append(args) or kernel(*args))
+    score = netgen.age_pair_scores
+    monkeypatch.setattr(netgen, "age_pair_scores",
                         lambda p, a, b: scored.append((p, a, b)) or score(p, a, b))
-    top_k = optimizer.budget_pairs
-    monkeypatch.setattr(optimizer, "budget_pairs",
-                        lambda *args: ranked.append(args) or top_k(*args))
+    partition = np.partition
+    monkeypatch.setattr(netgen.np, "partition",
+                        lambda *args, **kw: ranked.append(args) or partition(*args, **kw))
     pref = Preference(-1, 0.05, 1, 0.08)
     draws = replicate_draws(SMALL, 4, _small_target())
     _, values = evaluate(pref, SMALL, draws)
     assert len(values) == 4
-    assert len(scored) == len(ranked) == 1 and scored[0][0] == pref
+    assert len(grown) == len(scored) == len(ranked) == 1 and scored[0][0] == pref
+    assert grown[0][2] is draws.pairs and ranked[0][0].shape == draws.slot.shape
     pairs = pair_draws(SMALL, 4)
     if population_ages:
         ages = make_population(SMALL).ages
-        code_ages, slot = age_code_slots(ages, pairs.i, pairs.j, pairs.met)
+        code_ages, slot = age_code_slots(ages, pairs)
         assert all(np.array_equal(a, b) for a, b in zip(code_ages, draws.code_ages))
         assert slot.tobytes() == draws.slot.tobytes()
     else:
