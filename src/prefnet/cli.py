@@ -194,6 +194,8 @@ def _resolve_target(text: str | None, scenario: Scenario) -> tuple[PatternDistri
         if not rest:
             raise ScenarioError("target: edgelist needs a path, e.g. edgelist:net.csv")
         net = load_edge_list(rest)
+        if not net.edge_count:
+            raise ScenarioError(f"target: {rest}: the edge list has no edges")
         return degree_distribution(net), text
     raise ScenarioError(f"target: unknown kind {kind!r}; expected ba or edgelist")
 
@@ -432,8 +434,7 @@ def cmd_sweep(args) -> int:
         run.path("js_table.csv"),
         ["cell", "shape", "rule", "js", "unconnected", "clustering_avg"],
         (
-            [c["name"], c["shape"], c["rule"], repr(c["js"]), c["unconnected"],
-             repr(c["clustering_avg"])]
+            [c["name"], c["shape"], c["rule"], c["js"], c["unconnected"], c["clustering_avg"]]
             for c in entries
         ),
     )
@@ -442,8 +443,8 @@ def cmd_sweep(args) -> int:
         ["cell", "shape", "rule", "tau", "infected_total", "final_share"]
         + [f"par_{k}_{k}" for k in range(1, diag + 1)],
         (
-            [c["name"], c["shape"], c["rule"], repr(row["tau"]), row["infected_total"],
-             repr(row["final_share"])] + [repr(v) for v in row["par_diagonal"]]
+            [c["name"], c["shape"], c["rule"], row["tau"], row["infected_total"],
+             row["final_share"]] + row["par_diagonal"]
             for c in entries
             for row in c["par"]
         ),
@@ -703,7 +704,7 @@ def main(argv=None) -> int:
         # does not report the closed pipe again when it flushes at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ScenarioError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

@@ -3,10 +3,12 @@
 Infection advances in synchronous steps. A susceptible node with E
 infected neighbours is infected in the next step with probability
 1 - (1 - p1)^E, where p1, the per-exposure probability, is the product of
-the multipliers of all susceptibility conditions the node currently meets
-(a plain transmissibility is the single condition "exposed"). Spread is
-ruled by two budgets: a time horizon and a distance cap, measured in hops
-from the nearest seed; nodes beyond the cap never convert.
+the multipliers of all susceptibility conditions the node meets (a plain
+transmissibility is the single condition "exposed"); a node that can
+convert meets the same ones at every step, so `run_si` fixes p1 before
+the first. Spread is ruled by two budgets: a time horizon and a distance
+cap, measured in hops from the nearest seed; nodes beyond the cap never
+convert.
 
 Randomness is counter-addressed: the uniform that decides node v at step t
 depends only on the stream key and (t, v), so traces are reproducible no
@@ -235,12 +237,15 @@ def run_si(
     transmissibility, seeding to the scenario's count of highest-degree
     nodes.
 
+    Each row's p1 is fixed before the first step, as that of an exposed
+    susceptible node: a node that can convert is both, and its age group
+    never changes; other nodes are masked, so their p1 is never read.
+
     Given a sequence of susceptibilities (a transmissibility ladder, say),
-    returns one trace per entry, stepped together as the rows of one run:
-    the seeds, the seed distances and each step's uniforms are shared by
-    every row, and E is counted for all rows with one bincount over the
-    infected nodes' neighbour lists, row r's entries offset by r * n. Each
-    row equals its own single-susceptibility run.
+    returns one trace per entry, stepped together as the rows of one run
+    that share the seeds, the seed distances, the neighbour list and each
+    step's uniforms; each row counts its E with its own bincount over
+    that list and equals its own single-susceptibility run.
     """
     n = net.node_count
     if population.size != n or scenario.node_count != n:
@@ -257,20 +262,15 @@ def run_si(
     seeds = select_seeds(net, population, seed_rule)
     distances = multi_source_distances(net, seeds)
     nbr, deg = net.neighbours, net.degrees
-    if len(rows) > 1:
-        nbr = (nbr + np.arange(0, len(rows) * n, n)[:, None]).ravel()
     reachable = distances <= scenario.distance_cap
+    all_exposed, none_infected = np.ones(n, np.int64), np.zeros(n, bool)
+    p1 = np.stack([row.per_exposure(all_exposed, population, none_infected) for row in rows])
 
     status = np.zeros((len(rows), scenario.horizon + 1, n), dtype=bool)
     status[:, 0, seeds] = True
-    p1 = np.empty((len(rows), n))
     for t in range(1, scenario.horizon + 1):
         prev = status[:, t - 1]
-        exposures = np.bincount(
-            nbr[np.repeat(prev, deg, axis=1).ravel()], minlength=len(rows) * n
-        ).reshape(len(rows), n)
-        for r, row in enumerate(rows):
-            p1[r] = row.per_exposure(exposures[r], population, prev[r])
+        exposures = np.stack([np.bincount(nbr[np.repeat(p, deg)], minlength=n) for p in prev])
         prob = 1.0 - (1.0 - p1) ** exposures
         eligible = (~prev) & (exposures > 0) & reachable
         draws = stream.uniforms(t, n)

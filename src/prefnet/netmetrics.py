@@ -314,5 +314,4 @@ def analyze(net: NetworkSnapshot) -> NetworkPatterns:
 
 
 def distribution_to_csv(dist: PatternDistribution, path) -> None:
-    rows = zip(dist.support.tolist(), map(repr, dist.mass.tolist()))
-    write_csv(path, [dist.kind, "mass"], rows)
+    write_csv(path, [dist.kind, "mass"], zip(dist.support.tolist(), dist.mass.tolist()))

@@ -289,9 +289,9 @@ def log_to_csv(log, path) -> None:
 
 def _log_rows(log):
     for rec in log:
-        fields = [rec.level, repr(rec.level_weight), rec.difference, repr(rec.difference_weight)]
+        fields = [rec.level, rec.level_weight, rec.difference, rec.difference_weight]
         for r, v in enumerate(rec.js):
-            yield fields + [r, repr(v)]
+            yield fields + [r, v]
 
 
 def result_to_json(result: OptimizeResult, path) -> None:

@@ -329,6 +329,68 @@ def test_small_sweeps_rerun_identically_in_parallel_and_stay_finite(sweep):
                 assert not _NON_FINITE.search(content), rel
 
 
+# Overrides that no run accepts: each must exit 1, whatever the command.
+_BAD_SETS = [
+    "transmissibility=1.5", "encounter_rate=nan", "noise_sigma=inf", "horizon=-1",
+    "distance_cap=two", "master_seed=-1", "age_shape=Square", "bogus=1",
+]
+
+
+@st.composite
+def _small_runs(draw, command):
+    """A generate, epidemic or optimize command line at a drawn size, seed
+    and budget, and whether it must exit 1: its edge budget exceeds the
+    pairs, or one override is bad."""
+    n = draw(st.integers(2, 40))
+    max_edges = n * (n - 1) // 2
+    edge_budget = draw(st.integers(0, max_edges + 1))
+    bad = draw(st.none() | st.sampled_from(_BAD_SETS + [f"seed_count={n + 1}"]))
+    args = [
+        command,
+        "--set", f"node_count={n}",
+        "--set", f"edge_budget={edge_budget}",
+        "--set", f"master_seed={draw(st.integers(0, 2**32 - 1))}",
+    ]
+    if command == "optimize":
+        args += ["--budget", str(draw(st.integers(1, 30))),
+                 "--replicates", str(draw(st.integers(1, 3)))]
+    if bad is not None:
+        args += ["--set", bad]
+    return args, bad is not None or edge_budget > max_edges
+
+
+@pytest.mark.parametrize("command", ["generate", "epidemic", "optimize"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_small_runs_rerun_identically_and_stay_finite(command, data):
+    # Drawn seeds, sizes and budgets: a run and its rerun both exit 0, or
+    # both 1 when the input is bad, and, apart from manifest runtimes,
+    # write the same bytes, none of them a NaN or an infinity.
+    args, bad = data.draw(_small_runs(command))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # shortfalls of small budgets
+        runs = [Path(tmp, name) for name in ("run", "rerun")]
+        codes = [main(args + ["--out", str(out)]) for out in runs]
+        assert codes == [int(bad)] * 2
+        if codes[0] == 0:
+            _assert_identical_runs(*runs)
+            for rel, content in _tree_bytes(runs[0]).items():
+                assert not _NON_FINITE.search(content), rel
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+@pytest.mark.parametrize("content", ["i,j\n", ""], ids=["header_only", "empty"])
+def test_an_edge_list_target_without_edges_exits_1(tmp_path, capsys, command, content):
+    net_csv = tmp_path / "target.csv"
+    net_csv.write_text(content, encoding="utf-8")
+    args = [command, "--out", str(tmp_path / "run"), "--target", f"edgelist:{net_csv}",
+            "--set", "node_count=10", "--set", "edge_budget=10"]
+    args += {"sweep": ["--shapes", "U", "--rules", "P+", "--taus", "0.5"],
+             "optimize": ["--budget", "2", "--replicates", "1"]}[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: target: {net_csv}: the edge list has no edges\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_reports_progress_on_stderr_only(tmp_path, capsys, jobs):
     out = tmp_path / "sweep"

@@ -320,6 +320,9 @@ _LADDER_ROWS = (
     Susceptibility.from_transmissibility(0.3),
     Susceptibility(("exposed", "susceptible"), (1, 1), (0.6, 0.5)),
     _AGE_SUSCEPTIBILITY,
+    # thresholds never met at a node that can convert: p1 stays 1
+    Susceptibility(("exposed", "susceptible"), (0, 0), (0.3, 0.2)),
+    Susceptibility(("age_group", "susceptible", "exposed"), (3, 1, 1), (0.5, 0.9, 0.7)),
 )
 
 
@@ -349,6 +352,23 @@ def test_run_si_ladder_rows_equal_their_own_runs(case, ladder):
             assert np.array_equal(trace.seeds, other.seeds)
             assert np.array_equal(trace.distances, other.distances)
             assert np.array_equal(trace.status, other.status)
+
+
+def test_run_si_computes_each_rows_p1_once(monkeypatch):
+    # A node that can convert meets the same conditions at every step, so
+    # each row's per-exposure probabilities are fixed before the first.
+    calls = []
+    per_exposure = Susceptibility.per_exposure
+
+    def counting(self, *args):
+        calls.append(self)
+        return per_exposure(self, *args)
+
+    monkeypatch.setattr(Susceptibility, "per_exposure", counting)
+    net, pop, sc, _ = _ladder_case(6, _PATH_6, _PATH_AGES, horizon=6)
+    ladder = list(_LADDER_ROWS[:5])
+    run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0), susceptibility=ladder)
+    assert calls == ladder
 
 
 def test_run_si_rejects_an_empty_ladder():
