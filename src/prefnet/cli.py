@@ -711,8 +711,9 @@ def main(argv=None) -> int:
         print(f"i/o error: {err}", file=sys.stderr)
         return 2
     except MemoryError as err:
-        print(f"error: {err or 'out of memory'}; lower node_count, edge_budget, horizon "
-              "or distance_cap, or the node ids of an edge-list target", file=sys.stderr)
+        print(f"error: {err or 'out of memory'}; lower node_count, edge_budget, horizon, "
+              "distance_cap or --replicates, or the node ids of an edge-list target",
+              file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - invariant violations surface as exit 3
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)

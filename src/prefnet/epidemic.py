@@ -41,30 +41,11 @@ from .netgen import NetworkSnapshot
 from .scenario import CounterStream, Scenario
 
 
-def _cond_exposed(population, exposures, infected):
-    return (np.asarray(exposures) >= 1).astype(np.int64)
-
-
-def _cond_age_group(population, exposures, infected):
-    if population is None:
-        raise ValueError("condition 'age_group' requires a population")
-    return population.groups
-
-
-def _cond_susceptible(population, exposures, infected):
-    if infected is None:
-        raise ValueError("condition 'susceptible' requires infection status")
-    return (~np.asarray(infected, dtype=bool)).astype(np.int64)
-
-
-# Condition evaluators: (population | None, exposures, infected | None) -> value
-# vector. A susceptibility condition is met when its value equals its
+# Susceptibility conditions. A node that can convert is exposed and
+# susceptible, so both have the value 1 there; "age_group" has the value
+# of the node's decade group. A condition is met when its value equals its
 # threshold exactly.
-_CONDITIONS = {
-    "exposed": _cond_exposed,
-    "age_group": _cond_age_group,
-    "susceptible": _cond_susceptible,
-}
+_CONDITIONS = ("age_group", "exposed", "susceptible")
 
 
 @dataclass(frozen=True)
@@ -107,13 +88,14 @@ class Susceptibility:
             raise ValueError(f"transmissibility must lie in [0, 1], got {tau!r}")
         return cls(("exposed",), (1,), (tau,))
 
-    def per_exposure(self, exposures, population=None, infected=None) -> np.ndarray:
-        """Vector of per-exposure probabilities, one entry per node."""
-        exposures = np.asarray(exposures)
-        prob = np.ones(exposures.shape[0])
+    def per_exposure(self, population: Population) -> np.ndarray:
+        """Per-exposure probability p1 of each node, as a node that can
+        convert has it: exposed, susceptible and in its age group. One
+        entry per node; other nodes never read theirs."""
+        prob = np.ones(population.size)
         for name, theta, w in zip(self.conditions, self.thresholds, self.multipliers):
-            value = _CONDITIONS[name](population, exposures, infected)
-            prob = np.where(np.asarray(value) == theta, prob * w, prob)
+            value = population.groups if name == "age_group" else 1
+            prob = np.where(value == theta, prob * w, prob)
         return prob
 
 
@@ -263,8 +245,7 @@ def run_si(
     distances = multi_source_distances(net, seeds)
     nbr, deg = net.neighbours, net.degrees
     reachable = distances <= scenario.distance_cap
-    all_exposed, none_infected = np.ones(n, np.int64), np.zeros(n, bool)
-    p1 = np.stack([row.per_exposure(all_exposed, population, none_infected) for row in rows])
+    p1 = np.stack([row.per_exposure(population) for row in rows])
 
     status = np.zeros((len(rows), scenario.horizon + 1, n), dtype=bool)
     status[:, 0, seeds] = True
@@ -352,17 +333,16 @@ def par_by_group(
     return np.divide(counts, sizes, out=np.full(GROUP_COUNT, np.nan), where=sizes > 0)
 
 
-def risk_report(
-    trace: EpidemicTrace, population: Population, net: NetworkSnapshot | None = None
-) -> dict:
-    """JSON-ready summary: seeds, final share, the PaR matrix, per-group
-    PaR at the widest valid window, and the infection-by-distance table."""
+def risk_report(trace: EpidemicTrace, population: Population, net: NetworkSnapshot) -> dict:
+    """JSON-ready summary: seeds and their degrees in `net`, final share,
+    the PaR matrix, per-group PaR at the widest valid window, and the
+    infection-by-distance table."""
     table = infection_by_distance(trace)
     matrix = _par_from_counts(table, trace.node_count)
     final_t = trace.horizon
     final_d = min(trace.distance_cap, final_t)
     groups = par_by_group(trace, population, final_t, final_d)
-    report = {
+    return {
         "seeds": [int(s) for s in trace.seeds],
         "horizon": trace.horizon,
         "distance_cap": trace.distance_cap,
@@ -372,10 +352,8 @@ def risk_report(
         "par_by_group": [None if math.isnan(x) else x for x in groups.tolist()],
         "infection_by_distance": table.tolist(),
         "group_width": GROUP_WIDTH,
+        "seed_degrees": [int(net.degrees[s]) for s in trace.seeds],
     }
-    if net is not None:
-        report["seed_degrees"] = [int(net.degrees[s]) for s in trace.seeds]
-    return report
 
 
 def trace_to_csv(trace: EpidemicTrace, path) -> None:

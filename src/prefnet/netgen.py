@@ -346,22 +346,18 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
     )
 
 
-def save_network(net: NetworkSnapshot, path, meta_path=None) -> None:
-    """Write an i,j,gamma edge list (and optionally a JSON side file with
-    node count and provenance)."""
+def save_network(net: NetworkSnapshot, path, meta_path) -> None:
+    """Write an i,j,gamma edge list to `path` and a JSON side file with
+    node count, edge count and provenance to `meta_path`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("i,j,gamma\n")
         for s in range(0, net.edge_count, _WRITE_BLOCK):
             edges, gamma = net.edges[s : s + _WRITE_BLOCK], net.gamma[s : s + _WRITE_BLOCK]
             rows = zip(edges[:, 0].tolist(), edges[:, 1].tolist(), gamma.tolist())
             fh.write("".join([f"{i},{j},{g!r}\n" for i, j, g in rows]))
-    if meta_path is not None:
-        meta = {
-            "node_count": net.node_count,
-            "edge_count": net.edge_count,
-            "provenance": net.provenance,
-        }
-        write_json(meta_path, meta)
+    meta = {"node_count": net.node_count, "edge_count": net.edge_count,
+            "provenance": net.provenance}
+    write_json(meta_path, meta)
 
 
 def _is_number(text: str) -> bool:
@@ -372,12 +368,12 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
+def load_edge_list(path) -> NetworkSnapshot:
     """Read an edge list CSV with columns i,j[,gamma]; the first non-empty
     row is a header when its first cell is not a number. Gamma must be
     finite; self-loops, repeated pairs (in either orientation), negative
-    ids, ids at or beyond node_count and ids whose node count would not fit
-    int64 are errors that name the line. Node count defaults to max id + 1."""
+    ids and ids whose node count would not fit int64 are errors that name
+    the line. The node count is max id + 1 (0 with no edges)."""
     rows: list[tuple[int, int, float]] = []
     first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -399,11 +395,6 @@ def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
             raise ValueError(f"{path}: line {line}: self-loop {i},{j}")
         if min(i, j) < 0:
             raise ValueError(f"{path}: line {line}: node ids must be non-negative, got {i},{j}")
-        if node_count is not None and max(i, j) >= node_count:
-            raise ValueError(
-                f"{path}: line {line}: node id {max(i, j)} out of range for "
-                f"node_count {node_count}"
-            )
         if max(i, j) >= _ID_LIMIT:
             raise ValueError(
                 f"{path}: line {line}: node id {max(i, j)} too large; ids must be below "
@@ -423,8 +414,7 @@ def load_edge_list(path, node_count: int | None = None) -> NetworkSnapshot:
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
         gamma = np.zeros(0)
-    inferred = int(edges.max()) + 1 if edges.size else 0
-    n = node_count if node_count is not None else inferred
+    n = int(edges.max()) + 1 if edges.size else 0
     order = _sorted_edge_order(edges) if edges.size else np.zeros(0, dtype=np.int64)
     return NetworkSnapshot(
         node_count=n,

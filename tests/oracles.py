@@ -4,7 +4,11 @@ Each scalar function scores or decides one pair or one node at a time,
 straight from the model's definitions; the package computes the same
 quantities in bulk (growth of one network or of a fit's replicates in
 `netgen.keep_pairs`, which scores each age code in use once; the
-vectorised SI step in `epidemic.run_si`). The dense functions run the SI
+vectorised SI step in `epidemic.run_si`). `per_exposure` has its own
+condition rule: it reads each condition at each node and step from its
+definition (E >= 1, not infected, the decade group), where the package
+fixes each node's p1 before the first step as that of a node that can
+convert, exposed and susceptible. The dense functions run the SI
 process and the seed distances on an n x n adjacency matrix, the way the
 package did before it worked from the edge list and neighbour lists. The
 PaR functions mask the trace once per (time, distance) window, the way the
@@ -23,7 +27,7 @@ import numpy as np
 
 from prefnet.epidemic import EpidemicTrace, SeedRule, select_seeds, Susceptibility
 from prefnet.features import (
-    AGE_SPAN, age_pair_scores, GROUP_COUNT, group_counts, Population, sample_ages,
+    AGE_SPAN, age_pair_scores, GROUP_COUNT, GROUP_WIDTH, group_counts, Population, sample_ages,
 )
 from prefnet.netgen import NetworkSnapshot, PairDraws
 from prefnet.netmetrics import PatternDistribution
@@ -121,6 +125,33 @@ def pair_score(
     )
 
 
+def _condition_value(name: str, v: int, exposures, population, infected) -> int:
+    if name == "exposed":
+        return int(exposures[v] >= 1)
+    if name == "susceptible":
+        return int(not infected[v])
+    return int(population.ages[v]) // GROUP_WIDTH  # "age_group": the decade group
+
+
+def per_exposure(
+    susceptibility: Susceptibility, exposures, population: Population | None, infected
+) -> np.ndarray:
+    """Per-exposure probability p1 of each node at one step, node by node
+    from the definitions: "exposed" has the value 1 when the node has at
+    least one infected neighbour (E >= 1), else 0; "susceptible" has the
+    value 1 when the node is not infected, else 0; "age_group" has the
+    value of the node's decade group. p1 is the product, in condition
+    order, of the multipliers of the conditions whose value equals their
+    threshold. `population` is read only for "age_group"."""
+    s = susceptibility
+    p1 = np.ones(len(exposures))
+    for v in range(len(exposures)):
+        for name, theta, w in zip(s.conditions, s.thresholds, s.multipliers):
+            if _condition_value(name, v, exposures, population, infected) == theta:
+                p1[v] *= w
+    return p1
+
+
 def transition_probability(
     node: int,
     susceptibility: Susceptibility,
@@ -130,17 +161,17 @@ def transition_probability(
 ) -> float:
     """Probability that a susceptible node converts this step given its
     count of infected neighbours: 1 - (1 - p1)^exposures, 0 when there are
-    no exposures."""
+    no exposures. Without `infected`, no node is infected."""
     if exposures < 0:
         raise ValueError(f"exposures must be non-negative, got {exposures}")
     if exposures == 0:
         return 0.0
-    if population is not None:
-        evec = np.zeros(population.size, dtype=np.int64)
-        evec[node] = exposures
-        p1 = susceptibility.per_exposure(evec, population, infected)[node]
-    else:
-        p1 = susceptibility.per_exposure(np.array([exposures]), None, infected)[0]
+    n = population.size if population is not None else node + 1
+    evec = np.zeros(n, dtype=np.int64)
+    evec[node] = exposures
+    if infected is None:
+        infected = np.zeros(n, dtype=bool)
+    p1 = per_exposure(susceptibility, evec, population, infected)[node]
     return float(1.0 - (1.0 - p1) ** exposures)
 
 
@@ -181,7 +212,9 @@ def run_si(
     susceptibility: Susceptibility | None = None,
 ) -> EpidemicTrace:
     """The synchronous SI process with exposures from a dense matrix-vector
-    product: row t counts each node's infected neighbours as adj @ status."""
+    product: row t counts each node's infected neighbours as adj @ status,
+    and every node's p1 is evaluated afresh at every step from that step's
+    exposures and infection status."""
     n = net.node_count
     if population.size != n or scenario.node_count != n:
         raise ValueError("network, population and scenario disagree on node count")
@@ -200,7 +233,7 @@ def run_si(
     for t in range(1, scenario.horizon + 1):
         prev = status[t - 1]
         exposures = adj_int @ prev
-        p1 = susceptibility.per_exposure(exposures, population, prev)
+        p1 = per_exposure(susceptibility, exposures, population, prev)
         prob = 1.0 - (1.0 - p1) ** exposures
         eligible = (~prev) & (exposures > 0) & reachable
         draws = stream.uniforms(t, n)

@@ -181,12 +181,15 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-@pytest.mark.parametrize("case", ["distance_cap", "edge_list_id"])
+@pytest.mark.parametrize("case", ["distance_cap", "replicates", "edge_list_id"])
 def test_a_run_too_large_for_memory_exits_1_naming_the_size_fields(tmp_path, case):
-    # Each run asks numpy for far more than 3 GiB: a 52 GiB distance count
-    # table, or degree counts for 10^12 + 1 nodes. Run only under the cap.
+    # Each run asks numpy for more than 3 GiB: a 52 GiB distance count
+    # table, 4.9 GiB of pair draws for 100000 replicates, or degree counts
+    # for 10^12 + 1 nodes. Run only under the cap.
     if case == "distance_cap":
         args = ["epidemic", "--set", "distance_cap=1000000000"]
+    elif case == "replicates":
+        args = ["optimize", "--replicates", "100000", "--budget", "1"]
     else:
         edges = tmp_path / "edges.csv"
         edges.write_text("0,1\n1,1000000000000\n", encoding="utf-8")
@@ -200,7 +203,8 @@ def test_a_run_too_large_for_memory_exits_1_naming_the_size_fields(tmp_path, cas
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: Unable to allocate ")
     assert "internal error" not in result.stderr
-    for field_name in ("node_count", "edge_budget", "horizon", "distance_cap", "edge-list"):
+    for field_name in ("node_count", "edge_budget", "horizon", "distance_cap", "--replicates",
+                       "edge-list"):
         assert field_name in result.stderr
 
 

@@ -121,6 +121,34 @@ def test_transition_probability_saturates():
     assert transition_probability(0, s, 3) == 1.0
 
 
+_CONDITION_NAMES = ("exposed", "age_group", "susceptible")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_CONDITION_NAMES),
+            # -1, 2 and above never hold for exposed or susceptible, 9 and
+            # above for an age group; 0.5 never holds for any
+            st.one_of(st.integers(-1, 10), st.just(0.5)),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.integers(0, AGE_SPAN - 1), min_size=1, max_size=30),
+)
+def test_per_exposure_is_the_oracles_p1_at_nodes_that_can_convert(conditions, ages):
+    # A node that can convert is exposed and not infected: the package's
+    # p1 must equal the oracle's, read from the definitions at such a node.
+    s = Susceptibility(*zip(*conditions))
+    pop = Population(np.array(ages))
+    n = pop.size
+    ref = oracles.per_exposure(s, np.ones(n, np.int64), pop, np.zeros(n, bool))
+    assert s.per_exposure(pop).tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Seed selection
 
@@ -531,7 +559,8 @@ def test_par_reads_match_the_per_window_oracle(horizon, cap, nodes):
     expected = oracles.par_matrix(trace)
     assert np.array_equal(par_matrix(trace), expected, equal_nan=True)
     final_d = min(cap, horizon)
-    assert risk_report(trace, pop)["final_share"] == oracles.par(trace, horizon, final_d)
+    report = risk_report(trace, pop, _net(n, []))
+    assert report["final_share"] == oracles.par(trace, horizon, final_d)
     for t in range(horizon + 1):
         for d in range(min(t, cap) + 1):
             assert par(trace, t, d) == oracles.par(trace, t, d)

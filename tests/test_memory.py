@@ -112,9 +112,9 @@ def test_save_network_memory_does_not_grow_with_edges(tmp_path):
         return NetworkSnapshot(n, pairs[keep], rng.random(edge_count))
 
     small, large = net(40_000), net(160_000)
-    save_network(net(100), tmp_path / "warm.csv")
-    small_peak = _traced_peak(save_network, small, tmp_path / "small.csv")
-    large_peak = _traced_peak(save_network, large, tmp_path / "large.csv")
+    save_network(net(100), tmp_path / "warm.csv", tmp_path / "warm.json")
+    small_peak = _traced_peak(save_network, small, tmp_path / "small.csv", tmp_path / "s.json")
+    large_peak = _traced_peak(save_network, large, tmp_path / "large.csv", tmp_path / "l.json")
     assert large_peak < 1.5 * small_peak
 
 
@@ -131,7 +131,7 @@ def test_small_blocks_give_the_same_results(tmp_path, monkeypatch):
     def run(out):
         draws = pair_draws(sc, 3)
         net = generate_network(pop, sc, pair_draws(sc))
-        save_network(net, out)
+        save_network(net, out, out.with_suffix(".json"))
         star = _star_with_last_hub(40)
         return (draws, net, out.read_bytes(), clustering_values(net),
                 shortest_path_matrix(net), shortest_path_matrix(star))

@@ -1,8 +1,12 @@
 """Pair scoring, budgeted growth and the scale-free target."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prefnet.features import age_pair_scores, AGE_SPAN, make_population, Population
 from prefnet.netgen import (
@@ -480,10 +484,36 @@ def test_edge_list_round_trip(tmp_path):
     net = ba_target(12, 3, RngPolicy(4).stream("optimizer", 0))
     path = tmp_path / "net.csv"
     save_network(net, path, tmp_path / "net.json")
-    loaded = load_edge_list(path, node_count=12)
+    loaded = load_edge_list(path)
     assert loaded.node_count == 12
     assert np.array_equal(loaded.edges, net.edges)
     assert np.array_equal(loaded.gamma, net.gamma)
+
+
+@st.composite
+def _sizes(draw):
+    n = draw(st.integers(2, 40))
+    return n, draw(st.integers(0, n * (n - 1) // 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), _sizes(), st.sampled_from([0.0, 0.005, 0.3]))
+@example(0, (5, 0), 0.0)  # no edges: the file has a header alone and 0 nodes
+def test_edge_list_round_trip_of_generated_networks(seed, sizes, sigma):
+    # Gamma is the scored strength of each kept pair, so the noise widths
+    # give gammas of many lengths; repr must bring each back bit for bit.
+    n, budget = sizes
+    sc = Scenario(node_count=n, edge_budget=budget, noise_sigma=sigma, master_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a budget beyond the met pairs warns
+        net = generate_network(make_population(sc), sc, pair_draws(sc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.csv"
+        save_network(net, path, Path(tmp) / "net.json")
+        loaded = load_edge_list(path)
+    assert np.array_equal(loaded.edges, net.edges)
+    assert loaded.gamma.tobytes() == net.gamma.tobytes()
+    assert loaded.node_count == (int(net.edges.max()) + 1 if net.edge_count else 0)
 
 
 def test_edge_list_normalises_unordered_rows(tmp_path):
@@ -503,32 +533,30 @@ def test_edge_list_rejects_self_loop(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "rows, node_count, message",
+    "rows, message",
     [
-        ("0,1\n1,2\n0,1\n", None, "raw.csv: lines 2 and 4: repeated edge 0,1"),
-        ("0,1\n1,2\n1,0\n", None, "raw.csv: lines 2 and 4: repeated edge 0,1"),
-        ("0,1\n-1,2\n", None, "raw.csv: line 3: node ids must be non-negative, got -1,2"),
-        ("0,1\n1,5\n", 5, "raw.csv: line 3: node id 5 out of range for node_count 5"),
-        ("0,1\n0,18446744073709551616\n", None,
+        ("0,1\n1,2\n0,1\n", "raw.csv: lines 2 and 4: repeated edge 0,1"),
+        ("0,1\n1,2\n1,0\n", "raw.csv: lines 2 and 4: repeated edge 0,1"),
+        ("0,1\n-1,2\n", "raw.csv: line 3: node ids must be non-negative, got -1,2"),
+        ("0,1\n0,18446744073709551616\n",
          "raw.csv: line 3: node id 18446744073709551616 too large; ids must be below "
          "9223372036854775807 for the node count to fit int64"),
-        ("0,9223372036854775807\n", None,
+        ("0,9223372036854775807\n",
          "raw.csv: line 2: node id 9223372036854775807 too large"),
     ],
-    ids=["repeat", "repeat-reversed", "negative", "beyond-node-count", "beyond-int64",
-         "node-count-beyond-int64"],
+    ids=["repeat", "repeat-reversed", "negative", "beyond-int64", "node-count-beyond-int64"],
 )
-def test_edge_list_bad_rows_name_file_and_line(tmp_path, rows, node_count, message):
+def test_edge_list_bad_rows_name_file_and_line(tmp_path, rows, message):
     path = tmp_path / "raw.csv"
     path.write_text("i,j\n" + rows, encoding="utf-8")
     with pytest.raises(ValueError, match=message):
-        load_edge_list(path, node_count=node_count)
+        load_edge_list(path)
 
 
 def test_save_network_writes_repr_rows(tmp_path):
     net = NetworkSnapshot(4, np.array([(0, 1), (1, 3)]), np.array([0.1 + 0.2, 1e-05]))
     path = tmp_path / "net.csv"
-    save_network(net, path)
+    save_network(net, path, tmp_path / "net.json")
     assert path.read_bytes() == b"i,j,gamma\n0,1,0.30000000000000004\n1,3,1e-05\n"
 
 
