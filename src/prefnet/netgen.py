@@ -150,7 +150,8 @@ def pair_draws(scenario: Scenario, replicates: int = 1) -> PairDraws:
     draws continuing each stream where the last block left it, so the
     draws equal one draw over all pairs. A first pass keeps one bit per
     pair for every replicate's encounters; the second writes each
-    replicate's met pairs into its row, sized from the first.
+    replicate's met pairs into its row, sized from the first. A jitter
+    that overflows to infinity is a ValueError naming noise_sigma.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be positive, got {replicates}")
@@ -185,7 +186,12 @@ def pair_draws(scenario: Scenario, replicates: int = 1) -> PairDraws:
             i[r, block] = bi[hit] + r * n
             j[r, block] = bj[hit] + r * n
             if sigma > 0:
-                jitter[r, block] = noise[r].normal(0.0, sigma, hit.shape[0])[hit]
+                drawn = noise[r].normal(0.0, sigma, hit.shape[0])[hit]
+                if not np.isfinite(drawn).all():
+                    raise ValueError(
+                        f"noise_sigma: {sigma!r} draws a jitter beyond the float range"
+                    )
+                jitter[r, block] = drawn
             else:
                 jitter[r, block] = 0.0
             at[r] = block.stop
@@ -353,8 +359,13 @@ def save_network(net: NetworkSnapshot, path, meta_path) -> None:
         fh.write("i,j,gamma\n")
         for s in range(0, net.edge_count, _WRITE_BLOCK):
             edges, gamma = net.edges[s : s + _WRITE_BLOCK], net.gamma[s : s + _WRITE_BLOCK]
-            rows = zip(edges[:, 0].tolist(), edges[:, 1].tolist(), gamma.tolist())
-            fh.write("".join([f"{i},{j},{g!r}\n" for i, j, g in rows]))
+            # One % call formats the whole block in C: %d writes str(int) and
+            # %r writes repr(float), so no string is built per row.
+            fields = [None] * (3 * gamma.shape[0])
+            fields[0::3] = edges[:, 0].tolist()
+            fields[1::3] = edges[:, 1].tolist()
+            fields[2::3] = gamma.tolist()
+            fh.write(("%d,%d,%r\n" * gamma.shape[0]) % tuple(fields))
     meta = {"node_count": net.node_count, "edge_count": net.edge_count,
             "provenance": net.provenance}
     write_json(meta_path, meta)

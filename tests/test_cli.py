@@ -233,6 +233,25 @@ def test_non_finite_noise_sigma_rejected(tmp_path, capsys, value):
     assert "noise_sigma" in capsys.readouterr().err
 
 
+_JITTER_RUNS = {
+    "epidemic": [],
+    "sweep": ["--shapes", "U", "--rules", "PH", "--taus", "0.2"],
+    "optimize": ["--budget", "2", "--replicates", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JITTER_RUNS))
+def test_noise_sigma_whose_jitter_overflows_rejected(tmp_path, capsys, command):
+    # A finite noise_sigma of 1e308 draws jitters beyond the float range,
+    # which would reach network.csv as inf gammas; 1e300 still fits.
+    args = [command, *_JITTER_RUNS[command]]
+    assert main(args + ["--out", str(tmp_path / "big"), "--set", "noise_sigma=1e308"]) == 1
+    assert "error: noise_sigma:" in capsys.readouterr().err
+    assert main(args + ["--out", str(tmp_path / "ok"), "--set", "noise_sigma=1e300"]) == 0
+    for net_csv in (tmp_path / "ok").rglob("network.csv"):
+        assert not _NON_FINITE.search(net_csv.read_bytes()), net_csv
+
+
 def test_missing_scenario_file_is_io_error(tmp_path):
     code = main(["generate", "--scenario", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o")])

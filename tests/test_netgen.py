@@ -1,5 +1,6 @@
 """Pair scoring, budgeted growth and the scale-free target."""
 
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prefnet import netgen
 from prefnet.features import age_pair_scores, AGE_SPAN, make_population, Population
 from prefnet.netgen import (
     age_code_slots,
@@ -558,6 +560,31 @@ def test_save_network_writes_repr_rows(tmp_path):
     path = tmp_path / "net.csv"
     save_network(net, path, tmp_path / "net.json")
     assert path.read_bytes() == b"i,j,gamma\n0,1,0.30000000000000004\n1,3,1e-05\n"
+
+
+@st.composite
+def _edge_rows(draw):
+    """n up to 300, a sorted list of distinct pairs i < j, and one gamma
+    per pair: any float, with the ones whose repr is unusual drawn often."""
+    n = draw(st.integers(2, 300))
+    pair = st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    pairs = sorted(draw(st.sets(pair, max_size=40)))
+    gamma = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, math.inf, math.nan])
+    return n, pairs, draw(st.lists(gamma, min_size=len(pairs), max_size=len(pairs)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_edge_rows(), st.sampled_from([1, 3, 4096]))
+def test_save_network_writes_each_row_as_its_repr(rows, block):
+    # Whatever the block size, each row reads str(i), str(j) and repr(gamma).
+    n, pairs, gammas = rows
+    net = NetworkSnapshot(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(gammas))
+    want = "i,j,gamma\n" + "".join(f"{i},{j},{g!r}\n" for (i, j), g in zip(pairs, gammas))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netgen, "_WRITE_BLOCK", block)
+        path = Path(tmp) / "net.csv"
+        save_network(net, path, Path(tmp) / "net.json")
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_edge_list_rejects_short_row(tmp_path):
