@@ -33,7 +33,8 @@ def main():
         ba_target(sc.node_count, 20, RngPolicy(sc.master_seed).stream("optimizer", 0))
     )
 
-    result = optimize(sc, target, budget=args.budget, replicates=args.replicates)
+    draws = replicate_draws(sc, args.replicates, target)
+    result = optimize(sc, draws, budget=args.budget)
     best = result.best
     scores = sum(len(r.js) for r in result.log)
     print(f"budget {args.budget} x {args.replicates} replicates "
@@ -47,7 +48,6 @@ def main():
 
     print()
     print("pure rules on the same target, same replicate draws:")
-    draws = replicate_draws(sc, args.replicates, target)
     for rule, pref in RULE_PREFERENCES.items():
         mean, _ = evaluate(pref, sc, draws)
         marker = "  <- beaten" if best.objective < mean else ""

@@ -9,9 +9,11 @@ and `report` re-reads a finished run directory and summarises it.
 All outputs are plain CSV / JSON files (format in `artifacts`) under a
 run directory (--out, or the PREFNET_OUT environment variable). Each
 artifact's name is recorded as its path is handed out, so the manifest
-lists exactly the files written, next to per-stage seconds (per-cell
-seconds, `cell:<name>`, for a sweep). Apart from those runtimes, reruns
-of the same command are byte-identical.
+lists exactly the files written, next to each stage's seconds, all timed
+by `_RunDir.stage` (`optimize`'s `draws` and `search` among them). A
+sweep also records each cell's seconds, `cell:<name>`, and its `grow`,
+`write_network`, `analyze` and `epidemic` seconds under `cell_runtimes`.
+Apart from those runtimes, reruns of the same command are byte-identical.
 
 Exit codes: 0 success, 1 validation or usage error (a malformed manifest
 given to `report` included), a run too large for memory or a closed
@@ -25,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -56,7 +59,7 @@ from .netmetrics import (
     NetworkPatterns,
     PatternDistribution,
 )
-from .optimizer import log_to_csv, optimize, result_to_json
+from .optimizer import log_to_csv, optimize, replicate_draws, result_to_json
 from .scenario import (
     preset,
     load_scenario,
@@ -99,12 +102,14 @@ class _Parser(argparse.ArgumentParser):
 class _RunDir:
     """A run's output directory. `path` hands out where an artifact goes
     and records its name, so the manifest lists exactly what was written;
-    `sub` shares the record with a subdirectory. Paths are plain strings:
-    no `Path` is parsed (and its parts interned) per artifact."""
+    `stage` records the seconds a stage of the run takes; `sub` shares
+    both records with a subdirectory. Paths are plain strings: no `Path`
+    is parsed (and its parts interned) per artifact."""
 
     root: str
     prefix: str = ""
     outputs: list[str] = field(default_factory=list)
+    runtimes: dict[str, float] = field(default_factory=dict)
 
     def path(self, name: str) -> str:
         self.outputs.append(self.prefix + name)
@@ -113,10 +118,22 @@ class _RunDir:
     def sub(self, name: str) -> _RunDir:
         prefix = f"{self.prefix}{name}/"
         os.makedirs(os.path.join(self.root, prefix), exist_ok=True)
-        return _RunDir(self.root, prefix, self.outputs)
+        return _RunDir(self.root, prefix, self.outputs, self.runtimes)
 
-    def write_manifest(self, command: str, scenario: Scenario, runtimes: dict) -> None:
-        """Write manifest.json: inputs by hash, outputs by name, stage seconds."""
+    @contextmanager
+    def stage(self, name: str):
+        """Record the seconds the `with` block takes, to the microsecond,
+        as stage `name`."""
+        clock = time.perf_counter
+        start = clock()
+        yield
+        self.runtimes[name] = round(clock() - start, 6)
+
+    def write_manifest(
+        self, command: str, scenario: Scenario, cell_runtimes: dict | None = None
+    ) -> None:
+        """Write manifest.json: inputs by hash, outputs by name, stage
+        seconds, and a sweep's stage seconds per cell."""
         for name in self.outputs:
             try:
                 written = os.stat(os.path.join(self.root, name))
@@ -130,8 +147,10 @@ class _RunDir:
             "master_seed": scenario.master_seed,
             "version": __version__,
             "outputs": sorted(self.outputs),
-            "runtimes": {k: round(v, 6) for k, v in runtimes.items()},
+            "runtimes": self.runtimes,
         }
+        if cell_runtimes is not None:
+            payload["cell_runtimes"] = cell_runtimes
         write_json(os.path.join(self.root, "manifest.json"), payload)
 
 
@@ -241,35 +260,30 @@ def _parse_taus(text: str | None) -> list[float]:
 # Shared artifact writers
 
 
-def _grow(scenario: Scenario, runtimes: dict) -> tuple[Population, NetworkSnapshot]:
-    """Draw the population and the replicate-0 pairs and grow the network;
-    records the seconds spent in runtimes["grow"]."""
-    t0 = time.perf_counter()
-    population = make_population(scenario)
-    net = generate_network(population, scenario, pair_draws(scenario))
-    runtimes["grow"] = time.perf_counter() - t0
+def _grow(run: _RunDir, scenario: Scenario) -> tuple[Population, NetworkSnapshot]:
+    """Draw the population and the replicate-0 pairs and grow the network,
+    as stage "grow"."""
+    with run.stage("grow"):
+        population = make_population(scenario)
+        net = generate_network(population, scenario, pair_draws(scenario))
     return population, net
 
 
 def _generate_artifacts(
-    run: _RunDir, scenario: Scenario, population: Population, net: NetworkSnapshot,
-    runtimes: dict,
+    run: _RunDir, scenario: Scenario, population: Population, net: NetworkSnapshot
 ) -> NetworkPatterns:
     """Write population, edge list, summary and the three pattern
-    distributions of a grown network. Records the seconds spent writing the
-    edge list and analysing in runtimes."""
+    distributions of a grown network; writing the edge list and analysing
+    are stages "write_network" and "analyze"."""
     save_scenario(scenario, run.path("scenario.txt"))
     population_to_csv(population, run.path("population.csv"))
     shape = scenario.age_shape
     counts = group_counts(shape, scenario.node_count).tolist()
     write_json(run.path("group_counts.json"), {"shape": shape.value, "counts": counts})
-    t0 = time.perf_counter()
-    save_network(net, run.path("network.csv"), run.path("network_meta.json"))
-    t1 = time.perf_counter()
-    patterns = analyze(net)
-    t2 = time.perf_counter()
-    runtimes["write_network"] = t1 - t0
-    runtimes["analyze"] = t2 - t1
+    with run.stage("write_network"):
+        save_network(net, run.path("network.csv"), run.path("network_meta.json"))
+    with run.stage("analyze"):
+        patterns = analyze(net)
     write_json(run.path("summary.json"), asdict(patterns.summary))
     distribution_to_csv(patterns.degree, run.path("degree_distribution.csv"))
     distribution_to_csv(patterns.clustering, run.path("clustering_distribution.csv"))
@@ -310,12 +324,10 @@ def _epidemic_artifacts(
 def cmd_generate(args) -> int:
     scenario = _resolve_scenario(args)
     run = _resolve_out(args)
-    runtimes: dict = {}
-    t0 = time.perf_counter()
-    population, net = _grow(scenario, runtimes)
-    patterns = _generate_artifacts(run, scenario, population, net, runtimes)
-    runtimes["generate"] = time.perf_counter() - t0
-    run.write_manifest("generate", scenario, runtimes)
+    with run.stage("generate"):
+        population, net = _grow(run, scenario)
+        patterns = _generate_artifacts(run, scenario, population, net)
+    run.write_manifest("generate", scenario)
     stats = patterns.summary
     _emit(
         f"generate: {net.edge_count} edges, mean degree {stats.degree_avg:.2f}, "
@@ -327,16 +339,13 @@ def cmd_generate(args) -> int:
 def cmd_epidemic(args) -> int:
     scenario = _resolve_scenario(args)
     run = _resolve_out(args)
-    runtimes: dict = {}
-    t0 = time.perf_counter()
-    population, net = _grow(scenario, runtimes)
-    _generate_artifacts(run, scenario, population, net, runtimes)
-    t1 = time.perf_counter()
-    [trace] = _outbreaks(net, population, scenario, [scenario.transmissibility])
-    report = _epidemic_artifacts(run, trace, net, population)
-    runtimes["generate"] = t1 - t0
-    runtimes["epidemic"] = time.perf_counter() - t1
-    run.write_manifest("epidemic", scenario, runtimes)
+    with run.stage("generate"):
+        population, net = _grow(run, scenario)
+        _generate_artifacts(run, scenario, population, net)
+    with run.stage("epidemic"):
+        [trace] = _outbreaks(net, population, scenario, [scenario.transmissibility])
+        report = _epidemic_artifacts(run, trace, net, population)
+    run.write_manifest("epidemic", scenario)
     _emit(
         f"epidemic: seeds {report['seeds']}, infected {report['infected_total']}"
         f"/{scenario.node_count} by step {scenario.horizon} -> {run.root}"
@@ -352,37 +361,39 @@ def _run_sweep_cell(
     name: str,
     scenario: Scenario,
     population: Population,
-) -> tuple[dict, list[str], float]:
+) -> tuple[dict, list[str], dict[str, float]]:
     """One (shape, rule) cell, grown from the sweep's pair draws and its
     shape's population; runs in a worker process when cells run in
     parallel. Returns the cell's aggregate entry, the outputs it wrote and
-    its seconds."""
-    t0 = time.perf_counter()
+    its stage seconds, the whole cell's as stage "cell"."""
     cell = _RunDir(root).sub(f"cells/{name}")
-    net = generate_network(population, scenario, draws)
-    patterns = _generate_artifacts(cell, scenario, population, net, {})
-    diag = min(scenario.horizon, scenario.distance_cap)
-    par_rows = []
-    for tau, trace in zip(taus, _outbreaks(net, population, scenario, taus)):
-        report = _epidemic_artifacts(cell.sub(f"tau_{tau!r}"), trace, net, population)
-        par_rows.append(
-            {
-                "tau": tau,
-                "infected_total": report["infected_total"],
-                "final_share": report["final_share"],
-                "par_diagonal": [report["par"][k][k] for k in range(1, diag + 1)],
-            }
-        )
-    entry = {
-        "name": name,
-        "shape": scenario.age_shape.value,
-        "rule": scenario.rule.value,
-        "js": js_divergence(patterns.degree, target),
-        "unconnected": patterns.summary.unconnected_count,
-        "clustering_avg": patterns.summary.clustering_avg,
-        "par": par_rows,
-    }
-    return entry, cell.outputs, time.perf_counter() - t0
+    with cell.stage("cell"):
+        with cell.stage("grow"):
+            net = generate_network(population, scenario, draws)
+        patterns = _generate_artifacts(cell, scenario, population, net)
+        diag = min(scenario.horizon, scenario.distance_cap)
+        par_rows = []
+        with cell.stage("epidemic"):
+            for tau, trace in zip(taus, _outbreaks(net, population, scenario, taus)):
+                report = _epidemic_artifacts(cell.sub(f"tau_{tau!r}"), trace, net, population)
+                par_rows.append(
+                    {
+                        "tau": tau,
+                        "infected_total": report["infected_total"],
+                        "final_share": report["final_share"],
+                        "par_diagonal": [report["par"][k][k] for k in range(1, diag + 1)],
+                    }
+                )
+        entry = {
+            "name": name,
+            "shape": scenario.age_shape.value,
+            "rule": scenario.rule.value,
+            "js": js_divergence(patterns.degree, target),
+            "unconnected": patterns.summary.unconnected_count,
+            "clustering_avg": patterns.summary.clustering_avg,
+            "par": par_rows,
+        }
+    return entry, cell.outputs, cell.runtimes
 
 
 def cmd_sweep(args) -> int:
@@ -399,62 +410,64 @@ def cmd_sweep(args) -> int:
     shapes = _parse_axis(args.shapes, SHAPE_CODES, "shapes")
     rules = _parse_axis(args.rules, RULE_CODES, "rules")
     taus = _parse_taus(args.taus)
-    t_target = time.perf_counter()
-    target, target_text = _resolve_target(args.target, scenario)
+    with run.stage("target"):
+        target, target_text = _resolve_target(args.target, scenario)
 
-    t0 = time.perf_counter()
-    save_scenario(scenario, run.path("scenario.txt"))
-    distribution_to_csv(target, run.path("target_degree_distribution.csv"))
-    code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
-    grid = [(shape, rule) for shape in shapes for rule in rules]
-    names = [f"{code_of_shape[shape]}_{rule.value}" for shape, rule in grid]
-    scenarios = [scenario.with_overrides(age_shape=shape, rule=rule) for shape, rule in grid]
-    population_of_shape = {
-        shape: make_population(scenario.with_overrides(age_shape=shape)) for shape in shapes
-    }
-    populations = [population_of_shape[shape] for shape, _ in grid]
-    run_cell = partial(_run_sweep_cell, run.root, target, taus, pair_draws(scenario))
-    results = []
+    with run.stage("sweep"):
+        save_scenario(scenario, run.path("scenario.txt"))
+        distribution_to_csv(target, run.path("target_degree_distribution.csv"))
+        code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
+        grid = [(shape, rule) for shape in shapes for rule in rules]
+        names = [f"{code_of_shape[shape]}_{rule.value}" for shape, rule in grid]
+        scenarios = [scenario.with_overrides(age_shape=shape, rule=rule) for shape, rule in grid]
+        population_of_shape = {
+            shape: make_population(scenario.with_overrides(age_shape=shape)) for shape in shapes
+        }
+        populations = [population_of_shape[shape] for shape, _ in grid]
+        run_cell = partial(_run_sweep_cell, run.root, target, taus, pair_draws(scenario))
+        results = []
 
-    def take(cell_results) -> None:
-        for result in cell_results:
-            results.append(result)
-            print(f"sweep: {len(results)}/{len(names)} cells", file=sys.stderr, flush=True)
+        def take(cell_results) -> None:
+            for result in cell_results:
+                results.append(result)
+                print(f"sweep: {len(results)}/{len(names)} cells", file=sys.stderr, flush=True)
 
-    workers = min(args.jobs, len(names))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            take(pool.map(run_cell, names, scenarios, populations))
-    else:
-        take(map(run_cell, names, scenarios, populations))
+        workers = min(args.jobs, len(names))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                take(pool.map(run_cell, names, scenarios, populations))
+        else:
+            take(map(run_cell, names, scenarios, populations))
 
-    entries = [entry for entry, _, _ in results]
-    diag = min(scenario.horizon, scenario.distance_cap)
-    write_csv(
-        run.path("js_table.csv"),
-        ["cell", "shape", "rule", "js", "unconnected", "clustering_avg"],
-        (
-            [c["name"], c["shape"], c["rule"], c["js"], c["unconnected"], c["clustering_avg"]]
-            for c in entries
-        ),
-    )
-    write_csv(
-        run.path("par_table.csv"),
-        ["cell", "shape", "rule", "tau", "infected_total", "final_share"]
-        + [f"par_{k}_{k}" for k in range(1, diag + 1)],
-        (
-            [c["name"], c["shape"], c["rule"], row["tau"], row["infected_total"],
-             row["final_share"]] + row["par_diagonal"]
-            for c in entries
-            for row in c["par"]
-        ),
-    )
-    write_json(run.path("aggregate.json"), {"target": target_text, "taus": taus, "cells": entries})
-    runtimes = {"target": t0 - t_target, "sweep": time.perf_counter() - t0}
+        entries = [entry for entry, _, _ in results]
+        diag = min(scenario.horizon, scenario.distance_cap)
+        write_csv(
+            run.path("js_table.csv"),
+            ["cell", "shape", "rule", "js", "unconnected", "clustering_avg"],
+            (
+                [c["name"], c["shape"], c["rule"], c["js"], c["unconnected"], c["clustering_avg"]]
+                for c in entries
+            ),
+        )
+        write_csv(
+            run.path("par_table.csv"),
+            ["cell", "shape", "rule", "tau", "infected_total", "final_share"]
+            + [f"par_{k}_{k}" for k in range(1, diag + 1)],
+            (
+                [c["name"], c["shape"], c["rule"], row["tau"], row["infected_total"],
+                 row["final_share"]] + row["par_diagonal"]
+                for c in entries
+                for row in c["par"]
+            ),
+        )
+        write_json(run.path("aggregate.json"),
+                   {"target": target_text, "taus": taus, "cells": entries})
+    cell_runtimes = {}
     for entry, outputs, seconds in results:
         run.outputs += outputs
-        runtimes[f"cell:{entry['name']}"] = seconds
-    run.write_manifest("sweep", scenario, runtimes)
+        run.runtimes[f"cell:{entry['name']}"] = seconds.pop("cell")
+        cell_runtimes[entry["name"]] = seconds
+    run.write_manifest("sweep", scenario, cell_runtimes)
     _emit(f"sweep: {len(results)} cells x {len(taus)} transmissibilities -> {run.root}")
     return 0
 
@@ -462,34 +475,28 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     scenario = _resolve_scenario(args)
     run = _resolve_out(args)
-    t_target = time.perf_counter()
-    target, target_text = _resolve_target(args.target, scenario)
-    runtimes: dict = {"target": time.perf_counter() - t_target}
+    with run.stage("target"):
+        target, target_text = _resolve_target(args.target, scenario)
+    if args.budget < 1:  # before any draw: many replicates take seconds to draw
+        raise ScenarioError(f"budget must be positive, got {args.budget}")
 
     def progress(spent: int, best: float) -> None:
-        print(
-            f"optimize: {spent}/{args.budget} evaluations, best js {best:.4f}",
-            file=sys.stderr,
-            flush=True,
-        )
+        print(f"optimize: {spent}/{args.budget} evaluations, best js {best:.4f}",
+              file=sys.stderr, flush=True)
 
-    t0 = time.perf_counter()
-    result = optimize(
-        scenario,
-        target,
-        budget=args.budget,
-        replicates=args.replicates,
-        runtimes=runtimes,
-        progress=progress,
-    )
-    runtimes["optimize"] = time.perf_counter() - t0
+    with run.stage("optimize"):
+        with run.stage("draws"):
+            draws = replicate_draws(scenario, args.replicates, target)
+        with run.stage("search"):
+            result = optimize(scenario, draws, args.budget, progress=progress)
+    del draws  # the fit's largest arrays: free them before the artifacts are written
     save_scenario(scenario, run.path("scenario.txt"))
     distribution_to_csv(target, run.path("target_degree_distribution.csv"))
     log_to_csv(result.log, run.path("eval_log.csv"))
     result_to_json(result, run.path("best.json"))
     fitted = scenario.with_overrides(rule=Rule.PH, preference=result.best.preference)
     save_scenario(fitted, run.path("fitted.scenario"))
-    run.write_manifest("optimize", scenario, runtimes)
+    run.write_manifest("optimize", scenario)
     pref = result.best.preference
     _emit(
         f"optimize: best (level {pref.level} w {pref.level_weight!r}, "

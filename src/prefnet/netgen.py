@@ -61,8 +61,8 @@ def edge_strength(score):
 class NetworkSnapshot:
     """Undirected simple graph with per-edge strengths.
 
-    edges is an (E, 2) int array with i < j per row, rows sorted
-    lexicographically; gamma holds the matching edge strengths.
+    edges is an (E, 2) int array of unique rows, i < j in each, in any order
+    (the package's builders sort them); gamma holds their edge strengths.
     """
 
     node_count: int

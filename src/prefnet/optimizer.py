@@ -5,11 +5,11 @@ between the degree distribution of networks grown under it and a target
 distribution, averaged over R replicate networks. Replicates use common
 random numbers: replicate r of every candidate shares the same encounter
 and noise streams, so objective differences reflect the preferences, not
-the draws, and a rerun of the whole search is bit-identical. The search
-therefore prepares once (`replicate_draws`) everything that does not
-depend on the candidate: the scenario's population, all replicates'
-encounters and jitter, and the target's mass padded onto the supports it
-is compared over. The ages come from `features.make_population`, as for
+the draws, and a rerun of the whole search is bit-identical. A search
+therefore runs on draws prepared once (`replicate_draws`): everything
+that does not depend on the candidate, namely the scenario's population,
+all replicates' encounters and jitter, and the target's mass padded
+onto the supports it is compared over. The ages come from `features.make_population`, as for
 a single network, and `netgen` decides growth: `pair_draws` lays
 replicate r out as row r of one padded array, the layout from which
 `generate_network` grows its one network, and `keep_pairs` grows all
@@ -39,7 +39,6 @@ from cache without spending budget.
 from __future__ import annotations
 
 import itertools
-import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -170,27 +169,21 @@ def _clip01(x: float) -> float:
 
 def optimize(
     scenario: Scenario,
-    target: PatternDistribution,
+    draws: ReplicateDraws,
     budget: int,
-    replicates: int = 5,
-    runtimes: dict | None = None,
     progress: Callable[[int, float], None] | None = None,
 ) -> OptimizeResult:
     """Search for the preference whose networks best match the target
     degree pattern, spending at most `budget` objective evaluations.
 
-    The ages, the replicates' pair draws and the padded target are built
-    once for the whole search. If `runtimes` is given, the seconds spent
-    building them and searching are recorded in it as "draws" and
-    "search". If `progress` is given, it is called with the evaluations
-    spent and the best objective so far after the grid scan and after each
-    halving of the refinement step."""
+    Every candidate is evaluated on the same `draws`
+    (`replicate_draws(scenario, R, target)`), which hold the R replicates
+    and the target; the search builds no draws of its own. If `progress`
+    is given, it is called with the evaluations spent and the best
+    objective so far after the grid scan and after each halving of the
+    refinement step."""
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    t0 = time.perf_counter()
-    draws = replicate_draws(scenario, replicates, target)
-    t1 = time.perf_counter()
-
     log: list[EvalRecord] = []
     cache: dict[tuple, _Objective] = {}
     # evaluate() results by effective weights (a, b), on which alone the
@@ -270,12 +263,9 @@ def optimize(
             if progress is not None:
                 progress(spent, best[0])
 
-    if runtimes is not None:
-        runtimes["draws"] = t1 - t0
-        runtimes["search"] = time.perf_counter() - t1
     # Only the winner's spread is reported, so it is the only one computed.
     return OptimizeResult(
-        best=Candidate(best_pref, best[0], float(np.std(best[1])), replicates),
+        best=Candidate(best_pref, best[0], float(np.std(best[1])), len(draws.pairs.met)),
         log=tuple(log),
         evaluations=spent,
     )

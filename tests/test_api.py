@@ -1,11 +1,13 @@
 """The package's public names."""
 
+import ast
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import prefnet
-from prefnet import epidemic, features, netgen, optimizer
+from prefnet import cli, epidemic, features, netgen, optimizer
 
 # Scalar test oracles that now live in tests/oracles.py, and names deleted
 # with the per-node trait arrays, with the per-window PaR counts, with the
@@ -98,3 +100,24 @@ def test_growth_is_decided_in_one_module():
     assert hasattr(netgen, "age_code_slots") and hasattr(netgen, "keep_pairs")
     assert not re.search(r"import[^\n]*\b(age_pair_scores|budget_pairs)\b",
                          sources["optimizer.py"])
+
+
+def test_run_stages_are_timed_in_one_place():
+    # A run's stage seconds are taken by cli._RunDir.stage alone, into the
+    # run's own record; no function fills a runtimes dict it is handed.
+    package = Path(prefnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    timers = [
+        name for name, text in sources.items() for line in text.splitlines()
+        if "perf_counter" in line
+    ]
+    assert timers == ["cli.py"]
+    assert "perf_counter" in inspect.getsource(cli._RunDir.stage)
+    takers = {
+        f"{name}:{node.name}"
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+        and "runtimes" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+    }
+    assert takers == set()

@@ -1,7 +1,6 @@
 """Command-line behaviour: artifacts, determinism, exit codes."""
 
 import json
-import os
 import re
 import resource
 import subprocess
@@ -14,7 +13,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import prefnet
 from prefnet import cli, netmetrics
 from prefnet.cli import main
 from prefnet.scenario import (
@@ -43,11 +41,12 @@ def _assert_identical_runs(dir_a, dir_b):
         if rel.endswith("manifest.json") or rel.endswith("report.json"):
             continue
         assert a[rel] == b[rel], f"{rel} differs between reruns"
-    # manifests agree apart from the recorded runtimes
+    # manifests agree apart from the recorded runtimes, the cells' included
     for rel in a:
         if rel.endswith("manifest.json"):
             ma, mb = json.loads(a[rel]), json.loads(b[rel])
-            ma.pop("runtimes"), mb.pop("runtimes")
+            for timed in ("runtimes", "cell_runtimes"):
+                ma.pop(timed, None), mb.pop(timed, None)
             assert ma == mb
 
 
@@ -105,6 +104,23 @@ def test_manifest_records_stage_runtimes(tmp_path, command, capsys):
     assert all(isinstance(v, float) and v >= 0 for v in runtimes.values())
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_manifest_records_each_cells_stage_runtimes(tmp_path, jobs):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), "--set", "node_count=30",
+                 "--set", "edge_budget=100", *EXTRA["sweep"], "--jobs", jobs]) == 0
+    manifest = _read_json(out / "manifest.json")
+    cells = manifest["cell_runtimes"]
+    assert sorted(cells) == ["U_P+", "U_PH"]
+    for name, stages in cells.items():
+        assert sorted(stages) == ["analyze", "epidemic", "grow", "write_network"]
+        assert all(isinstance(v, float) and v >= 0 for v in stages.values())
+        # the stages lie within the cell's own seconds (each rounded to 1e-6)
+        assert sum(stages.values()) <= manifest["runtimes"][f"cell:{name}"] + 1e-5
+    # and stay out of the run's own stages
+    assert sorted(manifest["runtimes"]) == sorted(STAGES["sweep"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -125,22 +141,16 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, argv):
     assert outputs == sorted(written - {"manifest.json"})
 
 
-def test_cli_import_does_not_load_scipy():
-    src = str(Path(prefnet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+def test_cli_import_does_not_load_scipy(child_env):
     code = "import sys, prefnet.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True)
+                            env=child_env, check=True)
     assert result.stdout.strip() == "[]"
 
 
-def test_optimize_does_not_load_numpy_ma(tmp_path):
+def test_optimize_does_not_load_numpy_ma(tmp_path, child_env):
     # np.unique imports numpy.ma, about 1.4 MB of resident memory that a
     # fit has no other use for
-    src = str(Path(prefnet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys; from prefnet.cli import main; "
         f"main(['optimize', '--out', {str(tmp_path)!r}, '--set', 'node_count=45', "
@@ -148,21 +158,19 @@ def test_optimize_does_not_load_numpy_ma(tmp_path):
         "print('numpy.ma' in sys.modules)"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True)
+                            env=child_env, check=True)
     assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
-    src = str(Path(prefnet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("PYTHONUNBUFFERED", None)
+def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered, child_env):
+    child_env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+        child_env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "prefnet.cli", "generate", "--out", str(tmp_path / "run"),
             "--set", "node_count=30", "--set", "edge_budget=100"]
-    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=child_env)
     child.stdout.close()  # the reader goes away before the result line is printed
     err = child.stderr.read().decode()
     child.stderr.close()
@@ -182,7 +190,7 @@ def _cap_address_space():
 
 
 @pytest.mark.parametrize("case", ["distance_cap", "replicates", "edge_list_id"])
-def test_a_run_too_large_for_memory_exits_1_naming_the_size_fields(tmp_path, case):
+def test_a_run_too_large_for_memory_exits_1_naming_the_size_fields(tmp_path, case, child_env):
     # Each run asks numpy for more than 3 GiB: a 52 GiB distance count
     # table, 4.9 GiB of pair draws for 100000 replicates, or degree counts
     # for 10^12 + 1 nodes. Run only under the cap.
@@ -194,11 +202,8 @@ def test_a_run_too_large_for_memory_exits_1_naming_the_size_fields(tmp_path, cas
         edges = tmp_path / "edges.csv"
         edges.write_text("0,1\n1,1000000000000\n", encoding="utf-8")
         args = ["optimize", "--target", f"edgelist:{edges}", "--budget", "2"]
-    src = str(Path(prefnet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     argv = [sys.executable, "-m", "prefnet.cli", *args, "--out", str(tmp_path / "run")]
-    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+    result = subprocess.run(argv, capture_output=True, text=True, env=child_env, timeout=120,
                             preexec_fn=_cap_address_space)
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: Unable to allocate ")
@@ -482,7 +487,7 @@ def test_manifest_rejects_a_missing_or_empty_output(tmp_path, kind):
     elif kind == "directory":
         target.mkdir()
     with pytest.raises(AssertionError, match="missing or empty output: bad"):
-        run.write_manifest("generate", Scenario(), {})
+        run.write_manifest("generate", Scenario())
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -690,8 +695,31 @@ def test_optimize_impossible_ba_target_names_target(tmp_path, capsys, args, mess
     assert capsys.readouterr().err.startswith(message)
 
 
-def test_optimize_zero_budget_rejected(tmp_path):
+def _record_draws(monkeypatch) -> list:
+    """Patch the CLI's replicate_draws to record its calls."""
+    calls, draw = [], cli.replicate_draws
+
+    def recording(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(cli, "replicate_draws", recording)
+    return calls
+
+
+def test_optimize_zero_budget_rejected(tmp_path, capsys, monkeypatch):
+    # before any draw: many replicates take seconds to draw
+    calls = _record_draws(monkeypatch)
     assert main(["optimize", "--out", str(tmp_path), "--budget", "0"]) == 1
+    assert capsys.readouterr().err == "error: budget must be positive, got 0\n"
+    assert calls == []
+
+
+def test_optimize_builds_its_draws_once(tmp_path, monkeypatch):
+    calls = _record_draws(monkeypatch)
+    assert main(["optimize", "--out", str(tmp_path), "--set", "node_count=30",
+                 "--set", "edge_budget=100", "--budget", "30", "--replicates", "2"]) == 0
+    assert [replicates for _, replicates, _ in calls] == [2]
 
 
 def test_report_on_sweep(tmp_path, capsys):

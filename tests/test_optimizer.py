@@ -198,16 +198,17 @@ def test_ph_preset_loses_to_a_pure_rule_of_its_shape(shape):
 
 def test_optimize_budget_validation():
     with pytest.raises(ValueError):
-        optimize(SMALL, _small_target(), budget=0)
+        optimize(SMALL, replicate_draws(SMALL, 1, _small_target()), budget=0)
     with pytest.raises(ValueError):
-        optimize(SMALL, _small_target(), budget=10, replicates=0)
+        replicate_draws(SMALL, 0, _small_target())
 
 
 def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     # evaluate() grows one network per replicate, so the search grows each
-    # distinct effective preference once per replicate, from the same draws,
-    # drawn for all replicates at once, with the target padded once
-    built, evaluations, unions, padded = [], [], [], []
+    # distinct effective preference once per replicate, from the draws it
+    # is given, drawn for all replicates at once with the target padded
+    # once; the search itself draws nothing
+    built, made, evaluations, unions, padded = [], [], [], [], []
 
     def counting(fn, calls):
         def wrapper(*args, **kwargs):
@@ -219,19 +220,20 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     monkeypatch.setattr(optimizer, "evaluate", counting(optimizer.evaluate, evaluations))
     monkeypatch.setattr(optimizer, "support_union", counting(optimizer.support_union, unions))
     monkeypatch.setattr(optimizer, "pad_mass", counting(optimizer.pad_mass, padded))
-    runtimes = {}
-    result = optimize(SMALL, _small_target(), budget=12, replicates=3, runtimes=runtimes)
+    draws = replicate_draws(SMALL, 3, _small_target())
     assert len(built) == 1 and built[0][1] == 3
     assert len(unions) == len(padded) == 1
+    monkeypatch.setattr(optimizer, "replicate_draws", counting(optimizer.replicate_draws, made))
+    result = optimize(SMALL, draws, budget=12)
+    assert made == [] and len(built) == len(unions) == len(padded) == 1
     # the first 12 grid candidates are level -1 at weight 0 with difference
     # -1 at all 7 weights, then difference 0 at 5 weights: 7 distinct (a, b)
     effective = {(p.level * p.level_weight, p.difference * p.difference_weight)
                  for p, *_ in evaluations}
     assert len(evaluations) == len(effective) == 7
     assert result.evaluations == 12
-    assert all(args[2] is evaluations[0][2] for args in evaluations)
-    assert sorted(runtimes) == ["draws", "search"]
-    assert all(v >= 0 for v in runtimes.values())
+    assert all(args[2] is draws for args in evaluations)
+    assert result.best.replicates == 3
     # one record per spent evaluation; candidates that share (a, b) share
     # one tuple of its replicate values
     assert len(result.log) == result.evaluations
@@ -284,7 +286,7 @@ def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
 
 def test_optimize_budget_one_single_evaluation():
     target = _small_target()
-    result = optimize(SMALL, target, budget=1, replicates=3)
+    result = optimize(SMALL, replicate_draws(SMALL, 3, target), budget=1)
     assert result.evaluations == len(result.log) == 1
     assert len(result.log[0].js) == 3  # one value per replicate
     first = Preference(LEVEL_GRID[0], WEIGHT_GRID[0], LEVEL_GRID[0], WEIGHT_GRID[0])
@@ -293,8 +295,8 @@ def test_optimize_budget_one_single_evaluation():
 
 def test_optimize_rerun_is_identical():
     target = _small_target()
-    a = optimize(SMALL, target, budget=30, replicates=2)
-    b = optimize(SMALL, target, budget=30, replicates=2)
+    a = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=30)
+    b = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=30)
     assert a.log == b.log
     assert a.best == b.best
     assert a.evaluations == b.evaluations == 30
@@ -302,7 +304,7 @@ def test_optimize_rerun_is_identical():
 
 def test_optimize_objective_matches_log_minimum():
     target = _small_target()
-    result = optimize(SMALL, target, budget=60, replicates=2)
+    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=60)
     by_candidate = {}
     for rec in result.log:
         key = (rec.level, rec.level_weight, rec.difference, rec.difference_weight)
@@ -320,8 +322,8 @@ def test_optimize_logs_what_evaluate_gives_each_candidate():
     # the ones evaluate() gives each of them
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
-    result = optimize(SMALL, target, budget=full_grid, replicates=2)
     draws = replicate_draws(SMALL, 2, target)
+    result = optimize(SMALL, draws, budget=full_grid)
     assert len(result.log) == full_grid
     for rec in result.log:
         pref = Preference(rec.level, rec.level_weight, rec.difference, rec.difference_weight)
@@ -333,7 +335,7 @@ def test_optimize_dominates_pure_rules():
     # winner can never score worse than any of them
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
-    result = optimize(SMALL, target, budget=full_grid, replicates=2)
+    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=full_grid)
     assert result.evaluations == full_grid
     for pref in RULE_PREFERENCES.values():
         mean, _ = evaluate(pref, SMALL, replicate_draws(SMALL, 2, target))
@@ -343,8 +345,9 @@ def test_optimize_dominates_pure_rules():
 def test_optimize_refinement_never_hurts():
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
-    grid_only = optimize(SMALL, target, budget=full_grid, replicates=2)
-    refined = optimize(SMALL, target, budget=full_grid + 40, replicates=2)
+    draws = replicate_draws(SMALL, 2, target)
+    grid_only = optimize(SMALL, draws, budget=full_grid)
+    refined = optimize(SMALL, draws, budget=full_grid + 40)
     assert refined.best.objective <= grid_only.best.objective + 1e-12
     assert refined.evaluations <= full_grid + 40
     # refinement keeps weights inside [0, 1]
@@ -355,7 +358,7 @@ def test_optimize_refinement_never_hurts():
 
 def test_optimize_log_round_trip(tmp_path):
     target = _small_target()
-    result = optimize(SMALL, target, budget=5, replicates=2)
+    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=5)
     log_path = tmp_path / "log.csv"
     log_to_csv(result.log, log_path)
     lines = log_path.read_text().strip().splitlines()
@@ -375,7 +378,7 @@ def test_eval_log_writes_one_row_per_replicate_of_a_refined_fit(tmp_path):
     # not grid values; the log file holds one row per (record, replicate)
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
-    result = optimize(SMALL, target, budget=full_grid + 20, replicates=2)
+    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=full_grid + 20)
     assert result.evaluations > full_grid
     path = tmp_path / "eval_log.csv"
     log_to_csv(result.log, path)
