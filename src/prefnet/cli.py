@@ -33,6 +33,8 @@ from functools import partial
 from pathlib import Path
 from stat import S_ISREG
 
+import numpy as np
+
 from . import __version__
 from .artifacts import read_json, write_csv, write_json
 from .epidemic import EpidemicTrace, risk_report, run_si, Susceptibility, trace_to_csv
@@ -133,7 +135,8 @@ class _RunDir:
         self, command: str, scenario: Scenario, cell_runtimes: dict | None = None
     ) -> None:
         """Write manifest.json: inputs by hash, outputs by name, stage
-        seconds, and a sweep's stage seconds per cell."""
+        seconds, a sweep's stage seconds per cell, and the Python and
+        numpy versions and CPU count those seconds were taken with."""
         for name in self.outputs:
             try:
                 written = os.stat(os.path.join(self.root, name))
@@ -148,6 +151,11 @@ class _RunDir:
             "version": __version__,
             "outputs": sorted(self.outputs),
             "runtimes": self.runtimes,
+            "environment": {
+                "python": ".".join(map(str, sys.version_info[:3])),
+                "numpy": np.__version__,
+                "nproc": os.cpu_count(),
+            },
         }
         if cell_runtimes is not None:
             payload["cell_runtimes"] = cell_runtimes
@@ -513,6 +521,8 @@ _LIST = (list, "a list")
 _STRING = (str, "a string")
 _NUMBER = ((int, float), "a number")
 _INTEGER = (int, "an integer")
+# The stages a sweep times in every cell, as `cell_runtimes` records them.
+_CELL_STAGES = ("grow", "write_network", "analyze", "epidemic")
 
 
 def _check(path: Path, value, field: str, kind: tuple):
@@ -543,6 +553,13 @@ def _read_manifest(path: Path) -> dict:
         isinstance(v, (int, float)) for v in runtimes.values()
     ):
         raise ScenarioError(f"{path}: runtimes: expected stage names mapped to seconds")
+    cells = manifest.get("cell_runtimes")
+    if cells is not None:
+        _check(path, cells, "cell_runtimes", _OBJECT)
+        for name, stages in cells.items():
+            _check(path, stages, f"cell_runtimes.{name}", _OBJECT)
+            for stage in _CELL_STAGES:
+                _check(path, stages.get(stage), f"cell_runtimes.{name}.{stage}", _NUMBER)
     return manifest
 
 
@@ -581,6 +598,17 @@ def cmd_report(args) -> int:
     }
     lines = [f"report: {manifest['command']} run at {run_dir}"]
     lines += [f"  runtime {stage} {seconds:.3f} s" for stage, seconds in runtimes.items()]
+    if "cell_runtimes" in manifest:
+        totals = {stage: sum(cell[stage] for cell in manifest["cell_runtimes"].values())
+                  for stage in _CELL_STAGES}
+        whole = sum(totals.values())
+        report["cell_stages"] = {
+            stage: {"seconds": seconds, "share": seconds / whole if whole else 0.0}
+            for stage, seconds in totals.items()
+        }
+        lines.append("  cell stages " + ", ".join(
+            f"{stage} {t['seconds']:.3f} s ({t['share']:.0%})"
+            for stage, t in report["cell_stages"].items()))
     if (run_dir / "aggregate.json").is_file():
         aggregate = _read_aggregate(run_dir / "aggregate.json")
         cells = aggregate["cells"]

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import edge_rows, write_json
 from .features import AGE_SPAN, age_pair_scores, Population
 from .scenario import Preference, RngPolicy, Scenario
 
@@ -355,17 +355,10 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
 def save_network(net: NetworkSnapshot, path, meta_path) -> None:
     """Write an i,j,gamma edge list to `path` and a JSON side file with
     node count, edge count and provenance to `meta_path`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("i,j,gamma\n")
+    with open(path, "wb") as fh:
+        fh.write(b"i,j,gamma\n")
         for s in range(0, net.edge_count, _WRITE_BLOCK):
-            edges, gamma = net.edges[s : s + _WRITE_BLOCK], net.gamma[s : s + _WRITE_BLOCK]
-            # One % call formats the whole block in C: %d writes str(int) and
-            # %r writes repr(float), so no string is built per row.
-            fields = [None] * (3 * gamma.shape[0])
-            fields[0::3] = edges[:, 0].tolist()
-            fields[1::3] = edges[:, 1].tolist()
-            fields[2::3] = gamma.tolist()
-            fh.write(("%d,%d,%r\n" * gamma.shape[0]) % tuple(fields))
+            fh.write(edge_rows(net.edges[s : s + _WRITE_BLOCK], net.gamma[s : s + _WRITE_BLOCK]))
     meta = {"node_count": net.node_count, "edge_count": net.edge_count,
             "provenance": net.provenance}
     write_json(meta_path, meta)

@@ -1,6 +1,8 @@
 """Command-line behaviour: artifacts, determinism, exit codes."""
 
 import json
+import os
+import platform
 import re
 import resource
 import subprocess
@@ -10,6 +12,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,9 +102,13 @@ def test_manifest_records_stage_runtimes(tmp_path, command, capsys):
     stages = STAGES[command]
     # stage timings stay out of stdout
     assert not any(stage in capsys.readouterr().out.split() for stage in stages)
-    runtimes = _read_json(out / "manifest.json")["runtimes"]
+    manifest = _read_json(out / "manifest.json")
+    runtimes = manifest["runtimes"]
     assert sorted(runtimes) == sorted(stages)
     assert all(isinstance(v, float) and v >= 0 for v in runtimes.values())
+    # what the seconds were taken with
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count()}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -732,8 +739,18 @@ def test_report_on_sweep(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "best cell" in text
     # the seconds spent building the target are a stage of their own
-    seconds = _read_json(out / "manifest.json")["runtimes"]["target"]
+    manifest = _read_json(out / "manifest.json")
+    seconds = manifest["runtimes"]["target"]
     assert f"  runtime target {seconds:.3f} s" in text.splitlines()
+    # each cell stage summed over the cells, with its share of the four
+    stages = ["grow", "write_network", "analyze", "epidemic"]
+    totals = {s: sum(cell[s] for cell in manifest["cell_runtimes"].values()) for s in stages}
+    whole = sum(totals.values())
+    assert report["cell_stages"] == {
+        s: {"seconds": totals[s], "share": totals[s] / whole} for s in stages}
+    line = "  cell stages " + ", ".join(
+        f"{s} {totals[s]:.3f} s ({totals[s] / whole:.0%})" for s in stages)
+    assert line in text.splitlines()
 
 
 def test_report_final_share_is_at_the_largest_tau(tmp_path, capsys):
@@ -758,6 +775,7 @@ def test_report_on_epidemic(tmp_path, capsys):
     report = _read_json(out / "report.json")
     assert report["command"] == "epidemic"
     assert "risk" in report and "summary" in report
+    assert "cell_stages" not in report  # a sweep's alone
     runtimes = _read_json(out / "manifest.json")["runtimes"]
     assert report["runtimes"] == runtimes
     assert set(runtimes) == {"grow", "write_network", "analyze", "generate", "epidemic"}
@@ -775,8 +793,14 @@ def test_report_on_epidemic(tmp_path, capsys):
         ('{"command": "generate", "version": "1", "runtimes": {"grow": "fast"}}', "runtimes"),
         ('{"command": "generate", "version": "1", "runtimes": [1.0]}', "runtimes"),
         ("not json", "Expecting value"),
+        ('{"command": "sweep", "version": "1", "runtimes": {}, "cell_runtimes": '
+         '{"U_P+": {"grow": 0.1, "write_network": "slow", "analyze": 0.1, "epidemic": 0.1}}}',
+         "cell_runtimes.U_P+.write_network"),
+        ('{"command": "sweep", "version": "1", "runtimes": {}, "cell_runtimes": [0.1]}',
+         "cell_runtimes"),
     ],
-    ids=["empty", "list", "command", "version", "runtime", "runtimes", "not-json"],
+    ids=["empty", "list", "command", "version", "runtime", "runtimes", "not-json",
+         "cell-stage", "cell-runtimes"],
 )
 def test_report_rejects_a_malformed_manifest(tmp_path, capsys, text, field):
     manifest = tmp_path / "manifest.json"

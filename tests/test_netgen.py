@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prefnet import netgen
+from prefnet import artifacts, netgen
 from prefnet.features import age_pair_scores, AGE_SPAN, make_population, Population
 from prefnet.netgen import (
     age_code_slots,
@@ -565,11 +565,15 @@ def test_save_network_writes_repr_rows(tmp_path):
 @st.composite
 def _edge_rows(draw):
     """n up to 300, a sorted list of distinct pairs i < j, and one gamma
-    per pair: any float, with the ones whose repr is unusual drawn often."""
+    per pair: mostly of either sign with 1e-4 <= |gamma| < 1e16, where the
+    block encoder computes the digits itself, else any float, with the
+    ones whose repr is unusual drawn often."""
     n = draw(st.integers(2, 300))
     pair = st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
     pairs = sorted(draw(st.sets(pair, max_size=40)))
-    gamma = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, math.inf, math.nan])
+    inside = st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda g: st.sampled_from([g, -g]))
+    gamma = st.one_of(inside, inside, inside, st.floats(),
+                      st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, math.inf, math.nan]))
     return n, pairs, draw(st.lists(gamma, min_size=len(pairs), max_size=len(pairs)))
 
 
@@ -585,6 +589,81 @@ def test_save_network_writes_each_row_as_its_repr(rows, block):
         path = Path(tmp) / "net.csv"
         save_network(net, path, Path(tmp) / "net.json")
         assert path.read_bytes() == want.encode("utf-8")
+
+
+def _rows_text(edges, gamma) -> bytes:
+    return "".join(f"{i},{j},{g!r}\n" for (i, j), g in zip(edges.tolist(), gamma.tolist())).encode()
+
+
+def _count_template_blocks(monkeypatch) -> list:
+    """Record the size of each block `edge_rows` hands to the % template."""
+    sizes, template = [], artifacts._repr_rows
+
+    def counting(edges, gamma):
+        sizes.append(gamma.shape[0])
+        return template(edges, gamma)
+
+    monkeypatch.setattr(artifacts, "_repr_rows", counting)
+    return sizes
+
+
+def _kernel_edges():
+    """10**k for k in -4..16 and the doubles one and two ulps either side,
+    non-integer powers of two, exact decimal halves, integers around
+    2**53 and 1e16, zeros, subnormals and non-finite values: each edge of
+    the block encoder's domain, of either sign."""
+    tens = [float(f"1e{k}") for k in range(-4, 17)]
+    near = [np.nextafter(t, direction, dtype=np.float64) for t in tens for direction in (0.0, np.inf)]
+    near += [np.nextafter(t, direction) for t, direction in zip(near, [0.0, np.inf] * len(tens))]
+    halves = [0.375, 12.5, 0.5, 2.5, 0.125, 1.5, 1e15 + 0.5, 123456.0625, 9.5, 0.0625,
+              1e15 + 0.25, 1e15 + 0.75, 2.0**50 + 0.75]  # the last three: halves at 17 digits
+    around = [float(2**53 + d) for d in range(-4, 5)] + [1e16 - d for d in (1, 2, 4)]
+    around += [1e15 + d for d in (-1.5, -1.0, 0.25, 1.0)]
+    odd = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, math.inf, math.nan, 9.5367431640625e-07]
+    values = tens + near + halves + around + odd + [2.0**-k for k in range(1, 17)]
+    return np.array(values + [-v for v in values])
+
+
+def test_edge_rows_writes_each_edge_of_the_kernel_domain_as_its_repr():
+    gamma = _kernel_edges()
+    edges = np.stack([np.arange(gamma.shape[0]), np.arange(gamma.shape[0]) * 7 + 1], axis=1)
+    # one row a block, so each value takes its own path, then all at once
+    for k in range(gamma.shape[0]):
+        assert artifacts.edge_rows(edges[k : k + 1], gamma[k : k + 1]) == _rows_text(
+            edges[k : k + 1], gamma[k : k + 1])
+    assert artifacts.edge_rows(edges, gamma) == _rows_text(edges, gamma)
+
+
+def test_edge_rows_writes_random_doubles_as_their_repr(monkeypatch):
+    # 240000 doubles of random mantissa and sign, 1e-4 <= |g| < 1e16, in
+    # blocks of 256 by magnitude, so that the values the kernel leaves to
+    # the template share blocks: those whose 16-digit value is at least
+    # 2**53, and above 1e12 the exact decimal halves. The kernel decides
+    # most blocks, and each must read as repr writes it.
+    rng = np.random.default_rng(2024)
+    count = 240_000
+    gamma = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-4, 16, count)
+    gamma = np.sort(gamma) * rng.choice([-1.0, 1.0], count)
+    ids = rng.integers(0, 10 ** rng.integers(1, 19, count))
+    edges = np.stack([ids, ids + 1], axis=1)
+    templated = _count_template_blocks(monkeypatch)
+    for s in range(0, count, 256):
+        block = slice(s, s + 256)
+        assert artifacts.edge_rows(edges[block], gamma[block]) == _rows_text(edges[block], gamma[block])
+    assert sum(templated) < 0.35 * count
+
+
+@pytest.mark.parametrize("n, budget", [(90, 1400), (1000, 174607)], ids=["paper", "n1000"])
+def test_save_network_needs_no_template_on_the_paper_density(tmp_path, monkeypatch, n, budget):
+    # The kernel decides every gamma of the default network and of an
+    # n=1000 one at the paper's edge density: none falls back to repr.
+    sc = Scenario(node_count=n, edge_budget=budget, master_seed=0)
+    net = generate_network(make_population(sc), sc, pair_draws(sc))
+    templated = _count_template_blocks(monkeypatch)
+    path = tmp_path / "net.csv"
+    save_network(net, path, tmp_path / "net.json")
+    assert templated == []
+    assert path.read_bytes() == b"i,j,gamma\n" + _rows_text(net.edges, net.gamma)
 
 
 def test_edge_list_rejects_short_row(tmp_path):
