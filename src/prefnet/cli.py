@@ -132,9 +132,10 @@ class _RunDir:
         self.runtimes[name] = round(clock() - start, 6)
 
     def write_manifest(
-        self, command: str, scenario: Scenario, cell_runtimes: dict | None = None
+        self, command: str, scenario: Scenario, options: dict, cell_runtimes: dict | None = None
     ) -> None:
-        """Write manifest.json: inputs by hash, outputs by name, stage
+        """Write manifest.json: inputs by hash, the command's options (with
+        the scenario file, enough to rerun it), outputs by name, stage
         seconds, a sweep's stage seconds per cell, and the Python and
         numpy versions and CPU count those seconds were taken with."""
         for name in self.outputs:
@@ -148,6 +149,7 @@ class _RunDir:
             "command": command,
             "scenario_hash": scenario.scenario_hash(),
             "master_seed": scenario.master_seed,
+            "options": options,
             "version": __version__,
             "outputs": sorted(self.outputs),
             "runtimes": self.runtimes,
@@ -305,7 +307,7 @@ def _outbreaks(
     """One outbreak per transmissibility on the replicate-0 infection draws,
     all stepped in one run_si call."""
     stream = RngPolicy(scenario.master_seed).counter_stream("infection", 0)
-    ladder = [Susceptibility.from_transmissibility(tau) for tau in taus]
+    ladder = [Susceptibility(tau) for tau in taus]
     return run_si(net, population, scenario, stream, susceptibility=ladder)
 
 
@@ -335,7 +337,7 @@ def cmd_generate(args) -> int:
     with run.stage("generate"):
         population, net = _grow(run, scenario)
         patterns = _generate_artifacts(run, scenario, population, net)
-    run.write_manifest("generate", scenario)
+    run.write_manifest("generate", scenario, {})
     stats = patterns.summary
     _emit(
         f"generate: {net.edge_count} edges, mean degree {stats.degree_avg:.2f}, "
@@ -353,7 +355,7 @@ def cmd_epidemic(args) -> int:
     with run.stage("epidemic"):
         [trace] = _outbreaks(net, population, scenario, [scenario.transmissibility])
         report = _epidemic_artifacts(run, trace, net, population)
-    run.write_manifest("epidemic", scenario)
+    run.write_manifest("epidemic", scenario, {})
     _emit(
         f"epidemic: seeds {report['seeds']}, infected {report['infected_total']}"
         f"/{scenario.node_count} by step {scenario.horizon} -> {run.root}"
@@ -420,11 +422,17 @@ def cmd_sweep(args) -> int:
     taus = _parse_taus(args.taus)
     with run.stage("target"):
         target, target_text = _resolve_target(args.target, scenario)
+    code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
+    options = {
+        "target": target_text,
+        "shapes": [code_of_shape[shape] for shape in shapes],
+        "rules": [rule.value for rule in rules],
+        "taus": taus,
+    }
 
     with run.stage("sweep"):
         save_scenario(scenario, run.path("scenario.txt"))
         distribution_to_csv(target, run.path("target_degree_distribution.csv"))
-        code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
         grid = [(shape, rule) for shape in shapes for rule in rules]
         names = [f"{code_of_shape[shape]}_{rule.value}" for shape, rule in grid]
         scenarios = [scenario.with_overrides(age_shape=shape, rule=rule) for shape, rule in grid]
@@ -475,7 +483,7 @@ def cmd_sweep(args) -> int:
         run.outputs += outputs
         run.runtimes[f"cell:{entry['name']}"] = seconds.pop("cell")
         cell_runtimes[entry["name"]] = seconds
-    run.write_manifest("sweep", scenario, cell_runtimes)
+    run.write_manifest("sweep", scenario, options, cell_runtimes)
     _emit(f"sweep: {len(results)} cells x {len(taus)} transmissibilities -> {run.root}")
     return 0
 
@@ -504,7 +512,8 @@ def cmd_optimize(args) -> int:
     result_to_json(result, run.path("best.json"))
     fitted = scenario.with_overrides(rule=Rule.PH, preference=result.best.preference)
     save_scenario(fitted, run.path("fitted.scenario"))
-    run.write_manifest("optimize", scenario)
+    options = {"target": target_text, "budget": args.budget, "replicates": args.replicates}
+    run.write_manifest("optimize", scenario, options)
     pref = result.best.preference
     _emit(
         f"optimize: best (level {pref.level} w {pref.level_weight!r}, "

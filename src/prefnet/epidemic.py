@@ -2,13 +2,12 @@
 
 Infection advances in synchronous steps. A susceptible node with E
 infected neighbours is infected in the next step with probability
-1 - (1 - p1)^E, where p1, the per-exposure probability, is the product of
-the multipliers of all susceptibility conditions the node meets (a plain
-transmissibility is the single condition "exposed"); a node that can
-convert meets the same ones at every step, so `run_si` fixes p1 before
-the first. Spread is ruled by two budgets: a time horizon and a distance
-cap, measured in hops from the nearest seed; nodes beyond the cap never
-convert.
+1 - (1 - p1)^E, where p1, the per-exposure probability, is the
+transmissibility times the multiplier of the node's decade age group; a
+node's group never changes, so `run_si` fixes p1 before the first step.
+A multiplier of 0 shields a group. Spread is ruled by two budgets: a time
+horizon and a distance cap, measured in hops from the nearest seed; nodes
+beyond the cap never convert.
 
 Randomness is counter-addressed: the uniform that decides node v at step t
 depends only on the stream key and (t, v), so traces are reproducible no
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,62 +40,35 @@ from .netgen import NetworkSnapshot
 from .scenario import CounterStream, Scenario
 
 
-# Susceptibility conditions. A node that can convert is exposed and
-# susceptible, so both have the value 1 there; "age_group" has the value
-# of the node's decade group. A condition is met when its value equals its
-# threshold exactly.
-_CONDITIONS = ("age_group", "exposed", "susceptible")
-
-
 @dataclass(frozen=True)
 class Susceptibility:
-    """Conditional per-exposure infection probability.
+    """Per-exposure infection probability by decade age group.
 
-    Parallel tuples of condition names, thresholds and multipliers; a
-    node's per-exposure probability is the product of the multipliers of
-    its met conditions (a condition is met when its value equals the
-    threshold). Multipliers lie in [0, 1]; 0 expresses full immunity under
-    that condition. With no met conditions the product is the empty
-    product, 1.
+    A node's p1 is the transmissibility times the multiplier of its age
+    group, one multiplier per group. Both lie in [0, 1]; a multiplier of 0
+    shields its group from infection.
     """
 
-    conditions: tuple[str, ...]
-    thresholds: tuple[float, ...]
-    multipliers: tuple[float, ...]
+    transmissibility: float
+    group_multipliers: tuple[float, ...] = (1.0,) * GROUP_COUNT
 
     def __post_init__(self) -> None:
-        q = len(self.conditions)
-        if q < 1:
-            raise ValueError("need at least one condition")
-        if len(self.thresholds) != q or len(self.multipliers) != q:
+        if not 0.0 <= self.transmissibility <= 1.0:
             raise ValueError(
-                f"conditions ({q}), thresholds ({len(self.thresholds)}) and "
-                f"multipliers ({len(self.multipliers)}) must have equal length"
+                f"transmissibility must lie in [0, 1], got {self.transmissibility!r}"
             )
-        for name in self.conditions:
-            if name not in _CONDITIONS:
-                known = ", ".join(sorted(_CONDITIONS))
-                raise ValueError(f"unknown condition {name!r}; known: {known}")
-        for w in self.multipliers:
+        if len(self.group_multipliers) != GROUP_COUNT:
+            raise ValueError(
+                f"need one multiplier per age group ({GROUP_COUNT}), "
+                f"got {len(self.group_multipliers)}"
+            )
+        for w in self.group_multipliers:
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"multipliers must lie in [0, 1], got {w!r}")
 
-    @classmethod
-    def from_transmissibility(cls, tau: float) -> "Susceptibility":
-        """Uniform per-exposure probability tau for every exposed node."""
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"transmissibility must lie in [0, 1], got {tau!r}")
-        return cls(("exposed",), (1,), (tau,))
-
     def per_exposure(self, population: Population) -> np.ndarray:
-        """Per-exposure probability p1 of each node, as a node that can
-        convert has it: exposed, susceptible and in its age group. One
-        entry per node; other nodes never read theirs."""
-        prob = np.ones(population.size)
-        for name, theta, w in zip(self.conditions, self.thresholds, self.multipliers):
-            value = population.groups if name == "age_group" else 1
-            prob = np.where(value == theta, prob * w, prob)
-        return prob
+        """Per-exposure probability p1 of each node."""
+        return self.transmissibility * np.array(self.group_multipliers)[population.groups]
 
 
 @dataclass(frozen=True)
@@ -176,17 +148,21 @@ class EpidemicTrace:
     seeds: np.ndarray
     status: np.ndarray
     distances: np.ndarray
-    horizon: int
     distance_cap: int
 
     def __post_init__(self) -> None:
         self.seeds = np.asarray(self.seeds, dtype=np.int64)
         self.status = np.asarray(self.status, dtype=bool)
         self.distances = np.asarray(self.distances, dtype=np.int64)
-        if self.status.shape[0] != self.horizon + 1:
-            raise ValueError("status must have horizon + 1 rows")
+        if self.status.ndim != 2 or self.status.shape[0] < 1:
+            raise ValueError("status must be 2-D with at least one row (the seeds)")
         if self.status.shape[1] != self.distances.shape[0]:
             raise ValueError("status and distances disagree on node count")
+
+    @property
+    def horizon(self) -> int:
+        """The last step the trace holds."""
+        return int(self.status.shape[0]) - 1
 
     @property
     def node_count(self) -> int:
@@ -215,13 +191,12 @@ def run_si(
     At each step t, every susceptible node v with E > 0 infected
     neighbours and seed distance within the cap converts when its uniform
     draw (addressed by (t, v) in the infection stream) falls below
-    1 - (1 - p1)^E. Susceptibility defaults to the scenario's plain
-    transmissibility, seeding to the scenario's count of highest-degree
-    nodes.
+    1 - (1 - p1)^E. Susceptibility defaults to the scenario's
+    transmissibility in every age group, seeding to the scenario's count of
+    highest-degree nodes.
 
-    Each row's p1 is fixed before the first step, as that of an exposed
-    susceptible node: a node that can convert is both, and its age group
-    never changes; other nodes are masked, so their p1 is never read.
+    Each row's p1 is fixed before the first step: it depends only on a
+    node's age group, which never changes.
 
     Given a sequence of susceptibilities (a transmissibility ladder, say),
     returns one trace per entry, stepped together as the rows of one run
@@ -235,7 +210,7 @@ def run_si(
     if seed_rule is None:
         seed_rule = SeedRule(count=scenario.seed_count)
     if susceptibility is None:
-        susceptibility = Susceptibility.from_transmissibility(scenario.transmissibility)
+        susceptibility = Susceptibility(scenario.transmissibility)
     ladder = isinstance(susceptibility, Sequence)
     rows = list(susceptibility) if ladder else [susceptibility]
     if not rows:
@@ -261,7 +236,6 @@ def run_si(
             seeds=seeds,
             status=row_status,
             distances=distances,
-            horizon=scenario.horizon,
             distance_cap=scenario.distance_cap,
         )
         for row_status in status

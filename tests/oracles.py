@@ -4,13 +4,12 @@ Each scalar function scores or decides one pair or one node at a time,
 straight from the model's definitions; the package computes the same
 quantities in bulk (growth of one network or of a fit's replicates in
 `netgen.keep_pairs`, which scores each age code in use once; the
-vectorised SI step in `epidemic.run_si`). `per_exposure` has its own
-condition rule: it reads each condition at each node and step from its
-definition (E >= 1, not infected, the decade group), where the package
-fixes each node's p1 before the first step as that of a node that can
-convert, exposed and susceptible. The dense functions run the SI
-process and the seed distances on an n x n adjacency matrix, the way the
-package did before it worked from the edge list and neighbour lists. The
+vectorised SI step in `epidemic.run_si`). `per_exposure` reads each
+node's p1 from its age, node by node, and the dense SI loop reads it
+afresh at every step, where the package fixes every node's p1 before the
+first step. The dense functions run the SI process and the seed
+distances on an n x n adjacency matrix, the way the package did before
+it worked from the edge list and neighbour lists. The
 PaR functions mask the trace once per (time, distance) window, the way the
 package did before it read every window from one count table. `evaluate`
 grows the replicates of a fit one at a time from the raw streams and a
@@ -125,53 +124,29 @@ def pair_score(
     )
 
 
-def _condition_value(name: str, v: int, exposures, population, infected) -> int:
-    if name == "exposed":
-        return int(exposures[v] >= 1)
-    if name == "susceptible":
-        return int(not infected[v])
-    return int(population.ages[v]) // GROUP_WIDTH  # "age_group": the decade group
-
-
-def per_exposure(
-    susceptibility: Susceptibility, exposures, population: Population | None, infected
-) -> np.ndarray:
-    """Per-exposure probability p1 of each node at one step, node by node
-    from the definitions: "exposed" has the value 1 when the node has at
-    least one infected neighbour (E >= 1), else 0; "susceptible" has the
-    value 1 when the node is not infected, else 0; "age_group" has the
-    value of the node's decade group. p1 is the product, in condition
-    order, of the multipliers of the conditions whose value equals their
-    threshold. `population` is read only for "age_group"."""
+def per_exposure(susceptibility: Susceptibility, population: Population) -> np.ndarray:
+    """Per-exposure probability p1 of each node, node by node from the
+    definition: the transmissibility times the multiplier of the node's
+    decade group, age // GROUP_WIDTH."""
     s = susceptibility
-    p1 = np.ones(len(exposures))
-    for v in range(len(exposures)):
-        for name, theta, w in zip(s.conditions, s.thresholds, s.multipliers):
-            if _condition_value(name, v, exposures, population, infected) == theta:
-                p1[v] *= w
-    return p1
+    return np.array(
+        [s.transmissibility * s.group_multipliers[int(age) // GROUP_WIDTH]
+         for age in population.ages],
+        dtype=np.float64,
+    )
 
 
 def transition_probability(
-    node: int,
-    susceptibility: Susceptibility,
-    exposures: int,
-    population: Population | None = None,
-    infected: np.ndarray | None = None,
+    node: int, susceptibility: Susceptibility, exposures: int, population: Population
 ) -> float:
     """Probability that a susceptible node converts this step given its
     count of infected neighbours: 1 - (1 - p1)^exposures, 0 when there are
-    no exposures. Without `infected`, no node is infected."""
+    no exposures."""
     if exposures < 0:
         raise ValueError(f"exposures must be non-negative, got {exposures}")
     if exposures == 0:
         return 0.0
-    n = population.size if population is not None else node + 1
-    evec = np.zeros(n, dtype=np.int64)
-    evec[node] = exposures
-    if infected is None:
-        infected = np.zeros(n, dtype=bool)
-    p1 = per_exposure(susceptibility, evec, population, infected)[node]
+    p1 = per_exposure(susceptibility, population)[node]
     return float(1.0 - (1.0 - p1) ** exposures)
 
 
@@ -213,15 +188,14 @@ def run_si(
 ) -> EpidemicTrace:
     """The synchronous SI process with exposures from a dense matrix-vector
     product: row t counts each node's infected neighbours as adj @ status,
-    and every node's p1 is evaluated afresh at every step from that step's
-    exposures and infection status."""
+    and every node's p1 is evaluated afresh at every step."""
     n = net.node_count
     if population.size != n or scenario.node_count != n:
         raise ValueError("network, population and scenario disagree on node count")
     if seed_rule is None:
         seed_rule = SeedRule(count=scenario.seed_count)
     if susceptibility is None:
-        susceptibility = Susceptibility.from_transmissibility(scenario.transmissibility)
+        susceptibility = Susceptibility(scenario.transmissibility)
 
     seeds = select_seeds(net, population, seed_rule)
     distances = multi_source_distances(net, seeds)
@@ -233,7 +207,7 @@ def run_si(
     for t in range(1, scenario.horizon + 1):
         prev = status[t - 1]
         exposures = adj_int @ prev
-        p1 = per_exposure(susceptibility, exposures, population, prev)
+        p1 = per_exposure(susceptibility, population)
         prob = 1.0 - (1.0 - p1) ** exposures
         eligible = (~prev) & (exposures > 0) & reachable
         draws = stream.uniforms(t, n)
@@ -242,7 +216,6 @@ def run_si(
         seeds=seeds,
         status=status,
         distances=distances,
-        horizon=scenario.horizon,
         distance_cap=scenario.distance_cap,
     )
 

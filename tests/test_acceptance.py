@@ -21,7 +21,9 @@ from prefnet.epidemic import (
     seed_scores,
     select_seeds,
 )
-from prefnet.features import Population, SHAPE_TEMPLATES, hill_number, make_population
+from prefnet.features import (
+    GROUP_COUNT, Population, SHAPE_TEMPLATES, hill_number, make_population,
+)
 from prefnet.netgen import (
     NetworkSnapshot,
     ba_target,
@@ -323,14 +325,14 @@ def test_criterion_10_formula_anchors():
             assert abs(scores[v] - float(exact)) < tol
 
         # transition probability with exposure aggregation
-        plain = Susceptibility.from_transmissibility(0.2)
-        assert transition_probability(0, plain, 0) == 0.0
-        assert abs(transition_probability(0, plain, 2) - 0.36) < tol
-        two = Susceptibility(conditions=("exposed", "susceptible"),
-                             thresholds=(1, 1), multipliers=(0.5, 0.4))
-        infected = np.zeros(4, dtype=bool)
-        assert abs(transition_probability(
-            1, two, 1, population=pop4, infected=infected) - 0.2) < tol
+        plain = Susceptibility(0.2)
+        assert transition_probability(0, plain, 0, pop4) == 0.0
+        assert abs(transition_probability(0, plain, 2, pop4) - 0.36) < tol
+        group = int(pop4.groups[1])
+        scaled = Susceptibility(
+            0.5, tuple(0.4 if g == group else 1.0 for g in range(GROUP_COUNT))
+        )
+        assert abs(transition_probability(1, scaled, 1, pop4) - 0.2) < tol
 
         # population-at-risk windows
         path = NetworkSnapshot(7, np.array([(k, k + 1) for k in range(6)]),

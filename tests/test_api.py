@@ -37,6 +37,12 @@ def test_public_names():
             hasattr(module, name) for module in (prefnet, features, netgen, epidemic, optimizer)
         )
     assert not hasattr(features.Population, "score_table")
+    # Susceptibility is a transmissibility times one multiplier per age group
+    assert [f.name for f in fields(epidemic.Susceptibility)] == [
+        "transmissibility", "group_multipliers",
+    ]
+    assert not hasattr(epidemic, "_CONDITIONS")
+    assert not hasattr(epidemic.Susceptibility, "from_transmissibility")
     namespace = {}
     exec("from prefnet import *", namespace)
     assert set(prefnet.__all__) <= set(namespace)
@@ -121,3 +127,22 @@ def test_run_stages_are_timed_in_one_place():
         and "runtimes" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
     }
     assert takers == set()
+
+
+def test_every_import_is_used():
+    package = Path(prefnet.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -148,6 +148,29 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, argv):
     assert outputs == sorted(written - {"manifest.json"})
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate"],
+        ["epidemic"],
+        ["sweep", "--shapes", "U,L", "--rules", "P+,PH", "--taus", "0.2,0.8"],
+        ["optimize", "--budget", "3", "--replicates", "2"],
+    ],
+    ids=["generate", "epidemic", "sweep", "optimize"],
+)
+def test_a_run_reruns_from_its_scenario_and_manifest_options(tmp_path, argv):
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main([*argv, "--set", "node_count=30", "--set", "edge_budget=100",
+                 "--set", "master_seed=4", "--out", str(first)]) == 0
+    manifest = _read_json(first / "manifest.json")
+    options = []
+    for key, value in manifest["options"].items():
+        options += [f"--{key}", ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    assert main([manifest["command"], "--scenario", str(first / "scenario.txt"), *options,
+                 "--out", str(rerun)]) == 0
+    _assert_identical_runs(first, rerun)
+
+
 def test_cli_import_does_not_load_scipy(child_env):
     code = "import sys, prefnet.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -494,7 +517,7 @@ def test_manifest_rejects_a_missing_or_empty_output(tmp_path, kind):
     elif kind == "directory":
         target.mkdir()
     with pytest.raises(AssertionError, match="missing or empty output: bad"):
-        run.write_manifest("generate", Scenario())
+        run.write_manifest("generate", Scenario(), {})
     assert not (tmp_path / "manifest.json").exists()
 
 

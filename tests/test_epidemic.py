@@ -20,7 +20,7 @@ from prefnet.epidemic import (
     select_seeds,
     Susceptibility,
 )
-from prefnet.features import AGE_SPAN, make_population, Population
+from prefnet.features import AGE_SPAN, GROUP_COUNT, make_population, Population
 from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws
 from prefnet.scenario import RngPolicy, Scenario
 
@@ -62,91 +62,72 @@ def _generated(seed=0, **overrides):
 # Susceptibility and the transition rule
 
 
-def test_susceptibility_validation():
-    with pytest.raises(ValueError):
-        Susceptibility((), (), ())
-    with pytest.raises(ValueError):
-        Susceptibility(("exposed",), (1, 2), (0.5,))
-    with pytest.raises(ValueError):
-        Susceptibility(("exposed",), (1,), (1.5,))
-    with pytest.raises(ValueError):
-        Susceptibility(("exposed",), (1,), (-0.1,))
-    with pytest.raises(ValueError):
-        Susceptibility(("galaxy",), (1,), (0.5,))
+def _multipliers(by_group: dict[int, float]) -> tuple[float, ...]:
+    """Group multipliers of 1 apart from the groups given."""
+    return tuple(by_group.get(g, 1.0) for g in range(GROUP_COUNT))
 
 
 def test_from_transmissibility_bounds():
-    s = Susceptibility.from_transmissibility(0.8)
-    assert s.conditions == ("exposed",)
-    assert s.multipliers == (0.8,)
-    Susceptibility.from_transmissibility(0.0)  # full immunity is expressible
-    with pytest.raises(ValueError):
-        Susceptibility.from_transmissibility(1.0001)
+    # built from a transmissibility alone, every group keeps it unscaled
+    s = Susceptibility(0.8)
+    assert s.transmissibility == 0.8
+    assert s.group_multipliers == (1.0,) * GROUP_COUNT
+    Susceptibility(0.0)  # full immunity is expressible
+    for tau in (1.0001, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"transmissibility must lie in \[0, 1\]"):
+            Susceptibility(tau)
+
+
+def test_susceptibility_validation():
+    Susceptibility(1.0, (0.0,) * GROUP_COUNT)
+    for w in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"multipliers must lie in \[0, 1\]"):
+            Susceptibility(0.5, _multipliers({4: w}))
+    for count in (0, 1, GROUP_COUNT + 1):
+        with pytest.raises(ValueError, match=f"got {count}$"):
+            Susceptibility(0.5, (1.0,) * count)
 
 
 def test_transition_probability_hand_values():
-    s = Susceptibility.from_transmissibility(0.2)
+    s = Susceptibility(0.2)
+    pop = Population(np.array([15]))
     # two exposures: 1 - 0.8^2 = 0.36
-    assert transition_probability(0, s, 2) == pytest.approx(0.36, abs=1e-12)
-    assert transition_probability(0, s, 1) == pytest.approx(0.2, abs=1e-12)
-    assert transition_probability(0, s, 0) == 0.0
+    assert transition_probability(0, s, 2, pop) == pytest.approx(0.36, abs=1e-12)
+    assert transition_probability(0, s, 1, pop) == pytest.approx(0.2, abs=1e-12)
+    assert transition_probability(0, s, 0, pop) == 0.0
     with pytest.raises(ValueError):
-        transition_probability(0, s, -1)
+        transition_probability(0, s, -1, pop)
 
 
-def test_transition_probability_two_conditions():
-    ages = np.array([15, 25, 35, 45])
-    pop = Population(ages)
-    s = Susceptibility(("exposed", "age_group"), (1, 3), (0.5, 0.4))
-    # node 2 is in decade group 3: both conditions met, 0.5 * 0.4 = 0.2
-    assert transition_probability(2, s, 1, population=pop) == pytest.approx(0.2, abs=1e-12)
-    # node 1 (group 2): only "exposed" met, probability 0.5
-    assert transition_probability(1, s, 1, population=pop) == pytest.approx(0.5, abs=1e-12)
+def test_transition_probability_group_multiplier():
+    pop = Population(np.array([15, 25, 35, 45]))
+    s = Susceptibility(0.5, _multipliers({3: 0.4}))
+    # node 2 is in decade group 3: 0.5 * 0.4 = 0.2
+    assert transition_probability(2, s, 1, pop) == pytest.approx(0.2, abs=1e-12)
+    # node 1 (group 2) keeps the transmissibility
+    assert transition_probability(1, s, 1, pop) == pytest.approx(0.5, abs=1e-12)
     # two exposures aggregate: 1 - (1 - 0.2)^2
-    assert transition_probability(2, s, 2, population=pop) == pytest.approx(
-        1 - 0.8**2, abs=1e-12
-    )
-
-
-def test_transition_probability_empty_met_set_is_certain():
-    # no met condition leaves the empty product, 1: exposure then converts
-    ages = np.array([15, 25])
-    pop = Population(ages)
-    s = Susceptibility(("age_group",), (7,), (0.3,))
-    assert transition_probability(0, s, 1, population=pop) == 1.0
+    assert transition_probability(2, s, 2, pop) == pytest.approx(1 - 0.8**2, abs=1e-12)
+    # a multiplier of 0 shields its group, whatever the exposures
+    shielded = Susceptibility(1.0, _multipliers({2: 0.0}))
+    assert transition_probability(1, shielded, 5, pop) == 0.0
 
 
 def test_transition_probability_saturates():
-    s = Susceptibility.from_transmissibility(1.0)
-    assert transition_probability(0, s, 3) == 1.0
+    s = Susceptibility(1.0)
+    assert transition_probability(0, s, 3, Population(np.array([40]))) == 1.0
 
 
-_CONDITION_NAMES = ("exposed", "age_group", "susceptible")
+# A multiplier or transmissibility, with the ends 0 and 1 drawn often.
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_SUSCEPTIBILITIES = st.builds(Susceptibility, _UNIT, st.tuples(*[_UNIT] * GROUP_COUNT))
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(_CONDITION_NAMES),
-            # -1, 2 and above never hold for exposed or susceptible, 9 and
-            # above for an age group; 0.5 never holds for any
-            st.one_of(st.integers(-1, 10), st.just(0.5)),
-            st.floats(0.0, 1.0),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-    st.lists(st.integers(0, AGE_SPAN - 1), min_size=1, max_size=30),
-)
-def test_per_exposure_is_the_oracles_p1_at_nodes_that_can_convert(conditions, ages):
-    # A node that can convert is exposed and not infected: the package's
-    # p1 must equal the oracle's, read from the definitions at such a node.
-    s = Susceptibility(*zip(*conditions))
-    pop = Population(np.array(ages))
-    n = pop.size
-    ref = oracles.per_exposure(s, np.ones(n, np.int64), pop, np.zeros(n, bool))
-    assert s.per_exposure(pop).tobytes() == ref.tobytes()
+@given(_SUSCEPTIBILITIES, st.lists(st.integers(0, AGE_SPAN - 1), max_size=30))
+def test_per_exposure_is_the_oracles_p1(s, ages):
+    pop = Population(np.array(ages, dtype=np.int64))
+    assert s.per_exposure(pop).tobytes() == oracles.per_exposure(s, pop).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +304,7 @@ def test_run_si_invariants(case):
     assert np.array_equal(longer.status[: h + 1], trace.status)
 
 
-_AGE_SUSCEPTIBILITY = Susceptibility(("exposed", "age_group"), (1, 3), (0.7, 0.4))
+_AGE_SUSCEPTIBILITY = Susceptibility(0.7, _multipliers({3: 0.4}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,14 +324,13 @@ def test_run_si_and_distances_match_dense_oracle(case, susceptibility, data):
 
 
 _LADDER_ROWS = (
-    Susceptibility.from_transmissibility(0.0),
-    Susceptibility.from_transmissibility(1.0),
-    Susceptibility.from_transmissibility(0.3),
-    Susceptibility(("exposed", "susceptible"), (1, 1), (0.6, 0.5)),
+    Susceptibility(0.0),
+    Susceptibility(1.0),
+    Susceptibility(0.3),
     _AGE_SUSCEPTIBILITY,
-    # thresholds never met at a node that can convert: p1 stays 1
-    Susceptibility(("exposed", "susceptible"), (0, 0), (0.3, 0.2)),
-    Susceptibility(("age_group", "susceptible", "exposed"), (3, 1, 1), (0.5, 0.9, 0.7)),
+    Susceptibility(1.0, _multipliers({3: 0.0})),  # shields group 3
+    Susceptibility(0.9, _multipliers({0: 0.0, 7: 0.5})),
+    Susceptibility(0.6, (0.0,) * GROUP_COUNT),  # shields everyone
 )
 
 
@@ -364,7 +344,7 @@ _PATH_AGES = [5, 35, 35, 70, 12, 35]
 
 
 @settings(max_examples=100, deadline=None)
-@given(_si_cases(), st.lists(st.sampled_from(_LADDER_ROWS), min_size=1, max_size=6))
+@given(_si_cases(), st.lists(_SUSCEPTIBILITIES, min_size=1, max_size=6))
 @example(_ladder_case(6, _PATH_6, _PATH_AGES, seed_count=0), list(_LADDER_ROWS))
 @example(_ladder_case(6, _PATH_6, _PATH_AGES, horizon=0), list(_LADDER_ROWS))
 @example(_ladder_case(6, _PATH_6, _PATH_AGES, horizon=6, distance_cap=2), list(_LADDER_ROWS))
@@ -380,11 +360,14 @@ def test_run_si_ladder_rows_equal_their_own_runs(case, ladder):
             assert np.array_equal(trace.seeds, other.seeds)
             assert np.array_equal(trace.distances, other.distances)
             assert np.array_equal(trace.status, other.status)
+        # the shielding lever: a group with multiplier 0 keeps only its seeds
+        shielded = np.array(row.group_multipliers)[pop.groups] == 0
+        assert not (trace.status[-1] & shielded & ~trace.status[0]).any()
 
 
 def test_run_si_computes_each_rows_p1_once(monkeypatch):
-    # A node that can convert meets the same conditions at every step, so
-    # each row's per-exposure probabilities are fixed before the first.
+    # A node's p1 depends only on its age group, so each row's per-exposure
+    # probabilities are fixed before the first step.
     calls = []
     per_exposure = Susceptibility.per_exposure
 
@@ -552,7 +535,6 @@ def test_par_reads_match_the_per_window_oracle(horizon, cap, nodes):
         seeds=np.flatnonzero(status[0]),
         status=status,
         distances=np.minimum(dist, n),
-        horizon=horizon,
         distance_cap=cap,
     )
     pop = Population(ages)
@@ -585,11 +567,12 @@ def test_risk_report_structure():
 
 
 def test_trace_validation():
-    with pytest.raises(ValueError):
-        EpidemicTrace(
-            seeds=np.array([0]),
-            status=np.zeros((3, 4), dtype=bool),
-            distances=np.zeros(4, dtype=np.int64),
-            horizon=3,  # needs 4 rows
-            distance_cap=2,
-        )
+    trace = EpidemicTrace(seeds=[0], status=np.zeros((3, 4), bool), distances=np.zeros(4),
+                          distance_cap=2)
+    assert trace.horizon == 2  # read from the status rows
+    with pytest.raises(ValueError, match="node count"):
+        EpidemicTrace(seeds=[0], status=np.zeros((3, 4), bool), distances=np.zeros(5),
+                      distance_cap=2)
+    for status in (np.zeros(4, bool), np.zeros((0, 4), bool)):  # no seed row
+        with pytest.raises(ValueError, match="at least one row"):
+            EpidemicTrace(seeds=[], status=status, distances=np.zeros(4), distance_cap=2)

@@ -89,7 +89,7 @@ def _si_ladder(rows: int):
     pop = make_population(sc)
     net = generate_network(pop, sc, pair_draws(sc))
     stream = RngPolicy(0).counter_stream("infection", 0)
-    ladder = [Susceptibility.from_transmissibility(t) for t in np.linspace(0.2, 1.0, rows)]
+    ladder = [Susceptibility(t) for t in np.linspace(0.2, 1.0, rows)]
     return lambda: run_si(net, pop, sc, stream, susceptibility=ladder)
 
 
