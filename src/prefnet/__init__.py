@@ -62,12 +62,10 @@ from .epidemic import (
     EpidemicTrace,
     infection_by_distance,
     multi_source_distances,
-    par,
     par_by_group,
     par_matrix,
     risk_report,
     run_si,
-    SeedRule,
     select_seeds,
     Susceptibility,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "OptimizeResult",
     "pair_draws",
     "PairDraws",
-    "par",
     "par_by_group",
     "par_matrix",
     "PatternDistribution",
@@ -133,7 +130,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioParseError",
     "ScenarioValidationError",
-    "SeedRule",
     "select_seeds",
     "shortest_path_matrix",
     "SummaryStats",

@@ -23,6 +23,7 @@ stdout, 2 I/O error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -132,12 +133,18 @@ class _RunDir:
         self.runtimes[name] = round(clock() - start, 6)
 
     def write_manifest(
-        self, command: str, scenario: Scenario, options: dict, cell_runtimes: dict | None = None
+        self,
+        command: str,
+        scenario: Scenario,
+        options: dict,
+        cell_runtimes: dict | None = None,
+        target_file: dict | None = None,
     ) -> None:
         """Write manifest.json: inputs by hash, the command's options (with
-        the scenario file, enough to rerun it), outputs by name, stage
-        seconds, a sweep's stage seconds per cell, and the Python and
-        numpy versions and CPU count those seconds were taken with."""
+        the scenario file, enough to rerun it), an edge-list target's file,
+        outputs by name, stage seconds, a sweep's stage seconds per cell,
+        and the Python and numpy versions and CPU count those seconds were
+        taken with."""
         for name in self.outputs:
             try:
                 written = os.stat(os.path.join(self.root, name))
@@ -161,6 +168,8 @@ class _RunDir:
         }
         if cell_runtimes is not None:
             payload["cell_runtimes"] = cell_runtimes
+        if target_file is not None:
+            payload["target_file"] = target_file
         write_json(os.path.join(self.root, "manifest.json"), payload)
 
 
@@ -196,10 +205,14 @@ def _ba_m_for(n: int, edge_budget: int) -> int:
     return best_m
 
 
-def _resolve_target(text: str | None, scenario: Scenario) -> tuple[PatternDistribution, str]:
+def _resolve_target(
+    text: str | None, scenario: Scenario
+) -> tuple[PatternDistribution, str, dict | None]:
     """Build the target degree pattern from a --target value: 'ba:n,m', an
     'edgelist:path', or (by default) a scale-free network sized to the
-    scenario. Also returns the target's text, with the default filled in."""
+    scenario. Also returns the target's text, with the default filled in,
+    and for an edge list the file it read: its absolute path and the
+    sha256 of its bytes."""
     where = "target"
     if text is None:
         n = scenario.node_count
@@ -218,14 +231,15 @@ def _resolve_target(text: str | None, scenario: Scenario) -> tuple[PatternDistri
             net = ba_target(n, m, policy.stream("optimizer", 0))
         except ValueError as err:
             raise ScenarioError(f"{where}: {text}: {err}") from None
-        return degree_distribution(net), text
+        return degree_distribution(net), text, None
     if kind == "edgelist":
         if not rest:
             raise ScenarioError("target: edgelist needs a path, e.g. edgelist:net.csv")
         net = load_edge_list(rest)
         if not net.edge_count:
             raise ScenarioError(f"target: {rest}: the edge list has no edges")
-        return degree_distribution(net), text
+        digest = hashlib.sha256(Path(rest).read_bytes()).hexdigest()
+        return degree_distribution(net), text, {"path": os.path.abspath(rest), "sha256": digest}
     raise ScenarioError(f"target: unknown kind {kind!r}; expected ba or edgelist")
 
 
@@ -421,7 +435,7 @@ def cmd_sweep(args) -> int:
     rules = _parse_axis(args.rules, RULE_CODES, "rules")
     taus = _parse_taus(args.taus)
     with run.stage("target"):
-        target, target_text = _resolve_target(args.target, scenario)
+        target, target_text, target_file = _resolve_target(args.target, scenario)
     code_of_shape = {v: k for k, v in SHAPE_CODES.items()}
     options = {
         "target": target_text,
@@ -483,7 +497,7 @@ def cmd_sweep(args) -> int:
         run.outputs += outputs
         run.runtimes[f"cell:{entry['name']}"] = seconds.pop("cell")
         cell_runtimes[entry["name"]] = seconds
-    run.write_manifest("sweep", scenario, options, cell_runtimes)
+    run.write_manifest("sweep", scenario, options, cell_runtimes, target_file)
     _emit(f"sweep: {len(results)} cells x {len(taus)} transmissibilities -> {run.root}")
     return 0
 
@@ -492,7 +506,7 @@ def cmd_optimize(args) -> int:
     scenario = _resolve_scenario(args)
     run = _resolve_out(args)
     with run.stage("target"):
-        target, target_text = _resolve_target(args.target, scenario)
+        target, target_text, target_file = _resolve_target(args.target, scenario)
     if args.budget < 1:  # before any draw: many replicates take seconds to draw
         raise ScenarioError(f"budget must be positive, got {args.budget}")
 
@@ -513,7 +527,7 @@ def cmd_optimize(args) -> int:
     fitted = scenario.with_overrides(rule=Rule.PH, preference=result.best.preference)
     save_scenario(fitted, run.path("fitted.scenario"))
     options = {"target": target_text, "budget": args.budget, "replicates": args.replicates}
-    run.write_manifest("optimize", scenario, options)
+    run.write_manifest("optimize", scenario, options, target_file=target_file)
     pref = result.best.preference
     _emit(
         f"optimize: best (level {pref.level} w {pref.level_weight!r}, "

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .features import AGE_SPAN, GROUP_COUNT, GROUP_WIDTH, Population
+from .features import GROUP_COUNT, GROUP_WIDTH, Population
 from .netgen import NetworkSnapshot
 from .scenario import CounterStream, Scenario
 
@@ -71,48 +71,13 @@ class Susceptibility:
         return self.transmissibility * np.array(self.group_multipliers)[population.groups]
 
 
-@dataclass(frozen=True)
-class SeedRule:
-    """Scoring rule for initial spreaders.
-
-    Nodes are ranked by sign-weighted extended features [normalised age,
-    normalised degree]; the top `count` scores are seeded, ties going to
-    the lower node id. The default seeks the highest-degree nodes.
-    """
-
-    signs: tuple[int, ...] = (0, 1)
-    weights: tuple[float, ...] = (1.0, 1.0)
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if len(self.signs) != 2 or len(self.weights) != 2:
-            raise ValueError("seed rule covers exactly [age, degree]")
-        for s in self.signs:
-            if s not in (-1, 0, 1):
-                raise ValueError(f"seed signs must be -1, 0 or 1, got {s!r}")
-        for w in self.weights:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"seed weights must lie in [0, 1], got {w!r}")
-        if self.count < 0:
-            raise ValueError(f"seed count must be non-negative, got {self.count}")
-
-
-def seed_scores(net: NetworkSnapshot, population: Population, rule: SeedRule) -> np.ndarray:
-    """Sign-weighted seeding score per node."""
-    n = net.node_count
-    age_norm = population.ages / AGE_SPAN
-    degree_norm = net.degrees / (n - 1) if n > 1 else net.degrees.astype(np.float64)
-    coeff = np.array(rule.signs, dtype=np.float64) * np.array(rule.weights)
-    return age_norm * coeff[0] + degree_norm * coeff[1]
-
-
-def select_seeds(net: NetworkSnapshot, population: Population, rule: SeedRule) -> np.ndarray:
-    """Ids of the top-scoring nodes, score descending, ties to lower id."""
-    if population.size != net.node_count:
-        raise ValueError("population and network disagree on node count")
-    scores = seed_scores(net, population, rule)
-    order = np.lexsort((np.arange(net.node_count), -scores))
-    return np.sort(order[: rule.count]).astype(np.int64)
+def select_seeds(net: NetworkSnapshot, count: int) -> np.ndarray:
+    """Ids of the `count` highest-degree nodes, ties to the lower id, in
+    ascending order."""
+    if not 0 <= count <= net.node_count:
+        raise ValueError(f"seed count must lie in [0, {net.node_count}], got {count}")
+    order = np.lexsort((np.arange(net.node_count), -net.degrees))
+    return np.sort(order[:count]).astype(np.int64)
 
 
 def multi_source_distances(net: NetworkSnapshot, sources: np.ndarray) -> np.ndarray:
@@ -183,7 +148,6 @@ def run_si(
     population: Population,
     scenario: Scenario,
     stream: CounterStream,
-    seed_rule: SeedRule | None = None,
     susceptibility: Susceptibility | Sequence[Susceptibility] | None = None,
 ) -> EpidemicTrace | list[EpidemicTrace]:
     """Run the synchronous SI process for scenario.horizon steps.
@@ -191,9 +155,9 @@ def run_si(
     At each step t, every susceptible node v with E > 0 infected
     neighbours and seed distance within the cap converts when its uniform
     draw (addressed by (t, v) in the infection stream) falls below
-    1 - (1 - p1)^E. Susceptibility defaults to the scenario's
-    transmissibility in every age group, seeding to the scenario's count of
-    highest-degree nodes.
+    1 - (1 - p1)^E. The seeds are the scenario's seed_count
+    highest-degree nodes, ties to the lower id. Susceptibility defaults to
+    the scenario's transmissibility in every age group.
 
     Each row's p1 is fixed before the first step: it depends only on a
     node's age group, which never changes.
@@ -207,8 +171,6 @@ def run_si(
     n = net.node_count
     if population.size != n or scenario.node_count != n:
         raise ValueError("network, population and scenario disagree on node count")
-    if seed_rule is None:
-        seed_rule = SeedRule(count=scenario.seed_count)
     if susceptibility is None:
         susceptibility = Susceptibility(scenario.transmissibility)
     ladder = isinstance(susceptibility, Sequence)
@@ -216,7 +178,7 @@ def run_si(
     if not rows:
         raise ValueError("susceptibility: need at least one entry")
 
-    seeds = select_seeds(net, population, seed_rule)
+    seeds = select_seeds(net, scenario.seed_count)
     distances = multi_source_distances(net, seeds)
     nbr, deg = net.neighbours, net.degrees
     reachable = distances <= scenario.distance_cap
@@ -280,16 +242,9 @@ def _par_from_counts(table: np.ndarray, node_count: int) -> np.ndarray:
 
 
 def par_matrix(trace: EpidemicTrace) -> np.ndarray:
-    """par(time, distance) for every valid window; cells with distance >
-    time hold NaN."""
+    """PaR(T, D) at [T, D] for every window: the fraction of all nodes
+    infected within T steps at seed distance at most D; NaN where D > T."""
     return _par_from_counts(infection_by_distance(trace), trace.node_count)
-
-
-def par(trace: EpidemicTrace, time: int, distance: int) -> float:
-    """Population at risk: the fraction of all nodes infected within `time`
-    steps at seed distance at most `distance` (requires distance <= time)."""
-    _check_window(trace, time, distance)
-    return float(par_matrix(trace)[time, distance])
 
 
 def par_by_group(

@@ -7,7 +7,8 @@ quantities in bulk (growth of one network or of a fit's replicates in
 vectorised SI step in `epidemic.run_si`). `per_exposure` reads each
 node's p1 from its age, node by node, and the dense SI loop reads it
 afresh at every step, where the package fixes every node's p1 before the
-first step. The dense functions run the SI process and the seed
+first step. `select_seeds` ranks node ids by degree counted from the
+edge rows. The dense functions run the SI process and the seed
 distances on an n x n adjacency matrix, the way the package did before
 it worked from the edge list and neighbour lists. The
 PaR functions mask the trace once per (time, distance) window, the way the
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from prefnet.epidemic import EpidemicTrace, SeedRule, select_seeds, Susceptibility
+from prefnet.epidemic import EpidemicTrace, Susceptibility
 from prefnet.features import (
     AGE_SPAN, age_pair_scores, GROUP_COUNT, GROUP_WIDTH, group_counts, Population, sample_ages,
 )
@@ -178,12 +179,22 @@ def multi_source_distances(net: NetworkSnapshot, sources: np.ndarray) -> np.ndar
     return dist
 
 
+def select_seeds(net: NetworkSnapshot, count: int) -> np.ndarray:
+    """The first `count` node ids ordered by (-degree, id), ascending, with
+    each degree counted from the edge rows."""
+    degree = [0] * net.node_count
+    for i, j in net.edges.tolist():
+        degree[i] += 1
+        degree[j] += 1
+    ranked = sorted(range(net.node_count), key=lambda v: (-degree[v], v))
+    return np.array(sorted(ranked[:count]), dtype=np.int64)
+
+
 def run_si(
     net: NetworkSnapshot,
     population: Population,
     scenario: Scenario,
     stream: CounterStream,
-    seed_rule: SeedRule | None = None,
     susceptibility: Susceptibility | None = None,
 ) -> EpidemicTrace:
     """The synchronous SI process with exposures from a dense matrix-vector
@@ -192,12 +203,10 @@ def run_si(
     n = net.node_count
     if population.size != n or scenario.node_count != n:
         raise ValueError("network, population and scenario disagree on node count")
-    if seed_rule is None:
-        seed_rule = SeedRule(count=scenario.seed_count)
     if susceptibility is None:
         susceptibility = Susceptibility(scenario.transmissibility)
 
-    seeds = select_seeds(net, population, seed_rule)
+    seeds = select_seeds(net, scenario.seed_count)
     distances = multi_source_distances(net, seeds)
     adj_int = dense_adjacency(net).astype(np.int64)
     reachable = distances <= scenario.distance_cap

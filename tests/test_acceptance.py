@@ -8,19 +8,11 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
 
 from prefnet.cli import main
-from prefnet.epidemic import (
-    SeedRule,
-    Susceptibility,
-    par,
-    run_si,
-    seed_scores,
-    select_seeds,
-)
+from prefnet.epidemic import Susceptibility, par_matrix, run_si, select_seeds
 from prefnet.features import (
     GROUP_COUNT, Population, SHAPE_TEMPLATES, hill_number, make_population,
 )
@@ -199,13 +191,13 @@ def test_criterion_07_risk_monotonicity_and_saturation():
     with _verdict(7, "infection risk grows with window size and transmissibility"):
         # window monotonicity on a mid-transmissibility trace
         sc, pop, net = _build(AgeShape.UNIFORM, Rule.PH, 0, transmissibility=0.6)
-        trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+        par = par_matrix(run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0)))
         for t in range(sc.horizon + 1):
             for d in range(min(t, sc.distance_cap) + 1):
                 if t > 0 and d <= min(t - 1, sc.distance_cap):
-                    assert par(trace, t, d) >= par(trace, t - 1, d)
+                    assert par[t, d] >= par[t - 1, d]
                 if d > 0:
-                    assert par(trace, t, d) >= par(trace, t, d - 1)
+                    assert par[t, d] >= par[t, d - 1]
 
         # mean risk over 30 replicates is non-decreasing in transmissibility
         for shape, rule in ((AgeShape.UNIFORM, Rule.PH),
@@ -214,9 +206,9 @@ def test_criterion_07_risk_monotonicity_and_saturation():
             for tau in TAU_GRID:
                 sc, pop, net = _build(shape, rule, 0, transmissibility=tau)
                 values = [
-                    par(run_si(net, pop, sc,
-                               RngPolicy(0).counter_stream("infection", r)),
-                        sc.horizon, sc.distance_cap)
+                    par_matrix(run_si(net, pop, sc,
+                                      RngPolicy(0).counter_stream("infection", r)))[
+                        sc.horizon, sc.distance_cap]
                     for r in range(30)
                 ]
                 means.append(float(np.mean(values)))
@@ -242,14 +234,13 @@ def test_criterion_08_seed_selection():
     with _verdict(8, "seeding picks the highest-degree node, ties to lowest id"):
         for shape in SHAPES:
             for rule in RULES:
-                _, pop, net = _build(shape, rule, 0)
-                (seed,) = select_seeds(net, pop, SeedRule())
+                _, _, net = _build(shape, rule, 0)
+                (seed,) = select_seeds(net, 1)
                 assert net.degrees[seed] == net.degrees.max(), (shape, rule)
         # two disjoint triangles: every degree equal, lowest id must win
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         tie_net = NetworkSnapshot(6, np.array(edges), np.ones(len(edges)))
-        tie_pop = make_population(Scenario(node_count=6, edge_budget=0))
-        assert select_seeds(tie_net, tie_pop, SeedRule()).tolist() == [0]
+        assert select_seeds(tie_net, 1).tolist() == [0]
 
 
 def test_criterion_09_sweep_determinism(tmp_path):
@@ -313,18 +304,8 @@ def test_criterion_10_formula_anchors():
         total = 0.5 * level + 0.5 * diff
         assert np.max(np.abs(net.gamma - edge_strength(total))) < tol
 
-        # seed scores over extended features [age/90, degree/(n-1)]
-        star = NetworkSnapshot(4, np.array([(0, 1), (0, 2), (0, 3)]), np.ones(3))
-        pop4 = make_population(Scenario(node_count=4, edge_budget=0))
-        ages = pop4.ages
-        rule = SeedRule(signs=(1, 1), weights=(1.0, 0.5))
-        scores = seed_scores(star, pop4, rule)
-        degrees = (3, 1, 1, 1)
-        for v in range(4):
-            exact = Fraction(int(ages[v]), 90) + Fraction(degrees[v], 3) * Fraction(1, 2)
-            assert abs(scores[v] - float(exact)) < tol
-
         # transition probability with exposure aggregation
+        pop4 = make_population(Scenario(node_count=4, edge_budget=0))
         plain = Susceptibility(0.2)
         assert transition_probability(0, plain, 0, pop4) == 0.0
         assert abs(transition_probability(0, plain, 2, pop4) - 0.36) < tol
@@ -334,18 +315,18 @@ def test_criterion_10_formula_anchors():
         )
         assert abs(transition_probability(1, scaled, 1, pop4) - 0.2) < tol
 
-        # population-at-risk windows
+        # population-at-risk windows on a path of 7, seeded at node 1 (the
+        # lowest id of degree 2): 1, then 0 and 2, then 3 are infected
         path = NetworkSnapshot(7, np.array([(k, k + 1) for k in range(6)]),
                                np.ones(6))
-        ages7 = np.array([80, 10, 20, 30, 40, 50, 60])
-        pop7 = Population(ages7)
+        pop7 = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
         sc7 = Scenario(node_count=7, edge_budget=6, transmissibility=1.0)
-        end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0))
-        trace7 = run_si(path, pop7, sc7, RngPolicy(0).counter_stream("infection", 0),
-                        seed_rule=end_seed)
-        assert trace7.seeds.tolist() == [0]
-        assert abs(par(trace7, 0, 0) - 1 / 7) < tol
-        assert abs(par(trace7, 2, 2) - 3 / 7) < tol
+        trace7 = run_si(path, pop7, sc7, RngPolicy(0).counter_stream("infection", 0))
+        assert trace7.seeds.tolist() == [1]
+        par7 = par_matrix(trace7)
+        assert abs(par7[0, 0] - 1 / 7) < tol
+        assert abs(par7[1, 1] - 3 / 7) < tol
+        assert abs(par7[2, 2] - 4 / 7) < tol
         complete = NetworkSnapshot(
             5, np.array([(i, j) for i in range(5) for j in range(i + 1, 5)]),
             np.ones(10))
@@ -353,4 +334,4 @@ def test_criterion_10_formula_anchors():
         pop5 = make_population(sc5)
         trace5 = run_si(complete, pop5, sc5,
                         RngPolicy(0).counter_stream("infection", 0))
-        assert abs(par(trace5, 1, 1) - 1.0) < tol
+        assert abs(par_matrix(trace5)[1, 1] - 1.0) < tol

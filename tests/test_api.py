@@ -11,8 +11,10 @@ from prefnet import cli, epidemic, features, netgen, optimizer
 
 # Scalar test oracles that now live in tests/oracles.py, and names deleted
 # with the per-node trait arrays, with the per-window PaR counts, with the
-# 90 x 90 age table or when growth became one kernel (`netgen.keep_pairs`);
-# none of them is part of the package.
+# 90 x 90 age table, when growth became one kernel (`netgen.keep_pairs`),
+# when seeding became degree alone, or because only tests read them (`par`:
+# every PaR figure is read from `par_matrix`); none of them is part of the
+# package.
 REMOVED = (
     "Traits",
     "node_traits",
@@ -25,6 +27,9 @@ REMOVED = (
     "par_exact",
     "pair_score_table",
     "budget_pairs",
+    "SeedRule",
+    "seed_scores",
+    "par",
 )
 
 
@@ -43,9 +48,33 @@ def test_public_names():
     ]
     assert not hasattr(epidemic, "_CONDITIONS")
     assert not hasattr(epidemic.Susceptibility, "from_transmissibility")
+    # The seed count has one home, the scenario; seeds are picked by degree
+    assert list(inspect.signature(epidemic.run_si).parameters) == [
+        "net", "population", "scenario", "stream", "susceptibility",
+    ]
+    assert list(inspect.signature(epidemic.select_seeds).parameters) == ["net", "count"]
     namespace = {}
     exec("from prefnet import *", namespace)
     assert set(prefnet.__all__) <= set(namespace)
+
+
+def test_every_public_name_is_used_outside_tests():
+    # No public name exists only for the tests: each is read somewhere in
+    # the package or a demo, apart from its own def or class statement
+    # (which is not a Name, Attribute or import alias).
+    package = Path(prefnet.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += (Path(__file__).resolve().parents[1] / "demos").glob("*.py")
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    assert sorted(set(prefnet.__all__) - used) == []
 
 
 def test_artifact_format_lives_in_one_module():

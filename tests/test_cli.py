@@ -1,5 +1,6 @@
 """Command-line behaviour: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import platform
@@ -37,19 +38,22 @@ def _tree_bytes(root):
     }
 
 
-def _assert_identical_runs(dir_a, dir_b):
+def _assert_identical_runs(dir_a, dir_b, given_options=()):
     a, b = _tree_bytes(dir_a), _tree_bytes(dir_b)
     assert set(a) == set(b)
     for rel in a:
         if rel.endswith("manifest.json") or rel.endswith("report.json"):
             continue
         assert a[rel] == b[rel], f"{rel} differs between reruns"
-    # manifests agree apart from the recorded runtimes, the cells' included
+    # manifests agree apart from the recorded runtimes, the cells' included,
+    # and the options in `given_options`, which the caller gave differently
     for rel in a:
         if rel.endswith("manifest.json"):
             ma, mb = json.loads(a[rel]), json.loads(b[rel])
             for timed in ("runtimes", "cell_runtimes"):
                 ma.pop(timed, None), mb.pop(timed, None)
+            for option in given_options:
+                ma["options"].pop(option), mb["options"].pop(option)
             assert ma == mb
 
 
@@ -163,12 +167,45 @@ def test_a_run_reruns_from_its_scenario_and_manifest_options(tmp_path, argv):
     assert main([*argv, "--set", "node_count=30", "--set", "edge_budget=100",
                  "--set", "master_seed=4", "--out", str(first)]) == 0
     manifest = _read_json(first / "manifest.json")
+    assert "target_file" not in manifest  # no edge-list target
     options = []
     for key, value in manifest["options"].items():
         options += [f"--{key}", ",".join(map(str, value)) if isinstance(value, list) else str(value)]
     assert main([manifest["command"], "--scenario", str(first / "scenario.txt"), *options,
                  "--out", str(rerun)]) == 0
     _assert_identical_runs(first, rerun)
+
+
+def test_manifest_records_an_edgelist_targets_file(tmp_path, monkeypatch):
+    # The manifest keeps the target text as given, relative here, and adds
+    # the file's absolute path and digest; a rerun from another directory
+    # through that path writes the same artifacts.
+    size = ["--set", "node_count=30", "--set", "edge_budget=100"]
+    assert main(["generate", *size, "--out", str(tmp_path / "gen")]) == 0
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    edges = tmp_path / "a" / "edges.csv"
+    edges.write_bytes((tmp_path / "gen" / "network.csv").read_bytes())
+    fit = ["optimize", *size, "--budget", "3", "--replicates", "2"]
+    monkeypatch.chdir(tmp_path / "a")
+    assert main([*fit, "--target", "edgelist:edges.csv", "--out", str(tmp_path / "first")]) == 0
+    manifest = _read_json(tmp_path / "first" / "manifest.json")
+    assert manifest["options"]["target"] == "edgelist:edges.csv"
+    assert manifest["target_file"] == {
+        "path": str(edges.resolve()),
+        "sha256": hashlib.sha256(edges.read_bytes()).hexdigest(),
+    }
+    assert main(["sweep", *size, "--shapes", "U", "--rules", "P+", "--taus", "0.5",
+                 "--target", "edgelist:edges.csv", "--out", str(tmp_path / "sweep")]) == 0
+    sweep = _read_json(tmp_path / "sweep" / "manifest.json")
+    assert sweep["target_file"] == manifest["target_file"]
+
+    monkeypatch.chdir(tmp_path / "b")
+    given = f"edgelist:{manifest['target_file']['path']}"
+    assert main([*fit, "--target", given, "--out", str(tmp_path / "rerun")]) == 0
+    rerun = _read_json(tmp_path / "rerun" / "manifest.json")
+    assert rerun["options"]["target"] == given
+    _assert_identical_runs(tmp_path / "first", tmp_path / "rerun", given_options=("target",))
 
 
 def test_cli_import_does_not_load_scipy(child_env):

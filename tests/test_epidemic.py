@@ -10,13 +10,10 @@ from prefnet.epidemic import (
     EpidemicTrace,
     infection_by_distance,
     multi_source_distances,
-    par,
     par_by_group,
     par_matrix,
     risk_report,
     run_si,
-    SeedRule,
-    seed_scores,
     select_seeds,
     Susceptibility,
 )
@@ -134,57 +131,63 @@ def test_per_exposure_is_the_oracles_p1(s, ages):
 # Seed selection
 
 
-def test_seed_rule_validation():
-    with pytest.raises(ValueError):
-        SeedRule(signs=(2, 0))
-    with pytest.raises(ValueError):
-        SeedRule(weights=(0.5,))
-    with pytest.raises(ValueError):
-        SeedRule(weights=(0.5, 1.5))
-    with pytest.raises(ValueError):
-        SeedRule(count=-1)
-
-
 def test_select_seeds_max_degree():
     # star: center 0 has the top degree
     star = _net(6, [(0, v) for v in range(1, 6)])
-    pop = Population(np.array([10, 20, 30, 40, 50, 60]))
-    seeds = select_seeds(star, pop, SeedRule(count=1))
-    assert list(seeds) == [0]
+    assert list(select_seeds(star, 1)) == [0]
 
 
 def test_select_seeds_tie_breaks_to_lowest_id():
     # two disjoint triangles: all degrees equal, lowest id wins
     net = _net(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    pop = Population(np.array([50, 40, 30, 20, 10, 0]))
-    seeds = select_seeds(net, pop, SeedRule(count=1))
-    assert list(seeds) == [0]
-    two = select_seeds(net, pop, SeedRule(count=2))
-    assert list(two) == [0, 1]
-
-
-def test_select_seeds_age_based_rule():
-    net = _net(4, [(0, 1), (1, 2), (2, 3)])
-    pop = Population(np.array([80, 10, 20, 30]))
-    oldest = select_seeds(net, pop, SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1))
-    assert list(oldest) == [0]
-    youngest = select_seeds(net, pop, SeedRule(signs=(-1, 0), weights=(1.0, 1.0), count=1))
-    assert list(youngest) == [1]
-
-
-def test_seed_scores_formula():
-    net = _net(3, [(0, 1), (0, 2)])
-    pop = Population(np.array([45, 9, 81]))
-    scores = seed_scores(net, pop, SeedRule(signs=(1, 1), weights=(0.5, 1.0)))
-    # age/90 * 0.5 + degree/(n-1) * 1.0
-    expected = np.array([45 / 90 * 0.5 + 1.0, 9 / 90 * 0.5 + 0.5, 81 / 90 * 0.5 + 0.5])
-    assert np.allclose(scores, expected, atol=1e-12)
+    assert list(select_seeds(net, 1)) == [0]
+    assert list(select_seeds(net, 2)) == [0, 1]
 
 
 def test_select_seeds_zero_count():
     net = _net(3, [(0, 1)])
-    pop = Population(np.array([10, 20, 30]))
-    assert select_seeds(net, pop, SeedRule(count=0)).shape == (0,)
+    assert select_seeds(net, 0).shape == (0,)
+
+
+def test_select_seeds_rejects_a_count_outside_the_nodes():
+    net = _net(3, [(0, 1)])
+    for count in (-1, 4):
+        with pytest.raises(ValueError, match=r"seed count must lie in \[0, 3\]"):
+            select_seeds(net, count)
+
+
+@st.composite
+def _seed_cases(draw):
+    """A small graph (random, so isolated nodes and degree ties are common,
+    or empty, a cycle or complete, where every degree is equal), ages, and
+    a seed count from 0 to n."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kind = draw(st.sampled_from(["random", "empty", "cycle", "complete"]))
+    if kind == "random" and pairs:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    elif kind == "cycle" and n >= 3:
+        edges = [(v, (v + 1) % n) for v in range(n)]
+    elif kind == "complete":
+        edges = pairs
+    else:
+        edges = []
+    ages = draw(st.lists(st.integers(0, AGE_SPAN - 1), min_size=n, max_size=n))
+    return _net(n, edges), Population(np.array(ages)), draw(st.integers(0, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seed_cases())
+def test_run_si_seeds_are_the_oracles_pick(case):
+    net, pop, count = case
+    n = net.node_count
+    sc = Scenario(node_count=n, edge_budget=net.edge_count, seed_count=count, master_seed=0)
+    trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+    expected = oracles.select_seeds(net, count).tolist()
+    assert trace.seeds.tolist() == expected
+    assert select_seeds(net, count).tolist() == expected
+    assert (np.diff(trace.seeds) > 0).all()
+    assert np.flatnonzero(trace.status[0]).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +222,16 @@ def test_run_si_zero_transmissibility_keeps_only_seeds():
 
 
 def test_run_si_distance_cap_blocks_far_nodes():
-    # path of 7: seed at the end, cap 2 stops the wave at distance 2
+    # path of 7: the seed is node 1, the lowest id of degree 2, and cap 2
+    # stops the wave at node 3, distance 2
     edges = [(v, v + 1) for v in range(6)]
     net = _net(7, edges)
     pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=2, master_seed=0)
-    end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1)
-    trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0),
-                   seed_rule=end_seed)
-    assert list(trace.seeds) == [0]
-    assert set(np.flatnonzero(trace.status[-1])) == {0, 1, 2}
+    trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+    assert list(trace.seeds) == [1]
+    assert set(np.flatnonzero(trace.status[-1])) == {0, 1, 2, 3}
 
 
 def test_run_si_status_monotone_and_capped():
@@ -423,28 +425,30 @@ def test_infection_by_distance_zero_tau():
 
 
 def _p7_trace():
+    # path of 7 at full transmissibility: the seed is node 1, the lowest id
+    # of degree 2, so node 0 is at distance 1 and node v > 1 at v - 1
     edges = [(v, v + 1) for v in range(6)]
     net = _net(7, edges)
     pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=6, master_seed=0)
-    end_seed = SeedRule(signs=(1, 0), weights=(1.0, 1.0), count=1)
-    return sc, run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0),
-                      seed_rule=end_seed)
+    return pop, run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
 
 
 def test_infection_by_distance_path():
     _, trace = _p7_trace()
     table = infection_by_distance(trace)
-    assert table[2, 0] == 1 and table[2, 1] == 1 and table[2, 2] == 1
+    assert table[2, 0] == 1 and table[2, 1] == 2 and table[2, 2] == 1
     assert table[2, 3] == 0
 
 
 def test_par_hand_values():
-    sc, trace = _p7_trace()
-    assert par(trace, 0, 0) == pytest.approx(1 / 7, abs=1e-12)
-    assert par(trace, 2, 2) == pytest.approx(3 / 7, abs=1e-12)
-    assert par(trace, 6, 6) == pytest.approx(1.0, abs=1e-12)
+    _, trace = _p7_trace()
+    matrix = par_matrix(trace)
+    assert matrix[0, 0] == pytest.approx(1 / 7, abs=1e-12)
+    assert matrix[1, 1] == pytest.approx(3 / 7, abs=1e-12)
+    assert matrix[2, 2] == pytest.approx(4 / 7, abs=1e-12)
+    assert matrix[6, 6] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_par_complete_graph_one_step():
@@ -454,27 +458,27 @@ def test_par_complete_graph_one_step():
     sc = Scenario(node_count=n, edge_budget=10, transmissibility=1.0, horizon=2,
                   distance_cap=2, master_seed=0)
     trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
-    assert par(trace, 1, 1) == 1.0
+    assert par_matrix(trace)[1, 1] == 1.0
 
 
 def test_par_window_validation():
-    sc, trace = _p7_trace()
+    pop, trace = _p7_trace()
     with pytest.raises(ValueError):
-        par(trace, 1, 2)  # distance beyond time
+        par_by_group(trace, pop, 1, 2)  # distance beyond time
     with pytest.raises(ValueError):
-        par(trace, 7, 2)  # beyond horizon
+        par_by_group(trace, pop, 7, 2)  # beyond horizon
     with pytest.raises(ValueError):
-        par(trace, 6, 7)  # beyond distance cap
+        par_by_group(trace, pop, 6, 7)  # beyond distance cap
 
 
 def test_par_monotone_in_time_and_distance():
     sc, policy, pop, net = _generated(8, transmissibility=0.5)
-    trace = run_si(net, pop, sc, policy.counter_stream("infection", 0))
+    matrix = par_matrix(run_si(net, pop, sc, policy.counter_stream("infection", 0)))
     for d in range(sc.distance_cap + 1):
-        values = [par(trace, t, d) for t in range(d, sc.horizon + 1)]
+        values = [matrix[t, d] for t in range(d, sc.horizon + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
     for t in range(sc.horizon + 1):
-        values = [par(trace, t, d) for d in range(0, min(t, sc.distance_cap) + 1)]
+        values = [matrix[t, d] for d in range(0, min(t, sc.distance_cap) + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -486,7 +490,7 @@ def test_par_mean_monotone_in_transmissibility():
     for tau in taus:
         st = sc.with_overrides(transmissibility=tau)
         vals = [
-            par(run_si(net, pop, st, policy.counter_stream("infection", r)), 6, 6)
+            par_matrix(run_si(net, pop, st, policy.counter_stream("infection", r)))[6, 6]
             for r in range(10)
         ]
         means.append(np.mean(vals))
@@ -494,11 +498,11 @@ def test_par_mean_monotone_in_transmissibility():
 
 
 def test_par_matrix_shape_and_nan_cells():
-    sc, trace = _p7_trace()
+    _, trace = _p7_trace()
     matrix = par_matrix(trace)
     assert matrix.shape == (7, 7)
     assert np.isnan(matrix[0, 1])
-    assert matrix[2, 2] == pytest.approx(3 / 7)
+    assert matrix[2, 2] == pytest.approx(4 / 7)
 
 
 def test_par_by_group_identity():
@@ -508,7 +512,7 @@ def test_par_by_group_identity():
     sizes = np.bincount(pop.groups, minlength=9)
     assert ((groups >= 0) & (groups <= 1)).all()
     total = (groups * sizes).sum()
-    assert total == pytest.approx(90 * par(trace, 6, 6), abs=1e-9)
+    assert total == pytest.approx(90 * par_matrix(trace)[6, 6], abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -538,14 +542,14 @@ def test_par_reads_match_the_per_window_oracle(horizon, cap, nodes):
         distance_cap=cap,
     )
     pop = Population(ages)
-    expected = oracles.par_matrix(trace)
-    assert np.array_equal(par_matrix(trace), expected, equal_nan=True)
+    matrix = par_matrix(trace)
+    assert np.array_equal(matrix, oracles.par_matrix(trace), equal_nan=True)
     final_d = min(cap, horizon)
     report = risk_report(trace, pop, _net(n, []))
     assert report["final_share"] == oracles.par(trace, horizon, final_d)
     for t in range(horizon + 1):
         for d in range(min(t, cap) + 1):
-            assert par(trace, t, d) == oracles.par(trace, t, d)
+            assert matrix[t, d] == oracles.par(trace, t, d)
             assert np.array_equal(
                 par_by_group(trace, pop, t, d),
                 oracles.par_by_group(trace, pop, t, d),
