@@ -32,8 +32,8 @@ def main():
     sc = Scenario(transmissibility=args.tau, master_seed=args.seed)
     population = make_population(sc)
     net = generate_network(population, sc, pair_draws(sc))
-    trace = run_si(net, population, sc,
-                   RngPolicy(sc.master_seed).counter_stream("infection", args.replicate))
+    stream = RngPolicy(sc.master_seed).counter_stream("infection", args.replicate)
+    [trace] = run_si(net, sc, stream)
 
     seed = int(trace.seeds[0])
     print(f"tau={args.tau}, master seed {args.seed}, replicate {args.replicate}")

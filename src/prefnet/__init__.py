@@ -20,7 +20,6 @@ from .scenario import (
     PH_FITTED,
     Preference,
     preset,
-    PRESET_NAMES,
     RngPolicy,
     Rule,
     RULE_PREFERENCES,
@@ -67,7 +66,6 @@ from .epidemic import (
     risk_report,
     run_si,
     select_seeds,
-    Susceptibility,
 )
 from .optimizer import (
     Candidate,
@@ -115,7 +113,6 @@ __all__ = [
     "Population",
     "Preference",
     "preset",
-    "PRESET_NAMES",
     "replicate_draws",
     "ReplicateDraws",
     "risk_report",
@@ -133,5 +130,4 @@ __all__ = [
     "select_seeds",
     "shortest_path_matrix",
     "SummaryStats",
-    "Susceptibility",
 ]

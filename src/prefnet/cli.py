@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_json, write_csv, write_json
-from .epidemic import EpidemicTrace, risk_report, run_si, Susceptibility, trace_to_csv
+from .epidemic import EpidemicTrace, risk_report, run_si, trace_to_csv
 from .features import (
     group_counts,
     make_population,
@@ -316,13 +316,12 @@ def _generate_artifacts(
 
 
 def _outbreaks(
-    net: NetworkSnapshot, population: Population, scenario: Scenario, taus: list[float]
+    net: NetworkSnapshot, scenario: Scenario, taus: list[float] | None = None
 ) -> list[EpidemicTrace]:
-    """One outbreak per transmissibility on the replicate-0 infection draws,
-    all stepped in one run_si call."""
+    """One outbreak per transmissibility (default: the scenario's) on the
+    replicate-0 infection draws, all stepped in one run_si call."""
     stream = RngPolicy(scenario.master_seed).counter_stream("infection", 0)
-    ladder = [Susceptibility(tau) for tau in taus]
-    return run_si(net, population, scenario, stream, susceptibility=ladder)
+    return run_si(net, scenario, stream, taus)
 
 
 def _epidemic_artifacts(
@@ -367,7 +366,7 @@ def cmd_epidemic(args) -> int:
         population, net = _grow(run, scenario)
         _generate_artifacts(run, scenario, population, net)
     with run.stage("epidemic"):
-        [trace] = _outbreaks(net, population, scenario, [scenario.transmissibility])
+        [trace] = _outbreaks(net, scenario)
         report = _epidemic_artifacts(run, trace, net, population)
     run.write_manifest("epidemic", scenario, {})
     _emit(
@@ -398,7 +397,7 @@ def _run_sweep_cell(
         diag = min(scenario.horizon, scenario.distance_cap)
         par_rows = []
         with cell.stage("epidemic"):
-            for tau, trace in zip(taus, _outbreaks(net, population, scenario, taus)):
+            for tau, trace in zip(taus, _outbreaks(net, scenario, taus)):
                 report = _epidemic_artifacts(cell.sub(f"tau_{tau!r}"), trace, net, population)
                 par_rows.append(
                     {
@@ -571,11 +570,9 @@ def _read_object(path: Path, fields: dict | None = None) -> dict:
 def _read_manifest(path: Path) -> dict:
     """The manifest at `path`, checked for the fields `report` reads."""
     manifest = _read_object(path, {"command": _STRING, "version": _STRING})
-    runtimes = manifest.setdefault("runtimes", {})
-    if not isinstance(runtimes, dict) or not all(
-        isinstance(v, (int, float)) for v in runtimes.values()
-    ):
-        raise ScenarioError(f"{path}: runtimes: expected stage names mapped to seconds")
+    runtimes = _check(path, manifest.setdefault("runtimes", {}), "runtimes", _OBJECT)
+    for stage, seconds in runtimes.items():
+        _check(path, seconds, f"runtimes.{stage}", _NUMBER)
     cells = manifest.get("cell_runtimes")
     if cells is not None:
         _check(path, cells, "cell_runtimes", _OBJECT)

@@ -3,20 +3,18 @@
 Infection advances in synchronous steps. A susceptible node with E
 infected neighbours is infected in the next step with probability
 1 - (1 - p1)^E, where p1, the per-exposure probability, is the
-transmissibility times the multiplier of the node's decade age group; a
-node's group never changes, so `run_si` fixes p1 before the first step.
-A multiplier of 0 shields a group. Spread is ruled by two budgets: a time
-horizon and a distance cap, measured in hops from the nearest seed; nodes
-beyond the cap never convert.
+transmissibility, the same for every node. Spread is ruled by two
+budgets: a time horizon and a distance cap, measured in hops from the
+nearest seed; nodes beyond the cap never convert.
 
 Randomness is counter-addressed: the uniform that decides node v at step t
 depends only on the stream key and (t, v), so traces are reproducible no
 matter how many draws other steps consumed, and replicates can be compared
 under common random numbers. Since the draws do not depend on the
-susceptibility either, `run_si` steps a ladder of susceptibilities (the
-transmissibilities of a sweep cell, say) as the rows of one run: the rows
-share the seeds, the seed distances and each step's uniforms, and each row
-equals its own single run.
+transmissibility either, `run_si` steps a ladder of transmissibilities
+(those of a sweep cell, say) as the rows of one run: the rows share the
+seeds, the seed distances and each step's uniforms, and each row equals
+its own single run.
 
 Outcomes are reported as the population-at-risk share PaR(T, D): the
 fraction of nodes infected within T steps at seed distance at most D
@@ -38,37 +36,6 @@ from .artifacts import write_csv
 from .features import GROUP_COUNT, GROUP_WIDTH, Population
 from .netgen import NetworkSnapshot
 from .scenario import CounterStream, Scenario
-
-
-@dataclass(frozen=True)
-class Susceptibility:
-    """Per-exposure infection probability by decade age group.
-
-    A node's p1 is the transmissibility times the multiplier of its age
-    group, one multiplier per group. Both lie in [0, 1]; a multiplier of 0
-    shields its group from infection.
-    """
-
-    transmissibility: float
-    group_multipliers: tuple[float, ...] = (1.0,) * GROUP_COUNT
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.transmissibility <= 1.0:
-            raise ValueError(
-                f"transmissibility must lie in [0, 1], got {self.transmissibility!r}"
-            )
-        if len(self.group_multipliers) != GROUP_COUNT:
-            raise ValueError(
-                f"need one multiplier per age group ({GROUP_COUNT}), "
-                f"got {len(self.group_multipliers)}"
-            )
-        for w in self.group_multipliers:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"multipliers must lie in [0, 1], got {w!r}")
-
-    def per_exposure(self, population: Population) -> np.ndarray:
-        """Per-exposure probability p1 of each node."""
-        return self.transmissibility * np.array(self.group_multipliers)[population.groups]
 
 
 def select_seeds(net: NetworkSnapshot, count: int) -> np.ndarray:
@@ -110,19 +77,22 @@ class EpidemicTrace:
     holds hops from the nearest seed (sentinel node_count if unreachable).
     """
 
-    seeds: np.ndarray
     status: np.ndarray
     distances: np.ndarray
     distance_cap: int
 
     def __post_init__(self) -> None:
-        self.seeds = np.asarray(self.seeds, dtype=np.int64)
         self.status = np.asarray(self.status, dtype=bool)
         self.distances = np.asarray(self.distances, dtype=np.int64)
         if self.status.ndim != 2 or self.status.shape[0] < 1:
             raise ValueError("status must be 2-D with at least one row (the seeds)")
         if self.status.shape[1] != self.distances.shape[0]:
             raise ValueError("status and distances disagree on node count")
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """Ids of the nodes infected at step 0, ascending."""
+        return np.flatnonzero(self.status[0])
 
     @property
     def horizon(self) -> int:
@@ -145,46 +115,42 @@ class EpidemicTrace:
 
 def run_si(
     net: NetworkSnapshot,
-    population: Population,
     scenario: Scenario,
     stream: CounterStream,
-    susceptibility: Susceptibility | Sequence[Susceptibility] | None = None,
-) -> EpidemicTrace | list[EpidemicTrace]:
-    """Run the synchronous SI process for scenario.horizon steps.
+    taus: Sequence[float] | None = None,
+) -> list[EpidemicTrace]:
+    """Run the synchronous SI process for scenario.horizon steps, once per
+    transmissibility in `taus` (default: the scenario's alone), and return
+    one trace per entry.
 
     At each step t, every susceptible node v with E > 0 infected
     neighbours and seed distance within the cap converts when its uniform
     draw (addressed by (t, v) in the infection stream) falls below
-    1 - (1 - p1)^E. The seeds are the scenario's seed_count
-    highest-degree nodes, ties to the lower id. Susceptibility defaults to
-    the scenario's transmissibility in every age group.
+    1 - (1 - p1)^E, where p1 is the row's transmissibility. The seeds are
+    the scenario's seed_count highest-degree nodes, ties to the lower id.
 
-    Each row's p1 is fixed before the first step: it depends only on a
-    node's age group, which never changes.
-
-    Given a sequence of susceptibilities (a transmissibility ladder, say),
-    returns one trace per entry, stepped together as the rows of one run
-    that share the seeds, the seed distances, the neighbour list and each
-    step's uniforms; each row counts its E with its own bincount over
-    that list and equals its own single-susceptibility run.
+    The rows are stepped together as one run that shares the seeds, the
+    seed distances, the neighbour list and each step's uniforms; each row
+    counts its E with its own bincount over that list and equals its own
+    one-row run.
     """
     n = net.node_count
-    if population.size != n or scenario.node_count != n:
-        raise ValueError("network, population and scenario disagree on node count")
-    if susceptibility is None:
-        susceptibility = Susceptibility(scenario.transmissibility)
-    ladder = isinstance(susceptibility, Sequence)
-    rows = list(susceptibility) if ladder else [susceptibility]
-    if not rows:
-        raise ValueError("susceptibility: need at least one entry")
+    if scenario.node_count != n:
+        raise ValueError("network and scenario disagree on node count")
+    taus = [scenario.transmissibility] if taus is None else list(taus)
+    if not taus:
+        raise ValueError("taus: need at least one transmissibility")
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"transmissibility must lie in [0, 1], got {tau!r}")
 
     seeds = select_seeds(net, scenario.seed_count)
     distances = multi_source_distances(net, seeds)
     nbr, deg = net.neighbours, net.degrees
     reachable = distances <= scenario.distance_cap
-    p1 = np.stack([row.per_exposure(population) for row in rows])
+    p1 = np.array(taus, dtype=np.float64)[:, None]
 
-    status = np.zeros((len(rows), scenario.horizon + 1, n), dtype=bool)
+    status = np.zeros((len(taus), scenario.horizon + 1, n), dtype=bool)
     status[:, 0, seeds] = True
     for t in range(1, scenario.horizon + 1):
         prev = status[:, t - 1]
@@ -193,16 +159,10 @@ def run_si(
         eligible = (~prev) & (exposures > 0) & reachable
         draws = stream.uniforms(t, n)
         status[:, t] = prev | (eligible & (draws < prob))
-    traces = [
-        EpidemicTrace(
-            seeds=seeds,
-            status=row_status,
-            distances=distances,
-            distance_cap=scenario.distance_cap,
-        )
+    return [
+        EpidemicTrace(status=row_status, distances=distances, distance_cap=scenario.distance_cap)
         for row_status in status
     ]
-    return traces if ladder else traces[0]
 
 
 def infection_by_distance(trace: EpidemicTrace) -> np.ndarray:
@@ -271,8 +231,9 @@ def risk_report(trace: EpidemicTrace, population: Population, net: NetworkSnapsh
     final_t = trace.horizon
     final_d = min(trace.distance_cap, final_t)
     groups = par_by_group(trace, population, final_t, final_d)
+    seeds = trace.seeds
     return {
-        "seeds": [int(s) for s in trace.seeds],
+        "seeds": [int(s) for s in seeds],
         "horizon": trace.horizon,
         "distance_cap": trace.distance_cap,
         "infected_total": int(trace.status[-1].sum()),
@@ -281,7 +242,7 @@ def risk_report(trace: EpidemicTrace, population: Population, net: NetworkSnapsh
         "par_by_group": [None if math.isnan(x) else x for x in groups.tolist()],
         "infection_by_distance": table.tolist(),
         "group_width": GROUP_WIDTH,
-        "seed_degrees": [int(net.degrees[s]) for s in trace.seeds],
+        "seed_degrees": [int(net.degrees[s]) for s in seeds],
     }
 
 

@@ -359,11 +359,6 @@ SHAPE_CODES = {
 }
 RULE_CODES = {r.value: r for r in Rule}
 
-PRESET_NAMES: tuple[str, ...] = tuple(
-    f"{s}_{r}" for s in SHAPE_CODES for r in RULE_CODES
-)
-
-
 def preset(name: str) -> Scenario:
     """Build one of the 25 named scenarios, '<shape>_<rule>' with shape in
     U, B, I, L, R and rule in P+, P-, H+, H-, PH. Example: 'U_PH'.

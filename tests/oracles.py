@@ -4,13 +4,12 @@ Each scalar function scores or decides one pair or one node at a time,
 straight from the model's definitions; the package computes the same
 quantities in bulk (growth of one network or of a fit's replicates in
 `netgen.keep_pairs`, which scores each age code in use once; the
-vectorised SI step in `epidemic.run_si`). `per_exposure` reads each
-node's p1 from its age, node by node, and the dense SI loop reads it
-afresh at every step, where the package fixes every node's p1 before the
-first step. `select_seeds` ranks node ids by degree counted from the
-edge rows. The dense functions run the SI process and the seed
-distances on an n x n adjacency matrix, the way the package did before
-it worked from the edge list and neighbour lists. The
+vectorised SI step in `epidemic.run_si`, which steps a ladder of
+transmissibilities as the rows of one run). The dense SI loop runs one
+transmissibility at a time, as a scalar. `select_seeds` ranks node ids
+by degree counted from the edge rows. The dense functions run the SI
+process and the seed distances on an n x n adjacency matrix, the way the
+package did before it worked from the edge list and neighbour lists. The
 PaR functions mask the trace once per (time, distance) window, the way the
 package did before it read every window from one count table. `evaluate`
 grows the replicates of a fit one at a time from the raw streams and a
@@ -25,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from prefnet.epidemic import EpidemicTrace, Susceptibility
+from prefnet.epidemic import EpidemicTrace
 from prefnet.features import (
-    AGE_SPAN, age_pair_scores, GROUP_COUNT, GROUP_WIDTH, group_counts, Population, sample_ages,
+    AGE_SPAN, age_pair_scores, GROUP_COUNT, group_counts, Population, sample_ages,
 )
 from prefnet.netgen import NetworkSnapshot, PairDraws
 from prefnet.netmetrics import PatternDistribution
@@ -125,30 +124,15 @@ def pair_score(
     )
 
 
-def per_exposure(susceptibility: Susceptibility, population: Population) -> np.ndarray:
-    """Per-exposure probability p1 of each node, node by node from the
-    definition: the transmissibility times the multiplier of the node's
-    decade group, age // GROUP_WIDTH."""
-    s = susceptibility
-    return np.array(
-        [s.transmissibility * s.group_multipliers[int(age) // GROUP_WIDTH]
-         for age in population.ages],
-        dtype=np.float64,
-    )
-
-
-def transition_probability(
-    node: int, susceptibility: Susceptibility, exposures: int, population: Population
-) -> float:
+def transition_probability(tau: float, exposures: int) -> float:
     """Probability that a susceptible node converts this step given its
-    count of infected neighbours: 1 - (1 - p1)^exposures, 0 when there are
+    count of infected neighbours: 1 - (1 - tau)^exposures, 0 when there are
     no exposures."""
     if exposures < 0:
         raise ValueError(f"exposures must be non-negative, got {exposures}")
     if exposures == 0:
         return 0.0
-    p1 = per_exposure(susceptibility, population)[node]
-    return float(1.0 - (1.0 - p1) ** exposures)
+    return float(1.0 - (1.0 - tau) ** exposures)
 
 
 def dense_adjacency(net: NetworkSnapshot) -> np.ndarray:
@@ -192,19 +176,18 @@ def select_seeds(net: NetworkSnapshot, count: int) -> np.ndarray:
 
 def run_si(
     net: NetworkSnapshot,
-    population: Population,
     scenario: Scenario,
     stream: CounterStream,
-    susceptibility: Susceptibility | None = None,
+    tau: float | None = None,
 ) -> EpidemicTrace:
-    """The synchronous SI process with exposures from a dense matrix-vector
-    product: row t counts each node's infected neighbours as adj @ status,
-    and every node's p1 is evaluated afresh at every step."""
+    """The synchronous SI process at one transmissibility (default: the
+    scenario's), with exposures from a dense matrix-vector product: row t
+    counts each node's infected neighbours as adj @ status."""
     n = net.node_count
-    if population.size != n or scenario.node_count != n:
-        raise ValueError("network, population and scenario disagree on node count")
-    if susceptibility is None:
-        susceptibility = Susceptibility(scenario.transmissibility)
+    if scenario.node_count != n:
+        raise ValueError("network and scenario disagree on node count")
+    if tau is None:
+        tau = scenario.transmissibility
 
     seeds = select_seeds(net, scenario.seed_count)
     distances = multi_source_distances(net, seeds)
@@ -216,17 +199,11 @@ def run_si(
     for t in range(1, scenario.horizon + 1):
         prev = status[t - 1]
         exposures = adj_int @ prev
-        p1 = per_exposure(susceptibility, population)
-        prob = 1.0 - (1.0 - p1) ** exposures
+        prob = 1.0 - (1.0 - tau) ** exposures
         eligible = (~prev) & (exposures > 0) & reachable
         draws = stream.uniforms(t, n)
         status[t] = prev | (eligible & (draws < prob))
-    return EpidemicTrace(
-        seeds=seeds,
-        status=status,
-        distances=distances,
-        distance_cap=scenario.distance_cap,
-    )
+    return EpidemicTrace(status=status, distances=distances, distance_cap=scenario.distance_cap)
 
 
 def par(trace: EpidemicTrace, time: int, distance: int) -> float:

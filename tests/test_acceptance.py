@@ -12,9 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from prefnet.cli import main
-from prefnet.epidemic import Susceptibility, par_matrix, run_si, select_seeds
+from prefnet.epidemic import par_matrix, run_si, select_seeds
 from prefnet.features import (
-    GROUP_COUNT, Population, SHAPE_TEMPLATES, hill_number, make_population,
+    SHAPE_TEMPLATES, hill_number, make_population,
 )
 from prefnet.netgen import (
     NetworkSnapshot,
@@ -27,6 +27,7 @@ from prefnet.netmetrics import clustering_values, degree_distribution, js_diverg
 from prefnet.optimizer import evaluate, optimize, replicate_draws
 from prefnet.scenario import (
     RULE_PREFERENCES,
+    SHAPE_CODES,
     AgeShape,
     RngPolicy,
     Rule,
@@ -177,9 +178,8 @@ def test_criterion_06_epidemic_frontier_oracle():
         for shape in SHAPES:
             for rule in RULES:
                 for seed in range(5):
-                    sc, pop, net = _build(shape, rule, seed, transmissibility=1.0)
-                    trace = run_si(net, pop, sc,
-                                   RngPolicy(seed).counter_stream("infection", 0))
+                    sc, _, net = _build(shape, rule, seed, transmissibility=1.0)
+                    [trace] = run_si(net, sc, RngPolicy(seed).counter_stream("infection", 0))
                     for t in range(sc.horizon + 1):
                         expected = _bfs_ball(net, trace.seeds,
                                              min(t, sc.distance_cap))
@@ -190,8 +190,9 @@ def test_criterion_06_epidemic_frontier_oracle():
 def test_criterion_07_risk_monotonicity_and_saturation():
     with _verdict(7, "infection risk grows with window size and transmissibility"):
         # window monotonicity on a mid-transmissibility trace
-        sc, pop, net = _build(AgeShape.UNIFORM, Rule.PH, 0, transmissibility=0.6)
-        par = par_matrix(run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0)))
+        sc, _, net = _build(AgeShape.UNIFORM, Rule.PH, 0, transmissibility=0.6)
+        [trace] = run_si(net, sc, RngPolicy(0).counter_stream("infection", 0))
+        par = par_matrix(trace)
         for t in range(sc.horizon + 1):
             for d in range(min(t, sc.distance_cap) + 1):
                 if t > 0 and d <= min(t - 1, sc.distance_cap):
@@ -202,27 +203,24 @@ def test_criterion_07_risk_monotonicity_and_saturation():
         # mean risk over 30 replicates is non-decreasing in transmissibility
         for shape, rule in ((AgeShape.UNIFORM, Rule.PH),
                             (AgeShape.RIGHT_SKEWED, Rule.H_MINUS)):
-            means = []
-            for tau in TAU_GRID:
-                sc, pop, net = _build(shape, rule, 0, transmissibility=tau)
-                values = [
-                    par_matrix(run_si(net, pop, sc,
-                                      RngPolicy(0).counter_stream("infection", r)))[
-                        sc.horizon, sc.distance_cap]
-                    for r in range(30)
-                ]
-                means.append(float(np.mean(values)))
+            sc, _, net = _build(shape, rule, 0)
+            values = [
+                [par_matrix(trace)[sc.horizon, sc.distance_cap]
+                 for trace in run_si(net, sc, RngPolicy(0).counter_stream("infection", r),
+                                     TAU_GRID)]
+                for r in range(30)
+            ]
+            means = np.mean(values, axis=0).tolist()
             assert all(b >= a - 1e-12 for a, b in zip(means, means[1:])), means
 
         # near-saturation from tau 0.4 up, pooled over every paradigm
         saturated = total = 0
         for shape in SHAPES:
             for rule in RULES:
-                for tau in TAU_GRID[1:]:
-                    sc, pop, net = _build(shape, rule, 0, transmissibility=tau)
-                    for r in range(30):
-                        trace = run_si(net, pop, sc,
-                                       RngPolicy(0).counter_stream("infection", r))
+                sc, _, net = _build(shape, rule, 0)
+                for r in range(30):
+                    stream = RngPolicy(0).counter_stream("infection", r)
+                    for trace in run_si(net, sc, stream, TAU_GRID[1:]):
                         reachable = int((trace.distances <= sc.distance_cap).sum())
                         saturated += int(trace.infected_count(sc.horizon) == reachable)
                         total += 1
@@ -305,23 +303,15 @@ def test_criterion_10_formula_anchors():
         assert np.max(np.abs(net.gamma - edge_strength(total))) < tol
 
         # transition probability with exposure aggregation
-        pop4 = make_population(Scenario(node_count=4, edge_budget=0))
-        plain = Susceptibility(0.2)
-        assert transition_probability(0, plain, 0, pop4) == 0.0
-        assert abs(transition_probability(0, plain, 2, pop4) - 0.36) < tol
-        group = int(pop4.groups[1])
-        scaled = Susceptibility(
-            0.5, tuple(0.4 if g == group else 1.0 for g in range(GROUP_COUNT))
-        )
-        assert abs(transition_probability(1, scaled, 1, pop4) - 0.2) < tol
+        assert transition_probability(0.2, 0) == 0.0
+        assert abs(transition_probability(0.2, 2) - 0.36) < tol
 
         # population-at-risk windows on a path of 7, seeded at node 1 (the
         # lowest id of degree 2): 1, then 0 and 2, then 3 are infected
         path = NetworkSnapshot(7, np.array([(k, k + 1) for k in range(6)]),
                                np.ones(6))
-        pop7 = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
         sc7 = Scenario(node_count=7, edge_budget=6, transmissibility=1.0)
-        trace7 = run_si(path, pop7, sc7, RngPolicy(0).counter_stream("infection", 0))
+        [trace7] = run_si(path, sc7, RngPolicy(0).counter_stream("infection", 0))
         assert trace7.seeds.tolist() == [1]
         par7 = par_matrix(trace7)
         assert abs(par7[0, 0] - 1 / 7) < tol
@@ -331,7 +321,26 @@ def test_criterion_10_formula_anchors():
             5, np.array([(i, j) for i in range(5) for j in range(i + 1, 5)]),
             np.ones(10))
         sc5 = Scenario(node_count=5, edge_budget=10, transmissibility=1.0)
-        pop5 = make_population(sc5)
-        trace5 = run_si(complete, pop5, sc5,
-                        RngPolicy(0).counter_stream("infection", 0))
+        [trace5] = run_si(complete, sc5, RngPolicy(0).counter_stream("infection", 0))
         assert abs(par_matrix(trace5)[1, 1] - 1.0) < tol
+
+
+def test_criterion_11_preferred_ages_carry_the_risk(tmp_path):
+    # The paper's claim, read from the artifacts: under P+ (seek older
+    # partners) the old decades (groups 6-8) have the higher mean PaR at
+    # the widest window, under P- the young ones (groups 0-2). Tau 0.05,
+    # since the default taus mostly saturate every group.
+    with _verdict(11, "nodes with preferred features carry the higher infection risk"):
+        for seed in range(10):
+            out = tmp_path / str(seed)
+            assert main(["sweep", "--rules", "P+,P-", "--taus", "0.05",
+                         "--set", f"master_seed={seed}", "--out", str(out)]) == 0
+            for shape in SHAPE_CODES:
+                for rule in ("P+", "P-"):
+                    risk = json.loads(
+                        (out / "cells" / f"{shape}_{rule}" / "tau_0.05" / "risk.json").read_text()
+                    )
+                    groups = risk["par_by_group"]
+                    young, old = np.mean(groups[0:3]), np.mean(groups[6:9])
+                    preferred, other = (old, young) if rule == "P+" else (young, old)
+                    assert preferred > other, (seed, shape, rule, young, old)

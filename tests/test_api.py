@@ -7,14 +7,15 @@ from dataclasses import fields
 from pathlib import Path
 
 import prefnet
-from prefnet import cli, epidemic, features, netgen, optimizer
+from prefnet import cli, epidemic, features, netgen, optimizer, scenario
 
 # Scalar test oracles that now live in tests/oracles.py, and names deleted
 # with the per-node trait arrays, with the per-window PaR counts, with the
 # 90 x 90 age table, when growth became one kernel (`netgen.keep_pairs`),
-# when seeding became degree alone, or because only tests read them (`par`:
-# every PaR figure is read from `par_matrix`); none of them is part of the
-# package.
+# when seeding became degree alone, when spreading became one
+# transmissibility for every node, or because only tests read them (`par`:
+# every PaR figure is read from `par_matrix`; `PRESET_NAMES`); none of them
+# is part of the package.
 REMOVED = (
     "Traits",
     "node_traits",
@@ -30,28 +31,26 @@ REMOVED = (
     "SeedRule",
     "seed_scores",
     "par",
+    "Susceptibility",
+    "PRESET_NAMES",
 )
 
 
 def test_public_names():
     assert [name for name in prefnet.__all__ if not hasattr(prefnet, name)] == []
     assert len(set(prefnet.__all__)) == len(prefnet.__all__)
+    modules = (prefnet, features, netgen, epidemic, optimizer, scenario)
     for name in REMOVED:
         assert name not in prefnet.__all__
-        assert not any(
-            hasattr(module, name) for module in (prefnet, features, netgen, epidemic, optimizer)
-        )
+        assert not any(hasattr(module, name) for module in modules)
     assert not hasattr(features.Population, "score_table")
-    # Susceptibility is a transmissibility times one multiplier per age group
-    assert [f.name for f in fields(epidemic.Susceptibility)] == [
-        "transmissibility", "group_multipliers",
-    ]
-    assert not hasattr(epidemic, "_CONDITIONS")
-    assert not hasattr(epidemic.Susceptibility, "from_transmissibility")
-    # The seed count has one home, the scenario; seeds are picked by degree
+    # The seed count and the default transmissibility have one home, the
+    # scenario; seeds are picked by degree, and the seeds a trace reports
+    # are its step-0 row
     assert list(inspect.signature(epidemic.run_si).parameters) == [
-        "net", "population", "scenario", "stream", "susceptibility",
+        "net", "scenario", "stream", "taus",
     ]
+    assert "seeds" not in {f.name for f in fields(epidemic.EpidemicTrace)}
     assert list(inspect.signature(epidemic.select_seeds).parameters) == ["net", "count"]
     namespace = {}
     exec("from prefnet import *", namespace)
@@ -60,17 +59,18 @@ def test_public_names():
 
 def test_every_public_name_is_used_outside_tests():
     # No public name exists only for the tests: each is read somewhere in
-    # the package or a demo, apart from its own def or class statement
-    # (which is not a Name, Attribute or import alias).
+    # the package or a demo. Its own def or class statement is not a Name,
+    # Attribute or import alias, and an assignment stores rather than
+    # reads, so neither counts.
     package = Path(prefnet.__file__).parent
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     sources += (Path(__file__).resolve().parents[1] / "demos").glob("*.py")
     used = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.asname or node.name)

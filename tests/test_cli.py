@@ -852,6 +852,7 @@ def test_report_on_epidemic(tmp_path, capsys):
         ('{"command": "generate"}', "version"),
         ('{"command": "generate", "version": "1", "runtimes": {"grow": "fast"}}', "runtimes"),
         ('{"command": "generate", "version": "1", "runtimes": [1.0]}', "runtimes"),
+        ('{"command": "generate", "version": "1", "runtimes": {"grow": true}}', "runtimes.grow"),
         ("not json", "Expecting value"),
         ('{"command": "sweep", "version": "1", "runtimes": {}, "cell_runtimes": '
          '{"U_P+": {"grow": 0.1, "write_network": "slow", "analyze": 0.1, "epidemic": 0.1}}}',
@@ -859,8 +860,8 @@ def test_report_on_epidemic(tmp_path, capsys):
         ('{"command": "sweep", "version": "1", "runtimes": {}, "cell_runtimes": [0.1]}',
          "cell_runtimes"),
     ],
-    ids=["empty", "list", "command", "version", "runtime", "runtimes", "not-json",
-         "cell-stage", "cell-runtimes"],
+    ids=["empty", "list", "command", "version", "runtime", "runtimes", "runtime-bool",
+         "not-json", "cell-stage", "cell-runtimes"],
 )
 def test_report_rejects_a_malformed_manifest(tmp_path, capsys, text, field):
     manifest = tmp_path / "manifest.json"

@@ -15,9 +15,8 @@ from prefnet.epidemic import (
     risk_report,
     run_si,
     select_seeds,
-    Susceptibility,
 )
-from prefnet.features import AGE_SPAN, GROUP_COUNT, make_population, Population
+from prefnet.features import AGE_SPAN, make_population, Population
 from prefnet.netgen import generate_network, NetworkSnapshot, pair_draws
 from prefnet.scenario import RngPolicy, Scenario
 
@@ -56,75 +55,29 @@ def _generated(seed=0, **overrides):
 
 
 # ---------------------------------------------------------------------------
-# Susceptibility and the transition rule
-
-
-def _multipliers(by_group: dict[int, float]) -> tuple[float, ...]:
-    """Group multipliers of 1 apart from the groups given."""
-    return tuple(by_group.get(g, 1.0) for g in range(GROUP_COUNT))
+# The transition rule
 
 
 def test_from_transmissibility_bounds():
-    # built from a transmissibility alone, every group keeps it unscaled
-    s = Susceptibility(0.8)
-    assert s.transmissibility == 0.8
-    assert s.group_multipliers == (1.0,) * GROUP_COUNT
-    Susceptibility(0.0)  # full immunity is expressible
+    net, sc, _ = _ladder_case(6, _PATH_6)
+    stream = RngPolicy(0).counter_stream("infection", 0)
+    run_si(net, sc, stream, taus=[0.0])  # full immunity is expressible
     for tau in (1.0001, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"transmissibility must lie in \[0, 1\]"):
-            Susceptibility(tau)
-
-
-def test_susceptibility_validation():
-    Susceptibility(1.0, (0.0,) * GROUP_COUNT)
-    for w in (1.5, -0.1):
-        with pytest.raises(ValueError, match=r"multipliers must lie in \[0, 1\]"):
-            Susceptibility(0.5, _multipliers({4: w}))
-    for count in (0, 1, GROUP_COUNT + 1):
-        with pytest.raises(ValueError, match=f"got {count}$"):
-            Susceptibility(0.5, (1.0,) * count)
+            run_si(net, sc, stream, taus=[0.5, tau])
 
 
 def test_transition_probability_hand_values():
-    s = Susceptibility(0.2)
-    pop = Population(np.array([15]))
     # two exposures: 1 - 0.8^2 = 0.36
-    assert transition_probability(0, s, 2, pop) == pytest.approx(0.36, abs=1e-12)
-    assert transition_probability(0, s, 1, pop) == pytest.approx(0.2, abs=1e-12)
-    assert transition_probability(0, s, 0, pop) == 0.0
+    assert transition_probability(0.2, 2) == pytest.approx(0.36, abs=1e-12)
+    assert transition_probability(0.2, 1) == pytest.approx(0.2, abs=1e-12)
+    assert transition_probability(0.2, 0) == 0.0
     with pytest.raises(ValueError):
-        transition_probability(0, s, -1, pop)
-
-
-def test_transition_probability_group_multiplier():
-    pop = Population(np.array([15, 25, 35, 45]))
-    s = Susceptibility(0.5, _multipliers({3: 0.4}))
-    # node 2 is in decade group 3: 0.5 * 0.4 = 0.2
-    assert transition_probability(2, s, 1, pop) == pytest.approx(0.2, abs=1e-12)
-    # node 1 (group 2) keeps the transmissibility
-    assert transition_probability(1, s, 1, pop) == pytest.approx(0.5, abs=1e-12)
-    # two exposures aggregate: 1 - (1 - 0.2)^2
-    assert transition_probability(2, s, 2, pop) == pytest.approx(1 - 0.8**2, abs=1e-12)
-    # a multiplier of 0 shields its group, whatever the exposures
-    shielded = Susceptibility(1.0, _multipliers({2: 0.0}))
-    assert transition_probability(1, shielded, 5, pop) == 0.0
+        transition_probability(0.2, -1)
 
 
 def test_transition_probability_saturates():
-    s = Susceptibility(1.0)
-    assert transition_probability(0, s, 3, Population(np.array([40]))) == 1.0
-
-
-# A multiplier or transmissibility, with the ends 0 and 1 drawn often.
-_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-_SUSCEPTIBILITIES = st.builds(Susceptibility, _UNIT, st.tuples(*[_UNIT] * GROUP_COUNT))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_SUSCEPTIBILITIES, st.lists(st.integers(0, AGE_SPAN - 1), max_size=30))
-def test_per_exposure_is_the_oracles_p1(s, ages):
-    pop = Population(np.array(ages, dtype=np.int64))
-    assert s.per_exposure(pop).tobytes() == oracles.per_exposure(s, pop).tobytes()
+    assert transition_probability(1.0, 3) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +112,8 @@ def test_select_seeds_rejects_a_count_outside_the_nodes():
 @st.composite
 def _seed_cases(draw):
     """A small graph (random, so isolated nodes and degree ties are common,
-    or empty, a cycle or complete, where every degree is equal), ages, and
-    a seed count from 0 to n."""
+    or empty, a cycle or complete, where every degree is equal) and a seed
+    count from 0 to n."""
     n = draw(st.integers(1, 12))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     kind = draw(st.sampled_from(["random", "empty", "cycle", "complete"]))
@@ -172,17 +125,16 @@ def _seed_cases(draw):
         edges = pairs
     else:
         edges = []
-    ages = draw(st.lists(st.integers(0, AGE_SPAN - 1), min_size=n, max_size=n))
-    return _net(n, edges), Population(np.array(ages)), draw(st.integers(0, n))
+    return _net(n, edges), draw(st.integers(0, n))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_seed_cases())
 def test_run_si_seeds_are_the_oracles_pick(case):
-    net, pop, count = case
+    net, count = case
     n = net.node_count
     sc = Scenario(node_count=n, edge_budget=net.edge_count, seed_count=count, master_seed=0)
-    trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+    [trace] = run_si(net, sc, RngPolicy(0).counter_stream("infection", 0))
     expected = oracles.select_seeds(net, count).tolist()
     assert trace.seeds.tolist() == expected
     assert select_seeds(net, count).tolist() == expected
@@ -207,7 +159,7 @@ def test_multi_source_distances_matches_bfs():
 
 def test_run_si_full_transmissibility_is_bfs_ball():
     sc, policy, pop, net = _generated(1, transmissibility=1.0)
-    trace = run_si(net, pop, sc, policy.counter_stream("infection", 0))
+    [trace] = run_si(net, sc, policy.counter_stream("infection", 0))
     for t in range(sc.horizon + 1):
         infected = {v for v in range(net.node_count) if trace.status[t, v]}
         radius = min(t, sc.distance_cap)
@@ -216,7 +168,7 @@ def test_run_si_full_transmissibility_is_bfs_ball():
 
 def test_run_si_zero_transmissibility_keeps_only_seeds():
     sc, policy, pop, net = _generated(4, transmissibility=0.0)
-    trace = run_si(net, pop, sc, policy.counter_stream("infection", 0))
+    [trace] = run_si(net, sc, policy.counter_stream("infection", 0))
     assert trace.status[-1].sum() == 1
     assert set(np.flatnonzero(trace.status[-1])) == set(trace.seeds)
 
@@ -226,17 +178,16 @@ def test_run_si_distance_cap_blocks_far_nodes():
     # stops the wave at node 3, distance 2
     edges = [(v, v + 1) for v in range(6)]
     net = _net(7, edges)
-    pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=2, master_seed=0)
-    trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+    [trace] = run_si(net, sc, RngPolicy(0).counter_stream("infection", 0))
     assert list(trace.seeds) == [1]
     assert set(np.flatnonzero(trace.status[-1])) == {0, 1, 2, 3}
 
 
 def test_run_si_status_monotone_and_capped():
     sc, policy, pop, net = _generated(6, transmissibility=0.5)
-    trace = run_si(net, pop, sc, policy.counter_stream("infection", 0))
+    [trace] = run_si(net, sc, policy.counter_stream("infection", 0))
     for t in range(1, sc.horizon + 1):
         assert (trace.status[t] >= trace.status[t - 1]).all()
     infected = np.flatnonzero(trace.status[-1])
@@ -245,9 +196,9 @@ def test_run_si_status_monotone_and_capped():
 
 def test_run_si_deterministic_and_replicate_sensitive():
     sc, policy, pop, net = _generated(3, transmissibility=0.3)
-    a = run_si(net, pop, sc, policy.counter_stream("infection", 0))
-    b = run_si(net, pop, sc, policy.counter_stream("infection", 0))
-    c = run_si(net, pop, sc, policy.counter_stream("infection", 1))
+    [a] = run_si(net, sc, policy.counter_stream("infection", 0))
+    [b] = run_si(net, sc, policy.counter_stream("infection", 0))
+    [c] = run_si(net, sc, policy.counter_stream("infection", 1))
     assert np.array_equal(a.status, b.status)
     assert not np.array_equal(a.status, c.status)
 
@@ -256,21 +207,20 @@ def test_run_si_horizon_prefix_stable():
     # draws are addressed by (step, node), so a longer horizon extends the
     # exact same trajectory instead of reshuffling it
     sc, policy, pop, net = _generated(9, transmissibility=0.4)
-    short = run_si(net, pop, sc.with_overrides(horizon=3),
+    [short] = run_si(net, sc.with_overrides(horizon=3),
                    policy.counter_stream("infection", 0))
-    long = run_si(net, pop, sc.with_overrides(horizon=6),
+    [long] = run_si(net, sc.with_overrides(horizon=6),
                   policy.counter_stream("infection", 0))
     assert np.array_equal(short.status, long.status[:4])
 
 
 @st.composite
 def _si_cases(draw):
-    """A random graph, population and scenario for run_si, plus a longer
-    horizon to compare prefixes against."""
+    """A random graph and scenario for run_si, plus a longer horizon to
+    compare prefixes against."""
     n = draw(st.integers(1, 40))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
-    ages = draw(st.lists(st.integers(0, AGE_SPAN - 1), min_size=n, max_size=n))
     sc = Scenario(
         node_count=n,
         edge_budget=len(edges),
@@ -281,15 +231,15 @@ def _si_cases(draw):
         master_seed=draw(st.integers(0, 2**16)),
     )
     extra = draw(st.integers(1, 4))
-    return _net(n, edges), Population(np.array(ages)), sc, extra
+    return _net(n, edges), sc, extra
 
 
 @settings(max_examples=100, deadline=None)
 @given(_si_cases())
 def test_run_si_invariants(case):
-    net, pop, sc, extra = case
+    net, sc, extra = case
     stream = RngPolicy(sc.master_seed).counter_stream("infection", 0)
-    trace = run_si(net, pop, sc, stream)
+    [trace] = run_si(net, sc, stream)
     n, h = net.node_count, sc.horizon
     assert trace.status.shape == (h + 1, n)
     # row 0 is exactly the seeds: the seed_count highest degrees, ties to lower id
@@ -302,20 +252,21 @@ def test_run_si_invariants(case):
         ball = _bfs_ball(net.edges, n, top, min(t, sc.distance_cap))
         assert set(np.flatnonzero(trace.status[t])) <= ball
     # a longer horizon extends the same trajectory
-    longer = run_si(net, pop, sc.with_overrides(horizon=h + extra), stream)
+    [longer] = run_si(net, sc.with_overrides(horizon=h + extra), stream)
     assert np.array_equal(longer.status[: h + 1], trace.status)
 
 
-_AGE_SUSCEPTIBILITY = Susceptibility(0.7, _multipliers({3: 0.4}))
+# A transmissibility, with the ends 0 and 1 drawn often.
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_si_cases(), st.sampled_from([None, _AGE_SUSCEPTIBILITY]), st.data())
-def test_run_si_and_distances_match_dense_oracle(case, susceptibility, data):
-    net, pop, sc, _ = case
+@given(_si_cases(), st.one_of(st.none(), _UNIT), st.data())
+def test_run_si_and_distances_match_dense_oracle(case, tau, data):
+    net, sc, _ = case
     stream = RngPolicy(sc.master_seed).counter_stream("infection", 0)
-    ours = run_si(net, pop, sc, stream, susceptibility=susceptibility)
-    ref = oracles.run_si(net, pop, sc, stream, susceptibility=susceptibility)
+    [ours] = run_si(net, sc, stream, None if tau is None else [tau])
+    ref = oracles.run_si(net, sc, stream, tau)
     assert np.array_equal(ours.seeds, ref.seeds)
     assert np.array_equal(ours.distances, ref.distances)
     assert np.array_equal(ours.status, ref.status)
@@ -325,77 +276,48 @@ def test_run_si_and_distances_match_dense_oracle(case, susceptibility, data):
     )
 
 
-_LADDER_ROWS = (
-    Susceptibility(0.0),
-    Susceptibility(1.0),
-    Susceptibility(0.3),
-    _AGE_SUSCEPTIBILITY,
-    Susceptibility(1.0, _multipliers({3: 0.0})),  # shields group 3
-    Susceptibility(0.9, _multipliers({0: 0.0, 7: 0.5})),
-    Susceptibility(0.6, (0.0,) * GROUP_COUNT),  # shields everyone
-)
+_LADDER = [0.0, 1.0, 0.3, 0.7, 0.9, 0.6]
 
 
-def _ladder_case(n, edges, ages, **fields):
+def _ladder_case(n, edges, **fields):
     sc = Scenario(node_count=n, edge_budget=len(edges), master_seed=7, **fields)
-    return _net(n, edges), Population(np.array(ages)), sc, 1
+    return _net(n, edges), sc, 1
 
 
 _PATH_6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)]
-_PATH_AGES = [5, 35, 35, 70, 12, 35]
 
 
 @settings(max_examples=100, deadline=None)
-@given(_si_cases(), st.lists(_SUSCEPTIBILITIES, min_size=1, max_size=6))
-@example(_ladder_case(6, _PATH_6, _PATH_AGES, seed_count=0), list(_LADDER_ROWS))
-@example(_ladder_case(6, _PATH_6, _PATH_AGES, horizon=0), list(_LADDER_ROWS))
-@example(_ladder_case(6, _PATH_6, _PATH_AGES, horizon=6, distance_cap=2), list(_LADDER_ROWS))
+@given(_si_cases(), st.lists(_UNIT, min_size=1, max_size=6))
+@example(_ladder_case(6, _PATH_6, seed_count=0), _LADDER)
+@example(_ladder_case(6, _PATH_6, horizon=0), _LADDER)
+@example(_ladder_case(6, _PATH_6, horizon=6, distance_cap=2), _LADDER)
 def test_run_si_ladder_rows_equal_their_own_runs(case, ladder):
-    net, pop, sc, _ = case
+    net, sc, _ = case
     stream = RngPolicy(sc.master_seed).counter_stream("infection", 0)
-    traces = run_si(net, pop, sc, stream, susceptibility=ladder)
+    traces = run_si(net, sc, stream, ladder)
     assert len(traces) == len(ladder)
-    for row, trace in zip(ladder, traces):
-        alone = run_si(net, pop, sc, stream, susceptibility=row)
-        ref = oracles.run_si(net, pop, sc, stream, susceptibility=row)
+    for tau, trace in zip(ladder, traces):
+        [alone] = run_si(net, sc, stream, [tau])
+        ref = oracles.run_si(net, sc, stream, tau)
         for other in (alone, ref):
             assert np.array_equal(trace.seeds, other.seeds)
             assert np.array_equal(trace.distances, other.distances)
             assert np.array_equal(trace.status, other.status)
-        # the shielding lever: a group with multiplier 0 keeps only its seeds
-        shielded = np.array(row.group_multipliers)[pop.groups] == 0
-        assert not (trace.status[-1] & shielded & ~trace.status[0]).any()
-
-
-def test_run_si_computes_each_rows_p1_once(monkeypatch):
-    # A node's p1 depends only on its age group, so each row's per-exposure
-    # probabilities are fixed before the first step.
-    calls = []
-    per_exposure = Susceptibility.per_exposure
-
-    def counting(self, *args):
-        calls.append(self)
-        return per_exposure(self, *args)
-
-    monkeypatch.setattr(Susceptibility, "per_exposure", counting)
-    net, pop, sc, _ = _ladder_case(6, _PATH_6, _PATH_AGES, horizon=6)
-    ladder = list(_LADDER_ROWS[:5])
-    run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0), susceptibility=ladder)
-    assert calls == ladder
 
 
 def test_run_si_rejects_an_empty_ladder():
-    net, pop, sc, _ = _ladder_case(6, _PATH_6, _PATH_AGES)
-    with pytest.raises(ValueError, match="susceptibility"):
-        run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0), susceptibility=[])
+    net, sc, _ = _ladder_case(6, _PATH_6)
+    with pytest.raises(ValueError, match="taus"):
+        run_si(net, sc, RngPolicy(0).counter_stream("infection", 0), taus=[])
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.4, 1.0])
 def test_run_si_matches_dense_oracle_on_generated_net(tau):
     sc, policy, pop, net = _generated(5, transmissibility=tau, horizon=8, distance_cap=4)
     stream = policy.counter_stream("infection", 2)
-    ours = run_si(net, pop, sc, stream, susceptibility=_AGE_SUSCEPTIBILITY)
-    ref = oracles.run_si(net, pop, sc, stream, susceptibility=_AGE_SUSCEPTIBILITY)
+    [ours] = run_si(net, sc, stream)
+    ref = oracles.run_si(net, sc, stream)
     assert np.array_equal(ours.distances, ref.distances)
     assert np.array_equal(ours.status, ref.status)
 
@@ -407,10 +329,9 @@ def test_run_si_matches_dense_oracle_on_generated_net(tau):
 def test_infection_by_distance_star():
     n = 8
     star = _net(n, [(0, v) for v in range(1, n)])
-    pop = Population(np.full(n, 40))
     sc = Scenario(node_count=n, edge_budget=n - 1, transmissibility=1.0,
                   horizon=2, distance_cap=2, master_seed=0)
-    trace = run_si(star, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+    [trace] = run_si(star, sc, RngPolicy(0).counter_stream("infection", 0))
     table = infection_by_distance(trace)
     assert table[0, 0] == 1 and table[0, 1] == 0
     assert table[1, 0] == 1 and table[1, 1] == n - 1
@@ -419,7 +340,8 @@ def test_infection_by_distance_star():
 
 def test_infection_by_distance_zero_tau():
     sc, policy, pop, net = _generated(5, transmissibility=0.0)
-    table = infection_by_distance(run_si(net, pop, sc, policy.counter_stream("infection", 0)))
+    [trace] = run_si(net, sc, policy.counter_stream("infection", 0))
+    table = infection_by_distance(trace)
     assert (table[:, 0] == 1).all()
     assert (table[:, 1:] == 0).all()
 
@@ -432,7 +354,8 @@ def _p7_trace():
     pop = Population(np.array([80, 10, 20, 30, 40, 50, 60]))
     sc = Scenario(node_count=7, edge_budget=6, transmissibility=1.0, horizon=6,
                   distance_cap=6, master_seed=0)
-    return pop, run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+    [trace] = run_si(net, sc, RngPolicy(0).counter_stream("infection", 0))
+    return pop, trace
 
 
 def test_infection_by_distance_path():
@@ -454,10 +377,9 @@ def test_par_hand_values():
 def test_par_complete_graph_one_step():
     n = 5
     net = _net(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    pop = Population(np.full(n, 30))
     sc = Scenario(node_count=n, edge_budget=10, transmissibility=1.0, horizon=2,
                   distance_cap=2, master_seed=0)
-    trace = run_si(net, pop, sc, RngPolicy(0).counter_stream("infection", 0))
+    [trace] = run_si(net, sc, RngPolicy(0).counter_stream("infection", 0))
     assert par_matrix(trace)[1, 1] == 1.0
 
 
@@ -473,7 +395,8 @@ def test_par_window_validation():
 
 def test_par_monotone_in_time_and_distance():
     sc, policy, pop, net = _generated(8, transmissibility=0.5)
-    matrix = par_matrix(run_si(net, pop, sc, policy.counter_stream("infection", 0)))
+    [trace] = run_si(net, sc, policy.counter_stream("infection", 0))
+    matrix = par_matrix(trace)
     for d in range(sc.distance_cap + 1):
         values = [matrix[t, d] for t in range(d, sc.horizon + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -486,14 +409,12 @@ def test_par_mean_monotone_in_transmissibility():
     # common random numbers couple the runs, so the wave can only widen
     sc, policy, pop, net = _generated(10)
     taus = (0.2, 0.4, 0.6, 0.8, 1.0)
-    means = []
-    for tau in taus:
-        st = sc.with_overrides(transmissibility=tau)
-        vals = [
-            par_matrix(run_si(net, pop, st, policy.counter_stream("infection", r)))[6, 6]
-            for r in range(10)
-        ]
-        means.append(np.mean(vals))
+    vals = [
+        [par_matrix(trace)[6, 6]
+         for trace in run_si(net, sc, policy.counter_stream("infection", r), taus)]
+        for r in range(10)
+    ]
+    means = np.mean(vals, axis=0)
     assert all(a <= b for a, b in zip(means, means[1:]))
 
 
@@ -507,7 +428,7 @@ def test_par_matrix_shape_and_nan_cells():
 
 def test_par_by_group_identity():
     sc, policy, pop, net = _generated(12, transmissibility=0.6)
-    trace = run_si(net, pop, sc, policy.counter_stream("infection", 0))
+    [trace] = run_si(net, sc, policy.counter_stream("infection", 0))
     groups = par_by_group(trace, pop, 6, 6)
     sizes = np.bincount(pop.groups, minlength=9)
     assert ((groups >= 0) & (groups <= 1)).all()
@@ -535,12 +456,7 @@ def test_par_reads_match_the_per_window_oracle(horizon, cap, nodes):
     first, dist, ages = (np.array(col) for col in zip(*nodes))
     first = np.where(first <= horizon, first, -1)
     status = (first >= 0) & (np.arange(horizon + 1)[:, None] >= first)
-    trace = EpidemicTrace(
-        seeds=np.flatnonzero(status[0]),
-        status=status,
-        distances=np.minimum(dist, n),
-        distance_cap=cap,
-    )
+    trace = EpidemicTrace(status=status, distances=np.minimum(dist, n), distance_cap=cap)
     pop = Population(ages)
     matrix = par_matrix(trace)
     assert np.array_equal(matrix, oracles.par_matrix(trace), equal_nan=True)
@@ -559,7 +475,7 @@ def test_par_reads_match_the_per_window_oracle(horizon, cap, nodes):
 
 def test_risk_report_structure():
     sc, policy, pop, net = _generated(13)
-    trace = run_si(net, pop, sc, policy.counter_stream("infection", 0))
+    [trace] = run_si(net, sc, policy.counter_stream("infection", 0))
     report = risk_report(trace, pop, net)
     assert report["seeds"] == [int(s) for s in trace.seeds]
     assert report["seed_degrees"] == [int(net.degrees[s]) for s in trace.seeds]
@@ -571,12 +487,13 @@ def test_risk_report_structure():
 
 
 def test_trace_validation():
-    trace = EpidemicTrace(seeds=[0], status=np.zeros((3, 4), bool), distances=np.zeros(4),
-                          distance_cap=2)
+    status = np.zeros((3, 4), bool)
+    status[0, [1, 3]] = status[1:, [0, 1, 3]] = True
+    trace = EpidemicTrace(status=status, distances=np.zeros(4), distance_cap=2)
     assert trace.horizon == 2  # read from the status rows
+    assert trace.seeds.tolist() == [1, 3]  # and the seeds from row 0
     with pytest.raises(ValueError, match="node count"):
-        EpidemicTrace(seeds=[0], status=np.zeros((3, 4), bool), distances=np.zeros(5),
-                      distance_cap=2)
+        EpidemicTrace(status=np.zeros((3, 4), bool), distances=np.zeros(5), distance_cap=2)
     for status in (np.zeros(4, bool), np.zeros((0, 4), bool)):  # no seed row
         with pytest.raises(ValueError, match="at least one row"):
-            EpidemicTrace(seeds=[], status=status, distances=np.zeros(4), distance_cap=2)
+            EpidemicTrace(status=status, distances=np.zeros(4), distance_cap=2)

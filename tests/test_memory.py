@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 
 from prefnet import netgen, netmetrics
-from prefnet.epidemic import run_si, Susceptibility
+from prefnet.epidemic import run_si
 from prefnet.features import make_population
 from prefnet.netgen import ba_target, generate_network, NetworkSnapshot, pair_draws, save_network
 from prefnet.netmetrics import (
@@ -89,14 +89,14 @@ def _si_ladder(rows: int):
     pop = make_population(sc)
     net = generate_network(pop, sc, pair_draws(sc))
     stream = RngPolicy(0).counter_stream("infection", 0)
-    ladder = [Susceptibility(t) for t in np.linspace(0.2, 1.0, rows)]
-    return lambda: run_si(net, pop, sc, stream, susceptibility=ladder)
+    taus = np.linspace(0.2, 1.0, rows)
+    return lambda: run_si(net, sc, stream, taus)
 
 
 def test_si_ladder_shares_one_neighbour_list():
-    # Each row keeps its own status, p1 and exposures (O(R n) each), but
-    # no row copies the 2E-entry neighbour list or a mask over it.
-    # Measured at N = 600: 2.05 MB for one row, 2.15 MB for five.
+    # Each row keeps its own status and exposures (O(R n) each) and one
+    # p1, but no row copies the 2E-entry neighbour list or a mask over it.
+    # Measured at N = 600: 2.05 MB for one row, 2.12 MB for five.
     _si_ladder(5)()
     one, five = _traced_peak(_si_ladder(1)), _traced_peak(_si_ladder(5))
     assert five < 2 * one

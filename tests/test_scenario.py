@@ -14,15 +14,16 @@ from prefnet.scenario import (
     parse_scenario,
     Preference,
     preset,
-    PRESET_NAMES,
     PH_FITTED,
     RngPolicy,
     Rule,
+    RULE_CODES,
     RULE_PREFERENCES,
     save_scenario,
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
+    SHAPE_CODES,
     STREAM_LABELS,
 )
 
@@ -220,8 +221,9 @@ def test_preset_u_ph():
 
 
 def test_all_presets_valid():
-    assert len(PRESET_NAMES) == 25
-    for name in PRESET_NAMES:
+    names = [f"{s}_{r}" for s in SHAPE_CODES for r in RULE_CODES]
+    assert len(names) == 25
+    for name in names:
         sc = preset(name)
         seeded = sc.with_overrides(master_seed=3)
         assert sc.master_seed == 0 and seeded.master_seed == 3
