@@ -7,8 +7,6 @@ path lengths, and the divergence of the degree pattern from the target.
 
 import argparse
 
-import numpy as np
-
 from prefnet import (
     RngPolicy,
     Rule,

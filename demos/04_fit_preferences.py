@@ -34,23 +34,21 @@ def main():
     )
 
     draws = replicate_draws(sc, args.replicates, target)
-    result = optimize(sc, draws, budget=args.budget)
+    result = optimize(draws, budget=args.budget)
     best = result.best
     scores = sum(len(r.js) for r in result.log)
     print(f"budget {args.budget} x {args.replicates} replicates "
-          f"-> {result.evaluations} evaluations, {scores} logged replicate scores")
-    print(f"best preference: level {best.preference.level:+d} "
-          f"w={best.preference.level_weight:.3f}, "
-          f"difference {best.preference.difference:+d} "
-          f"w={best.preference.difference_weight:.3f}")
-    print(f"mean divergence {best.objective:.4f} "
-          f"(std {best.objective_std:.4f} over {best.replicates} replicates)")
+          f"-> {len(result.log)} evaluations, {scores} logged replicate scores")
+    print(f"best preference: level {best.level:+d} w={best.level_weight:.3f}, "
+          f"difference {best.difference:+d} w={best.difference_weight:.3f}")
+    print(f"mean divergence {result.objective:.4f} "
+          f"(std {result.objective_std:.4f} over {len(result.log[0].js)} replicates)")
 
     print()
     print("pure rules on the same target, same replicate draws:")
     for rule, pref in RULE_PREFERENCES.items():
-        mean, _ = evaluate(pref, sc, draws)
-        marker = "  <- beaten" if best.objective < mean else ""
+        mean, _ = evaluate(pref, draws)
+        marker = "  <- beaten" if result.objective < mean else ""
         print(f"  {rule.value:>3}: {mean:.4f}{marker}")
 
 

@@ -68,7 +68,6 @@ from .epidemic import (
     select_seeds,
 )
 from .optimizer import (
-    Candidate,
     evaluate,
     EvalRecord,
     optimize,
@@ -82,7 +81,6 @@ __all__ = [
     "AgeShape",
     "analyze",
     "ba_target",
-    "Candidate",
     "clustering_values",
     "CounterStream",
     "degree_distribution",

@@ -1,8 +1,9 @@
 """The byte format of every CSV and JSON run artifact.
 
 Tables are UTF-8 with '\\n' line ends, quoted by `csv.writer`; documents
-are JSON with two-space indent, sorted keys and a final newline. Keeping
-the format here alone is what makes reruns byte-identical everywhere.
+are JSON with two-space indent, sorted keys and a final newline, and hold
+finite numbers only. Keeping the format here alone is what makes reruns
+byte-identical everywhere.
 
 An edge list row reads `f"{i},{j},{g!r}\\n"`: every strength in
 `network.csv` is its `repr` text. `edge_rows` writes a block of rows with
@@ -45,17 +46,26 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload) -> None:
+    """Write `payload` as a document; a NaN or infinite number in it is a
+    ValueError that names the file, raised before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"expected finite numbers, got {name}")
 
 
 def read_json(path):
-    """Parse a JSON file; a file that is not UTF-8 JSON raises a
-    ValueError that names it."""
+    """Parse a JSON file; a file that is not UTF-8 JSON, or that holds
+    NaN, Infinity or -Infinity, raises a ValueError that names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
 

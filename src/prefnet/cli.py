@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -297,15 +298,28 @@ def _generate_artifacts(
     run: _RunDir, scenario: Scenario, population: Population, net: NetworkSnapshot
 ) -> NetworkPatterns:
     """Write population, edge list, summary and the three pattern
-    distributions of a grown network; writing the edge list and analysing
-    are stages "write_network" and "analyze"."""
+    distributions of a grown network; writing the edge list with its meta
+    file and analysing are stages "write_network" and "analyze". The meta
+    records where the network came from: the scenario's hash, the streams
+    it was drawn from, replicate 0, and whether fewer pairs met than the
+    budget (growth keeps min(budget, met) pairs)."""
     save_scenario(scenario, run.path("scenario.txt"))
     population_to_csv(population, run.path("population.csv"))
     shape = scenario.age_shape
     counts = group_counts(shape, scenario.node_count).tolist()
     write_json(run.path("group_counts.json"), {"shape": shape.value, "counts": counts})
     with run.stage("write_network"):
-        save_network(net, run.path("network.csv"), run.path("network_meta.json"))
+        save_network(net, run.path("network.csv"))
+        provenance = {
+            "kind": "generated",
+            "scenario": scenario.scenario_hash(),
+            "streams": ["encounter", "noise"],
+            "shortfall": net.edge_count < scenario.edge_budget,
+            "replicate": 0,
+        }
+        write_json(run.path("network_meta.json"), {
+            "node_count": net.node_count, "edge_count": net.edge_count, "provenance": provenance,
+        })
     with run.stage("analyze"):
         patterns = analyze(net)
     write_json(run.path("summary.json"), asdict(patterns.summary))
@@ -517,21 +531,21 @@ def cmd_optimize(args) -> int:
         with run.stage("draws"):
             draws = replicate_draws(scenario, args.replicates, target)
         with run.stage("search"):
-            result = optimize(scenario, draws, args.budget, progress=progress)
+            result = optimize(draws, args.budget, progress=progress)
     del draws  # the fit's largest arrays: free them before the artifacts are written
     save_scenario(scenario, run.path("scenario.txt"))
     distribution_to_csv(target, run.path("target_degree_distribution.csv"))
     log_to_csv(result.log, run.path("eval_log.csv"))
     result_to_json(result, run.path("best.json"))
-    fitted = scenario.with_overrides(rule=Rule.PH, preference=result.best.preference)
-    save_scenario(fitted, run.path("fitted.scenario"))
+    pref = result.best
+    save_scenario(scenario.with_overrides(rule=Rule.PH, preference=pref),
+                  run.path("fitted.scenario"))
     options = {"target": target_text, "budget": args.budget, "replicates": args.replicates}
     run.write_manifest("optimize", scenario, options, target_file=target_file)
-    pref = result.best.preference
     _emit(
         f"optimize: best (level {pref.level} w {pref.level_weight!r}, "
         f"difference {pref.difference} w {pref.difference_weight!r}) "
-        f"js {result.best.objective:.4f} after {result.evaluations} evaluations "
+        f"js {result.objective:.4f} after {len(result.log)} evaluations "
         f"(target {target_text}) -> {run.root}"
     )
     return 0
@@ -541,17 +555,18 @@ def cmd_optimize(args) -> int:
 _OBJECT = (dict, "a JSON object")
 _LIST = (list, "a list")
 _STRING = (str, "a string")
-_NUMBER = ((int, float), "a number")
+_NUMBER = ((int, float), "a finite number")
 _INTEGER = (int, "an integer")
 # The stages a sweep times in every cell, as `cell_runtimes` records them.
 _CELL_STAGES = ("grow", "write_network", "analyze", "epidemic")
 
 
 def _check(path: Path, value, field: str, kind: tuple):
-    """`value` if it is of `kind` (a bool is not a number); otherwise an
-    error naming the file and the field."""
+    """`value` if it is of `kind` (a bool is not a number, nor is a NaN or
+    infinite float); otherwise an error naming the file and the field."""
     types, expected = kind
-    if not isinstance(value, types) or isinstance(value, bool):
+    if (not isinstance(value, types) or isinstance(value, bool)
+            or isinstance(value, float) and not math.isfinite(value)):
         raise ScenarioError(f"{path}: {field}: expected {expected}, got {value!r}")
     return value
 
@@ -600,6 +615,8 @@ def _read_aggregate(path: Path) -> dict:
         _check(path, cell, where, _OBJECT)
         for key, kind in fields.items():
             _check(path, cell.get(key), f"{where}.{key}", kind)
+        if not cell["par"]:
+            raise ScenarioError(f"{path}: {where}.par: expected at least one entry, got []")
         for t, entry in enumerate(cell["par"]):
             _check(path, entry, f"{where}.par[{t}]", _OBJECT)
             for key in ("tau", "final_share"):
@@ -640,8 +657,7 @@ def cmd_report(args) -> int:
         lines.append(f"  target {aggregate['target']}")
         lines.append(f"  best cell {best['name']} (js {best['js']:.4f})")
         for c in cells:
-            top = max(c["par"], key=lambda row: row["tau"], default=None)
-            final = top["final_share"] if top else float("nan")
+            final = max(c["par"], key=lambda row: row["tau"])["final_share"]
             lines.append(
                 f"  {c['name']:<6} js {c['js']:.4f}  unconnected {c['unconnected']:>2}  "
                 f"clustering {c['clustering_avg']:.3f}  final share at max tau {final:.3f}"

@@ -32,12 +32,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .artifacts import edge_rows, write_json
+from .artifacts import edge_rows
 from .features import AGE_SPAN, age_pair_scores, Population
 from .scenario import Preference, RngPolicy, Scenario
 
@@ -68,7 +68,6 @@ class NetworkSnapshot:
     node_count: int
     edges: np.ndarray
     gamma: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -282,7 +281,7 @@ def generate_network(
     highest-scoring ones, ranked by (score desc, i asc, j asc).
     Kept pairs stay in pair order, so edge rows come out sorted. If fewer
     pairs met than the budget asks for, all of them are linked and a
-    shortfall warning is recorded. Edge strength is (score + 2) / 4, an
+    shortfall warning is emitted. Edge strength is (score + 2) / 4, an
     order-preserving map into (0, 1] for the typical score range.
     """
     n = population.size
@@ -301,18 +300,7 @@ def generate_network(
     edges = np.empty((chosen.shape[0], 2), dtype=np.int64)
     edges[:, 0] = draws.i.take(chosen)
     edges[:, 1] = draws.j.take(chosen)
-    return NetworkSnapshot(
-        node_count=n,
-        edges=edges,
-        gamma=gamma,
-        provenance={
-            "kind": "generated",
-            "scenario": scenario.scenario_hash(),
-            "streams": ["encounter", "noise"],
-            "shortfall": int(draws.met[0]) < scenario.edge_budget,
-            "replicate": 0,
-        },
-    )
+    return NetworkSnapshot(n, edges, gamma)
 
 
 def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
@@ -344,24 +332,15 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
         degrees[v] += m
     edges = np.column_stack((np.array(picks, dtype=np.int64), np.repeat(np.arange(m, n), m)))
     order = _sorted_edge_order(edges)
-    return NetworkSnapshot(
-        node_count=n,
-        edges=edges[order],
-        gamma=np.ones(edges.shape[0]),
-        provenance={"kind": "ba", "n": n, "m": m},
-    )
+    return NetworkSnapshot(n, edges[order], np.ones(edges.shape[0]))
 
 
-def save_network(net: NetworkSnapshot, path, meta_path) -> None:
-    """Write an i,j,gamma edge list to `path` and a JSON side file with
-    node count, edge count and provenance to `meta_path`."""
+def save_network(net: NetworkSnapshot, path) -> None:
+    """Write an i,j,gamma edge list to `path`."""
     with open(path, "wb") as fh:
         fh.write(b"i,j,gamma\n")
         for s in range(0, net.edge_count, _WRITE_BLOCK):
             fh.write(edge_rows(net.edges[s : s + _WRITE_BLOCK], net.gamma[s : s + _WRITE_BLOCK]))
-    meta = {"node_count": net.node_count, "edge_count": net.edge_count,
-            "provenance": net.provenance}
-    write_json(meta_path, meta)
 
 
 def _is_number(text: str) -> bool:
@@ -420,9 +399,4 @@ def load_edge_list(path) -> NetworkSnapshot:
         gamma = np.zeros(0)
     n = int(edges.max()) + 1 if edges.size else 0
     order = _sorted_edge_order(edges) if edges.size else np.zeros(0, dtype=np.int64)
-    return NetworkSnapshot(
-        node_count=n,
-        edges=edges[order],
-        gamma=gamma[order],
-        provenance={"kind": "imported", "path": str(path)},
-    )
+    return NetworkSnapshot(n, edges[order], gamma[order])

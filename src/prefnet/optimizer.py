@@ -6,14 +6,15 @@ distribution, averaged over R replicate networks. Replicates use common
 random numbers: replicate r of every candidate shares the same encounter
 and noise streams, so objective differences reflect the preferences, not
 the draws, and a rerun of the whole search is bit-identical. A search
-therefore runs on draws prepared once (`replicate_draws`): everything
-that does not depend on the candidate, namely the scenario's population,
-all replicates' encounters and jitter, and the target's mass padded
-onto the supports it is compared over. The ages come from `features.make_population`, as for
-a single network, and `netgen` decides growth: `pair_draws` lays
-replicate r out as row r of one padded array, the layout from which
-`generate_network` grows its one network, and `keep_pairs` grows all
-rows, so every candidate's replicate r grows from row r by the same rule.
+therefore runs on draws prepared once (`replicate_draws`), its whole
+input: everything that does not depend on the candidate, namely the
+scenario's population and edge budget, all replicates' encounters and
+jitter, and the target's mass padded onto the supports it is compared
+over. The ages come from `features.make_population`, as for a single
+network, and `netgen` decides growth: `pair_draws` lays replicate r out
+as row r of one padded array, the layout from which `generate_network`
+grows its one network, and `keep_pairs` grows all rows, so every
+candidate's replicate r grows from row r by the same rule.
 
 A candidate's scores depend on its weights only through the effective
 weights a = level * level_weight and b = difference * difference_weight,
@@ -57,39 +58,32 @@ REFINE_FLOOR = 0.005
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """A preference with its fitted objective."""
-
-    preference: Preference
-    objective: float
-    objective_std: float
-    replicates: int
-
-
-@dataclass(frozen=True)
 class EvalRecord:
     """One spent objective evaluation, in evaluation order: the candidate's
-    preference fields and `js`, its R replicate values in replicate order.
+    preference and `js`, its R replicate values in replicate order.
     Candidates with the same effective weights share one `js` tuple."""
 
-    level: int
-    level_weight: float
-    difference: int
-    difference_weight: float
+    preference: Preference
     js: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    best: Candidate
+    """The winning preference, its mean objective and that mean's spread
+    over the replicates, and the log of every spent evaluation: never
+    empty, with one record per evaluation and R values in each."""
+
+    best: Preference
+    objective: float
+    objective_std: float
     log: tuple[EvalRecord, ...]
-    evaluations: int
 
 
 @dataclass(frozen=True)
 class ReplicateDraws:
-    """What a search prepares once for `evaluate`: R replicates' pair
-    draws, what it reads of the population's ages, and the target.
+    """What a search prepares once for `evaluate`, and all it reads: R
+    replicates' pair draws, what it reads of the population's ages, the
+    scenario's edge budget, and the target.
 
     pairs holds the replicates' met pairs as (R, M) rows (see
     `netgen.pair_draws`); slot indexes each pair's age code among the
@@ -107,13 +101,14 @@ class ReplicateDraws:
     target_mass: np.ndarray
     columns: np.ndarray
     offsets: np.ndarray
+    edge_budget: int
 
 
 def replicate_draws(
     scenario: Scenario, replicates: int, target: PatternDistribution
 ) -> ReplicateDraws:
-    """Age codes and pair draws of replicates 0..R-1, and the padded
-    target degree pattern, for `evaluate`."""
+    """Age codes and pair draws of replicates 0..R-1, the edge budget, and
+    the padded target degree pattern, for `evaluate`."""
     if target.kind != "degree":
         raise ValueError(f"cannot compare 'degree' with {target.kind!r} patterns")
     n = scenario.node_count
@@ -123,12 +118,10 @@ def replicate_draws(
     union = support_union(nodes, target.support)
     offsets = np.repeat(np.arange(0, replicates * n, n), n)
     return ReplicateDraws(code_ages, slot, pairs, pad_mass(target, union),
-                          np.searchsorted(union, nodes), offsets)
+                          np.searchsorted(union, nodes), offsets, scenario.edge_budget)
 
 
-def evaluate(
-    preference: Preference, scenario: Scenario, draws: ReplicateDraws
-) -> tuple[float, list[float]]:
+def evaluate(preference: Preference, draws: ReplicateDraws) -> tuple[float, list[float]]:
     """Mean and per-replicate degree-pattern divergence from the target for
     networks grown under `preference`, one network per replicate's draws.
 
@@ -137,18 +130,16 @@ def evaluate(
 
     Replicate r's value equals `js_divergence(degree_distribution(
     generate_network(make_population(scenario), fitted, row_r)), target)`
-    bit for bit, for `fitted`, the scenario with `preference` set, and
-    row r of the pair draws as one-row `PairDraws`, but no network or
+    bit for bit, for `fitted`, the draws' scenario with `preference` set,
+    and row r of the pair draws as one-row `PairDraws`, but no network or
     pattern object is built, and all replicates go in one pass: keep each
     row's budgeted best with `netgen.keep_pairs`, the kernel
     `generate_network` grows through, count the R * n degrees with two
     `bincount`s and their frequencies with a third, divide by n, and take
     every row's divergence from the draws' padded target mass."""
-    n, pairs = scenario.node_count, draws.pairs
-    if pairs.node_count != n:
-        raise ValueError(f"pair draws for {pairs.node_count} nodes do not fit {n} nodes")
-    rows = pairs.met.shape[0]
-    kept, _ = keep_pairs(preference, scenario.edge_budget, pairs, draws.code_ages, draws.slot)
+    pairs = draws.pairs
+    n, rows = pairs.node_count, pairs.met.shape[0]
+    kept, _ = keep_pairs(preference, draws.edge_budget, pairs, draws.code_ages, draws.slot)
     degrees = np.bincount(pairs.i.take(kept), minlength=rows * n)
     degrees += np.bincount(pairs.j.take(kept), minlength=rows * n)
     degrees += draws.offsets
@@ -168,7 +159,6 @@ def _clip01(x: float) -> float:
 
 
 def optimize(
-    scenario: Scenario,
     draws: ReplicateDraws,
     budget: int,
     progress: Callable[[int, float], None] | None = None,
@@ -177,11 +167,11 @@ def optimize(
     degree pattern, spending at most `budget` objective evaluations.
 
     Every candidate is evaluated on the same `draws`
-    (`replicate_draws(scenario, R, target)`), which hold the R replicates
-    and the target; the search builds no draws of its own. If `progress`
-    is given, it is called with the evaluations spent and the best
-    objective so far after the grid scan and after each halving of the
-    refinement step."""
+    (`replicate_draws(scenario, R, target)`), which hold the R replicates,
+    the edge budget and the target; the search builds no draws of its
+    own. If `progress` is given, it is called with the evaluations spent
+    and the best objective so far after the grid scan and after each
+    halving of the refinement step."""
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     log: list[EvalRecord] = []
@@ -189,12 +179,11 @@ def optimize(
     # evaluate() results by effective weights (a, b), on which alone the
     # scores depend; -0.0 and 0.0 are one key, and give the same scores.
     shared: dict[tuple[float, float], _Objective] = {}
-    spent = 0
 
     def run(pref: Preference) -> _Objective | None:
         """Objective mean and replicate values of a candidate, None once
-        budget is gone."""
-        nonlocal spent
+        budget is gone; each new candidate spends one evaluation and logs
+        one record."""
         key = (
             pref.level,
             round(pref.level_weight, 10),
@@ -203,20 +192,17 @@ def optimize(
         )
         if key in cache:
             return cache[key]
-        if spent >= budget:
+        if len(log) >= budget:
             return None
-        spent += 1
         effective = (
             pref.level * pref.level_weight,
             pref.difference * pref.difference_weight,
         )
         if effective not in shared:
-            mean, values = evaluate(pref, scenario, draws)
+            mean, values = evaluate(pref, draws)
             shared[effective] = (mean, tuple(values))
         result = shared[effective]
-        log.append(EvalRecord(
-            pref.level, pref.level_weight, pref.difference, pref.difference_weight, result[1]
-        ))
+        log.append(EvalRecord(pref, result[1]))
         cache[key] = result
         return result
 
@@ -233,10 +219,10 @@ def optimize(
 
     assert best_pref is not None and best is not None  # budget >= 1
     if progress is not None:
-        progress(spent, best[0])
+        progress(len(log), best[0])
 
     step = REFINE_STEP
-    while spent < budget and step >= REFINE_FLOOR:
+    while len(log) < budget and step >= REFINE_FLOOR:
         probes = (
             (step, 0.0),
             (-step, 0.0),
@@ -261,14 +247,10 @@ def optimize(
         else:
             step /= 2.0
             if progress is not None:
-                progress(spent, best[0])
+                progress(len(log), best[0])
 
     # Only the winner's spread is reported, so it is the only one computed.
-    return OptimizeResult(
-        best=Candidate(best_pref, best[0], float(np.std(best[1])), len(draws.pairs.met)),
-        log=tuple(log),
-        evaluations=spent,
-    )
+    return OptimizeResult(best_pref, best[0], float(np.std(best[1])), tuple(log))
 
 
 def log_to_csv(log, path) -> None:
@@ -279,17 +261,20 @@ def log_to_csv(log, path) -> None:
 
 def _log_rows(log):
     for rec in log:
-        fields = [rec.level, rec.level_weight, rec.difference, rec.difference_weight]
+        p = rec.preference
+        fields = [p.level, p.level_weight, p.difference, p.difference_weight]
         for r, v in enumerate(rec.js):
             yield fields + [r, v]
 
 
 def result_to_json(result: OptimizeResult, path) -> None:
+    """Write the winner, its objective and spread, the replicate count and
+    the evaluations spent, both read off the log."""
     payload = {
-        "best": asdict(result.best.preference),
-        "objective": result.best.objective,
-        "objective_std": result.best.objective_std,
-        "replicates": result.best.replicates,
-        "evaluations": result.evaluations,
+        "best": asdict(result.best),
+        "objective": result.objective,
+        "objective_std": result.objective_std,
+        "replicates": len(result.log[0].js),
+        "evaluations": len(result.log),
     }
     write_json(path, payload)

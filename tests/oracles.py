@@ -263,12 +263,7 @@ def ba_target(n: int, m: int, stream: np.random.Generator) -> NetworkSnapshot:
         for c in picked:
             degrees[c] += 1
     order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return NetworkSnapshot(
-        node_count=n,
-        edges=edges[order],
-        gamma=np.ones(edges.shape[0]),
-        provenance={"kind": "ba", "n": n, "m": m},
-    )
+    return NetworkSnapshot(n, edges[order], np.ones(edges.shape[0]))
 
 
 def draws_row(draws: PairDraws, r: int) -> PairDraws:

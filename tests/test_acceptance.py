@@ -23,7 +23,7 @@ from prefnet.netgen import (
     generate_network,
     pair_draws,
 )
-from prefnet.netmetrics import clustering_values, degree_distribution, js_divergence
+from prefnet.netmetrics import clustering_values, degree_distribution
 from prefnet.optimizer import evaluate, optimize, replicate_draws
 from prefnet.scenario import (
     RULE_PREFERENCES,
@@ -46,14 +46,21 @@ _RESULTS = []  # echoed by conftest in the terminal summary
 
 @contextmanager
 def _verdict(num, label):
-    try:
-        yield
-    except BaseException:
-        _RESULTS.append(f"[criterion {num:02d}] FAIL - {label}")
+    """Print the criterion's PASS or FAIL line; findings the block appends
+    to the list it is given follow the label."""
+    findings = []
+
+    def report(verdict):
+        detail = f" ({'; '.join(findings)})" if findings else ""
+        _RESULTS.append(f"[criterion {num:02d}] {verdict} - {label}{detail}")
         print(_RESULTS[-1], flush=True)
+
+    try:
+        yield findings
+    except BaseException:
+        report("FAIL")
         raise
-    _RESULTS.append(f"[criterion {num:02d}] PASS - {label}")
-    print(_RESULTS[-1], flush=True)
+    report("PASS")
 
 
 _BUILT = {}
@@ -163,14 +170,14 @@ def test_criterion_05_divergence_dominance():
                                                RngPolicy(0).stream("optimizer", 0)))
         start = time.perf_counter()
         draws = replicate_draws(sc, 5, target)
-        result = optimize(sc, draws, budget=700)
+        result = optimize(draws, budget=700)
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0, f"optimisation took {elapsed:.1f}s"
-        assert result.evaluations <= 700
-        assert result.best.objective <= 0.45
+        assert len(result.log) <= 700
+        assert result.objective <= 0.45
         for rule, pref in RULE_PREFERENCES.items():
-            pure_mean, _ = evaluate(pref, sc, draws)
-            assert result.best.objective < pure_mean, (rule, pure_mean)
+            pure_mean, _ = evaluate(pref, draws)
+            assert result.objective < pure_mean, (rule, pure_mean)
 
 
 def test_criterion_06_epidemic_frontier_oracle():
@@ -344,3 +351,50 @@ def test_criterion_11_preferred_ages_carry_the_risk(tmp_path):
                     young, old = np.mean(groups[0:3]), np.mean(groups[6:9])
                     preferred, other = (old, young) if rule == "P+" else (young, old)
                     assert preferred > other, (seed, shape, rule, young, old)
+
+
+def test_criterion_12_targeted_immunisation():
+    # Immunising 9 nodes (removing every edge that touches them) before an
+    # outbreak at tau 0.05 lowers the final share more when they are drawn
+    # from the preferred decades (groups 6-8 under P+, 0-2 under P-) than
+    # when drawn from all nodes or from the opposite decades, and less than
+    # immunising the 9 highest-degree nodes. Mean final share over each
+    # rule's 3 shapes x 10 master seeds.
+    shapes = (AgeShape.UNIFORM, AgeShape.BELL, AgeShape.INVERSE_BELL)
+    label = "immunising preferred ages beats random and opposite ones; degree beats preferred"
+    with _verdict(12, label) as findings:
+        for rule in (Rule.P_PLUS, Rule.P_MINUS):
+            shares = {k: [] for k in ("none", "random", "opposite", "preferred", "degree")}
+            for shape in shapes:
+                for seed in range(10):
+                    sc, pop, net = _build(shape, rule, seed)
+                    young = np.flatnonzero(pop.groups <= 2)
+                    old = np.flatnonzero(pop.groups >= 6)
+                    preferred, opposite = (old, young) if rule is Rule.P_PLUS else (young, old)
+                    n = net.node_count
+                    immunised = {
+                        "none": [],
+                        "random": np.random.default_rng(seed).choice(n, 9, replace=False),
+                        "opposite": np.random.default_rng(seed).choice(opposite, 9, replace=False),
+                        "preferred": np.random.default_rng(seed).choice(preferred, 9, replace=False),
+                        "degree": select_seeds(net, 9),
+                    }
+                    for name, nodes in immunised.items():
+                        keep = ~np.isin(net.edges, nodes).any(axis=1)
+                        rest = NetworkSnapshot(n, net.edges[keep], net.gamma[keep])
+                        stream = RngPolicy(seed).counter_stream("infection", 0)
+                        [trace] = run_si(rest, sc, stream, [0.05])
+                        shares[name].append(trace.infected_count(trace.horizon) / n)
+            means = {name: float(np.mean(v)) for name, v in shares.items()}
+            wins = {
+                pair: int(np.sum(np.array(shares[pair[0]]) < np.array(shares[pair[1]])))
+                for pair in (("preferred", "random"), ("preferred", "opposite"),
+                             ("degree", "preferred"))
+            }
+            findings.append(
+                f"{rule.value}: " + ", ".join(f"{k} {v:.3f}" for k, v in means.items())
+                + "; per cell " + ", ".join(f"{a} < {b} {w}/30" for (a, b), w in wins.items())
+            )
+            assert means["preferred"] < means["random"], (rule, means)
+            assert means["preferred"] < means["opposite"], (rule, means)
+            assert means["degree"] < means["preferred"], (rule, means)

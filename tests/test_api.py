@@ -13,7 +13,8 @@ from prefnet import cli, epidemic, features, netgen, optimizer, scenario
 # with the per-node trait arrays, with the per-window PaR counts, with the
 # 90 x 90 age table, when growth became one kernel (`netgen.keep_pairs`),
 # when seeding became degree alone, when spreading became one
-# transmissibility for every node, or because only tests read them (`par`:
+# transmissibility for every node, when a fit's result became its winner,
+# objective and log (`Candidate`), or because only tests read them (`par`:
 # every PaR figure is read from `par_matrix`; `PRESET_NAMES`); none of them
 # is part of the package.
 REMOVED = (
@@ -33,6 +34,7 @@ REMOVED = (
     "par",
     "Susceptibility",
     "PRESET_NAMES",
+    "Candidate",
 )
 
 
@@ -52,6 +54,18 @@ def test_public_names():
     ]
     assert "seeds" not in {f.name for f in fields(epidemic.EpidemicTrace)}
     assert list(inspect.signature(epidemic.select_seeds).parameters) == ["net", "count"]
+    # A fit reads everything from its prepared draws, and its result keeps
+    # each figure once: the evaluations and replicates are the log's
+    # length and its records' length. A network is its graph alone.
+    assert list(inspect.signature(optimizer.evaluate).parameters) == ["preference", "draws"]
+    assert list(inspect.signature(optimizer.optimize).parameters) == [
+        "draws", "budget", "progress",
+    ]
+    assert [f.name for f in fields(optimizer.OptimizeResult)] == [
+        "best", "objective", "objective_std", "log",
+    ]
+    assert [f.name for f in fields(optimizer.EvalRecord)] == ["preference", "js"]
+    assert [f.name for f in fields(netgen.NetworkSnapshot)] == ["node_count", "edges", "gamma"]
     namespace = {}
     exec("from prefnet import *", namespace)
     assert set(prefnet.__all__) <= set(namespace)
@@ -159,11 +173,14 @@ def test_run_stages_are_timed_in_one_place():
 
 
 def test_every_import_is_used():
+    # in the package (whose __init__ imports to re-export), the tests and
+    # the demos
     package = Path(prefnet.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(root.glob("tests/*.py")) + sorted(root.glob("demos/*.py"))
     unused = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {
             (alias.asname or alias.name).split(".")[0]
@@ -173,5 +190,5 @@ def test_every_import_is_used():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{name}" for name in sorted(imported - used)]
+        unused += [f"{path.parent.name}/{path.name}:{name}" for name in sorted(imported - used)]
     assert unused == []

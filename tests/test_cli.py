@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefnet import cli, netmetrics
+from prefnet.artifacts import write_json
 from prefnet.cli import main
 from prefnet.scenario import (
     CounterStream, load_scenario, Preference, Rule, save_scenario, Scenario,
@@ -859,9 +860,21 @@ def test_report_on_epidemic(tmp_path, capsys):
          "cell_runtimes.U_P+.write_network"),
         ('{"command": "sweep", "version": "1", "runtimes": {}, "cell_runtimes": [0.1]}',
          "cell_runtimes"),
+        # only finite numbers: JSON's NaN and infinities, and a number that
+        # parses to infinity
+        ('{"command": "generate", "version": "1", "runtimes": {"grow": 1e999}}',
+         "runtimes.grow"),
+        ('{"command": "generate", "version": "1", "runtimes": {"grow": NaN}}',
+         "expected finite numbers, got NaN"),
+        ('{"command": "generate", "version": "1", "runtimes": {"grow": -Infinity}}',
+         "expected finite numbers, got -Infinity"),
+        ('{"command": "sweep", "version": "1", "runtimes": {}, "cell_runtimes": '
+         '{"U_P+": {"grow": 0.1, "write_network": 0.1, "analyze": -1e999, "epidemic": 0.1}}}',
+         "cell_runtimes.U_P+.analyze"),
     ],
     ids=["empty", "list", "command", "version", "runtime", "runtimes", "runtime-bool",
-         "not-json", "cell-stage", "cell-runtimes"],
+         "not-json", "cell-stage", "cell-runtimes", "runtime-overflow", "runtime-nan",
+         "runtime-infinity", "cell-stage-overflow"],
 )
 def test_report_rejects_a_malformed_manifest(tmp_path, capsys, text, field):
     manifest = tmp_path / "manifest.json"
@@ -891,18 +904,49 @@ _CELL = {"name": "U_P+", "js": 0.4, "unconnected": 7, "clustering_avg": 0.6,
         ("best.json", {"best": {}, "objective": 0.2, "evaluations": True}, "evaluations"),
         ("risk.json", {"seeds": [3], "infected_total": 45}, "final_share"),
         ("summary.json", [], "expected a JSON object"),
+        # a cell with no taus has no final share to print
+        ("aggregate.json", {"target": "ba:90,20", "cells": [{**_CELL, "par": []}]},
+         "cells[0].par: expected at least one entry, got []"),
+        # only finite numbers (json.dumps writes NaN and Infinity; a string
+        # payload is the file's text)
+        ("risk.json", {"seeds": [3], "infected_total": 45, "final_share": float("nan")},
+         "expected finite numbers, got NaN"),
+        ("risk.json", '{"seeds": [3], "infected_total": 45, "final_share": 1e999}',
+         "final_share"),
+        ("aggregate.json", '{"target": "ba:90,20", "cells": [{"name": "U_P+", "js": -1e999, '
+         '"unconnected": 7, "clustering_avg": 0.6, "par": [{"tau": 1.0, "final_share": 0.9}]}]}',
+         "cells[0].js"),
+        ("aggregate.json",
+         {"target": "ba:90,20", "cells": [{**_CELL, "par": [{"tau": 1.0,
+                                                              "final_share": float("inf")}]}]},
+         "expected finite numbers, got Infinity"),
+        ("best.json", '{"best": {}, "objective": 1e999, "evaluations": 4}', "objective"),
+        ("summary.json", {"degree_avg": float("nan")}, "expected finite numbers, got NaN"),
     ],
     ids=["aggregate-empty", "aggregate-no-cells", "aggregate-cell-js", "aggregate-par",
          "aggregate-par-tau",
-         "best-empty", "best-evaluations", "risk-final-share", "summary-list"],
+         "best-empty", "best-evaluations", "risk-final-share", "summary-list",
+         "aggregate-no-taus", "risk-nan", "risk-overflow", "aggregate-js-overflow",
+         "aggregate-infinity", "best-overflow", "summary-nan"],
 )
 def test_report_rejects_a_malformed_run_file(tmp_path, capsys, name, payload, field):
     (tmp_path / "manifest.json").write_text('{"command": "sweep", "version": "1"}',
                                             encoding="utf-8")
-    (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    (tmp_path / name).write_text(text, encoding="utf-8")
     assert main(["report", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: {field}")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_non_finite_numbers(tmp_path, value):
+    # a run file holds finite numbers only; the error names the file, and
+    # nothing is written
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float values")):
+        write_json(path, {"share": [0.5, value]})
+    assert not path.exists()
 
 
 def test_report_missing_dir(tmp_path):

@@ -62,7 +62,7 @@ def test_analyze_builds_no_dense_int64_or_float64_matrix():
 def _fit_draws_and_one_evaluate(scenario: Scenario):
     target = degree_distribution(ba_target(90, 20, RngPolicy(0).stream("optimizer", 0)))
     draws = replicate_draws(scenario, 5, target)
-    evaluate(scenario.resolved_preference(), scenario, draws)
+    evaluate(scenario.resolved_preference(), draws)
     return draws
 
 
@@ -112,9 +112,9 @@ def test_save_network_memory_does_not_grow_with_edges(tmp_path):
         return NetworkSnapshot(n, pairs[keep], rng.random(edge_count))
 
     small, large = net(40_000), net(160_000)
-    save_network(net(100), tmp_path / "warm.csv", tmp_path / "warm.json")
-    small_peak = _traced_peak(save_network, small, tmp_path / "small.csv", tmp_path / "s.json")
-    large_peak = _traced_peak(save_network, large, tmp_path / "large.csv", tmp_path / "l.json")
+    save_network(net(100), tmp_path / "warm.csv")
+    small_peak = _traced_peak(save_network, small, tmp_path / "small.csv")
+    large_peak = _traced_peak(save_network, large, tmp_path / "large.csv")
     assert large_peak < 1.5 * small_peak
 
 
@@ -131,7 +131,7 @@ def test_small_blocks_give_the_same_results(tmp_path, monkeypatch):
     def run(out):
         draws = pair_draws(sc, 3)
         net = generate_network(pop, sc, pair_draws(sc))
-        save_network(net, out, out.with_suffix(".json"))
+        save_network(net, out)
         star = _star_with_last_hub(40)
         return (draws, net, out.read_bytes(), clustering_values(net),
                 shortest_path_matrix(net), shortest_path_matrix(star))

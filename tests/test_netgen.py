@@ -1,5 +1,6 @@
 """Pair scoring, budgeted growth and the scale-free target."""
 
+import json
 import math
 import tempfile
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prefnet import artifacts, netgen
+from prefnet import artifacts, cli, netgen
 from prefnet.features import age_pair_scores, AGE_SPAN, make_population, Population
 from prefnet.netgen import (
     age_code_slots,
@@ -21,7 +22,9 @@ from prefnet.netgen import (
     pair_draws,
     save_network,
 )
-from prefnet.scenario import AgeShape, Preference, RngPolicy, Rule, RULE_PREFERENCES, Scenario
+from prefnet.scenario import (
+    AgeShape, load_scenario, Preference, RngPolicy, Rule, RULE_PREFERENCES, Scenario,
+)
 
 import oracles
 from oracles import (
@@ -260,8 +263,7 @@ def test_generate_matches_full_lexsort_reference(sc):
 
 def test_generate_scores_with_the_scenario_preference():
     # one population and one set of draws, grown under two scenarios that
-    # differ only in their rule: each network is its own rule's, and its
-    # provenance names its own scenario
+    # differ only in their rule: each network is its own rule's
     base = Scenario(node_count=30, edge_budget=60, master_seed=3)
     pop, draws = make_population(base), pair_draws(base)
     nets = {}
@@ -274,9 +276,7 @@ def test_generate_scores_with_the_scenario_preference():
         )
         assert np.array_equal(net.edges, edges)
         assert net.gamma.tobytes() == gamma.tobytes()
-        assert net.provenance["scenario"] == sc.scenario_hash()
     assert not np.array_equal(nets[Rule.P_PLUS].edges, nets[Rule.H_MINUS].edges)
-    assert nets[Rule.P_PLUS].provenance["scenario"] != nets[Rule.H_MINUS].provenance["scenario"]
 
 
 def test_generate_deterministic_and_replicate_sensitive():
@@ -298,7 +298,33 @@ def test_generate_shortfall_links_all_encounters_and_warns():
     # replay the encounter draws to count how many pairs actually met
     met = (RngPolicy(sc.master_seed).stream("encounter", 0).random(45) < 0.2).sum()
     assert net.edge_count == met < 40
-    assert net.provenance["shortfall"] is True
+
+
+@pytest.mark.parametrize("rule, budget, shortfall",
+                         [("P+", 6, False), ("H-", 6, False), ("P+", 7, True)])
+def test_a_runs_network_meta_names_its_scenario_and_shortfall(tmp_path, rule, budget, shortfall):
+    # The meta file a run writes beside network.csv names the scenario the
+    # network grew from and whether fewer pairs met than the budget: 6 of
+    # the 45 pairs meet at seed 5, and growth keeps min(budget, met).
+    out = tmp_path / "run"
+    overrides = [f"rule={rule}", f"edge_budget={budget}", "node_count=10",
+                 "encounter_rate=0.2", "master_seed=5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a shortfall warns
+        assert cli.main(["generate", "--out", str(out),
+                         *(arg for o in overrides for arg in ("--set", o))]) == 0
+    meta = json.loads((out / "network_meta.json").read_text(encoding="utf-8"))
+    assert meta == {
+        "node_count": 10,
+        "edge_count": 6,
+        "provenance": {
+            "kind": "generated",
+            "scenario": load_scenario(out / "scenario.txt").scenario_hash(),
+            "streams": ["encounter", "noise"],
+            "shortfall": shortfall,
+            "replicate": 0,
+        },
+    }
 
 
 def test_generate_zero_sigma_skips_noise_draws():
@@ -428,7 +454,6 @@ def test_ba_target_matches_the_fresh_cumsum_oracle(n, m):
         fast = ba_target(n, m, RngPolicy(seed).stream("optimizer", 0))
         slow = oracles.ba_target(n, m, RngPolicy(seed).stream("optimizer", 0))
         assert np.array_equal(fast.edges, slow.edges)
-        assert fast.provenance == slow.provenance
 
 
 def test_ba_target_validation():
@@ -485,7 +510,7 @@ def test_snapshot_accepts_unsorted_unique_edges():
 def test_edge_list_round_trip(tmp_path):
     net = ba_target(12, 3, RngPolicy(4).stream("optimizer", 0))
     path = tmp_path / "net.csv"
-    save_network(net, path, tmp_path / "net.json")
+    save_network(net, path)
     loaded = load_edge_list(path)
     assert loaded.node_count == 12
     assert np.array_equal(loaded.edges, net.edges)
@@ -511,7 +536,7 @@ def test_edge_list_round_trip_of_generated_networks(seed, sizes, sigma):
         net = generate_network(make_population(sc), sc, pair_draws(sc))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.csv"
-        save_network(net, path, Path(tmp) / "net.json")
+        save_network(net, path)
         loaded = load_edge_list(path)
     assert np.array_equal(loaded.edges, net.edges)
     assert loaded.gamma.tobytes() == net.gamma.tobytes()
@@ -558,7 +583,7 @@ def test_edge_list_bad_rows_name_file_and_line(tmp_path, rows, message):
 def test_save_network_writes_repr_rows(tmp_path):
     net = NetworkSnapshot(4, np.array([(0, 1), (1, 3)]), np.array([0.1 + 0.2, 1e-05]))
     path = tmp_path / "net.csv"
-    save_network(net, path, tmp_path / "net.json")
+    save_network(net, path)
     assert path.read_bytes() == b"i,j,gamma\n0,1,0.30000000000000004\n1,3,1e-05\n"
 
 
@@ -587,7 +612,7 @@ def test_save_network_writes_each_row_as_its_repr(rows, block):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(netgen, "_WRITE_BLOCK", block)
         path = Path(tmp) / "net.csv"
-        save_network(net, path, Path(tmp) / "net.json")
+        save_network(net, path)
         assert path.read_bytes() == want.encode("utf-8")
 
 
@@ -661,7 +686,7 @@ def test_save_network_needs_no_template_on_the_paper_density(tmp_path, monkeypat
     net = generate_network(make_population(sc), sc, pair_draws(sc))
     templated = _count_template_blocks(monkeypatch)
     path = tmp_path / "net.csv"
-    save_network(net, path, tmp_path / "net.json")
+    save_network(net, path)
     assert templated == []
     assert path.read_bytes() == b"i,j,gamma\n" + _rows_text(net.edges, net.gamma)
 

@@ -48,8 +48,8 @@ def test_weight_grid_includes_pure_rule_weights():
 def test_evaluate_deterministic_common_random_numbers():
     target = _small_target()
     pref = Preference(-1, 0.05, 1, 0.08)
-    mean_a, values_a = evaluate(pref, SMALL, replicate_draws(SMALL, 3, target))
-    mean_b, values_b = evaluate(pref, SMALL, replicate_draws(SMALL, 3, target))
+    mean_a, values_a = evaluate(pref, replicate_draws(SMALL, 3, target))
+    mean_b, values_b = evaluate(pref, replicate_draws(SMALL, 3, target))
     assert values_a == values_b
     assert mean_a == pytest.approx(np.mean(values_a), abs=1e-12)
     assert len(values_a) == 3
@@ -62,17 +62,15 @@ def test_evaluate_zero_against_own_degree_pattern():
     net = generate_network(make_population(SMALL), SMALL.with_overrides(preference=pref),
                            pair_draws(SMALL))
     target = degree_distribution(net)
-    _, values = evaluate(pref, SMALL, replicate_draws(SMALL, 1, target))
+    _, values = evaluate(pref, replicate_draws(SMALL, 1, target))
     assert values[0] == 0.0
 
 
 def test_evaluate_validation():
-    pref, target = Preference(1, 1.0, 1, 0.0), _small_target()
+    target = _small_target()
     clustering = PatternDistribution("clustering", [0], [1.0])
     with pytest.raises(ValueError, match="cannot compare 'degree' with 'clustering'"):
         replicate_draws(SMALL, 1, clustering)
-    with pytest.raises(ValueError, match="pair draws for 44 nodes do not fit 45 nodes"):
-        evaluate(pref, SMALL, replicate_draws(Scenario(node_count=44, edge_budget=9), 1, target))
     with pytest.raises(ValueError):
         replicate_draws(SMALL, 0, target)
 
@@ -142,7 +140,7 @@ def test_evaluate_equals_the_network_pipeline(case):
     networks = [oracles.draws_row(pairs, r) for r in range(replicates)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mean, values = evaluate(pref, scenario, draws)
+        mean, values = evaluate(pref, draws)
         expected = [
             js_divergence(degree_distribution(generate_network(population, fitted, d)), target)
             for d in networks
@@ -167,7 +165,7 @@ def test_evaluate_equals_the_network_pipeline(case):
                        *twin(pref.difference, pref.difference_weight))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert _bits(evaluate(other, scenario, draws)[1]) == _bits(values)
+        assert _bits(evaluate(other, draws)[1]) == _bits(values)
 
 
 # Mean JS over 5 replicates against ba:90,20 at seed 0 of each shape's PH
@@ -187,8 +185,8 @@ def test_ph_preset_loses_to_a_pure_rule_of_its_shape(shape):
     scenario = Scenario(age_shape=shape)
     target = degree_distribution(ba_target(90, 20, RngPolicy(0).stream("optimizer", 0)))
     draws = replicate_draws(scenario, 5, target)
-    preset, _ = evaluate(PH_FITTED[shape], scenario, draws)
-    pure = {rule: evaluate(pref, scenario, draws)[0]
+    preset, _ = evaluate(PH_FITTED[shape], draws)
+    pure = {rule: evaluate(pref, draws)[0]
             for rule, pref in RULE_PREFERENCES.items()}
     assert round(preset, 3) == preset_js
     assert min(pure, key=pure.get) is best_rule
@@ -198,7 +196,7 @@ def test_ph_preset_loses_to_a_pure_rule_of_its_shape(shape):
 
 def test_optimize_budget_validation():
     with pytest.raises(ValueError):
-        optimize(SMALL, replicate_draws(SMALL, 1, _small_target()), budget=0)
+        optimize(replicate_draws(SMALL, 1, _small_target()), budget=0)
     with pytest.raises(ValueError):
         replicate_draws(SMALL, 0, _small_target())
 
@@ -224,23 +222,22 @@ def test_optimize_draws_once_and_grows_once_per_replicate(monkeypatch):
     assert len(built) == 1 and built[0][1] == 3
     assert len(unions) == len(padded) == 1
     monkeypatch.setattr(optimizer, "replicate_draws", counting(optimizer.replicate_draws, made))
-    result = optimize(SMALL, draws, budget=12)
+    result = optimize(draws, budget=12)
     assert made == [] and len(built) == len(unions) == len(padded) == 1
     # the first 12 grid candidates are level -1 at weight 0 with difference
     # -1 at all 7 weights, then difference 0 at 5 weights: 7 distinct (a, b)
     effective = {(p.level * p.level_weight, p.difference * p.difference_weight)
                  for p, *_ in evaluations}
     assert len(evaluations) == len(effective) == 7
-    assert result.evaluations == 12
-    assert all(args[2] is draws for args in evaluations)
-    assert result.best.replicates == 3
+    assert all(args[1] is draws for args in evaluations)
     # one record per spent evaluation; candidates that share (a, b) share
     # one tuple of its replicate values
-    assert len(result.log) == result.evaluations
+    assert len(result.log) == 12
     assert all(type(rec.js) is tuple and len(rec.js) == 3 for rec in result.log)
     by_effective = {}
     for rec in result.log:
-        key = (rec.level * rec.level_weight, rec.difference * rec.difference_weight)
+        p = rec.preference
+        key = (p.level * p.level_weight, p.difference * p.difference_weight)
         assert by_effective.setdefault(key, rec.js) is rec.js
     assert len(by_effective) == 7
 
@@ -263,7 +260,7 @@ def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
                         lambda *args, **kw: ranked.append(args) or partition(*args, **kw))
     pref = Preference(-1, 0.05, 1, 0.08)
     draws = replicate_draws(SMALL, 4, _small_target())
-    _, values = evaluate(pref, SMALL, draws)
+    _, values = evaluate(pref, draws)
     assert len(values) == 4
     assert len(grown) == len(scored) == len(ranked) == 1 and scored[0][0] == pref
     assert grown[0][2] is draws.pairs and ranked[0][0].shape == draws.slot.shape
@@ -286,35 +283,31 @@ def test_evaluate_builds_score_table_once(monkeypatch, population_ages):
 
 def test_optimize_budget_one_single_evaluation():
     target = _small_target()
-    result = optimize(SMALL, replicate_draws(SMALL, 3, target), budget=1)
-    assert result.evaluations == len(result.log) == 1
+    result = optimize(replicate_draws(SMALL, 3, target), budget=1)
+    assert len(result.log) == 1
     assert len(result.log[0].js) == 3  # one value per replicate
     first = Preference(LEVEL_GRID[0], WEIGHT_GRID[0], LEVEL_GRID[0], WEIGHT_GRID[0])
-    assert result.best.preference == first
+    assert result.best == result.log[0].preference == first
 
 
 def test_optimize_rerun_is_identical():
     target = _small_target()
-    a = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=30)
-    b = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=30)
-    assert a.log == b.log
-    assert a.best == b.best
-    assert a.evaluations == b.evaluations == 30
+    a = optimize(replicate_draws(SMALL, 2, target), budget=30)
+    b = optimize(replicate_draws(SMALL, 2, target), budget=30)
+    assert a == b
+    assert len(a.log) == 30
 
 
 def test_optimize_objective_matches_log_minimum():
     target = _small_target()
-    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=60)
+    result = optimize(replicate_draws(SMALL, 2, target), budget=60)
     by_candidate = {}
     for rec in result.log:
-        key = (rec.level, rec.level_weight, rec.difference, rec.difference_weight)
-        assert key not in by_candidate and len(rec.js) == 2
-        by_candidate[key] = rec.js
+        assert rec.preference not in by_candidate and len(rec.js) == 2
+        by_candidate[rec.preference] = rec.js
     means = {k: np.mean(v) for k, v in by_candidate.items()}
-    assert result.best.objective == pytest.approx(min(means.values()), abs=1e-12)
-    best = result.best.preference
-    best_rows = by_candidate[best.level, best.level_weight, best.difference, best.difference_weight]
-    assert result.best.objective_std == float(np.std(best_rows))
+    assert result.objective == pytest.approx(min(means.values()), abs=1e-12)
+    assert result.objective_std == float(np.std(by_candidate[result.best]))
 
 
 def test_optimize_logs_what_evaluate_gives_each_candidate():
@@ -323,11 +316,10 @@ def test_optimize_logs_what_evaluate_gives_each_candidate():
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
     draws = replicate_draws(SMALL, 2, target)
-    result = optimize(SMALL, draws, budget=full_grid)
+    result = optimize(draws, budget=full_grid)
     assert len(result.log) == full_grid
     for rec in result.log:
-        pref = Preference(rec.level, rec.level_weight, rec.difference, rec.difference_weight)
-        assert _bits(rec.js) == _bits(evaluate(pref, SMALL, draws)[1])
+        assert _bits(rec.js) == _bits(evaluate(rec.preference, draws)[1])
 
 
 def test_optimize_dominates_pure_rules():
@@ -335,42 +327,43 @@ def test_optimize_dominates_pure_rules():
     # winner can never score worse than any of them
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
-    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=full_grid)
-    assert result.evaluations == full_grid
+    result = optimize(replicate_draws(SMALL, 2, target), budget=full_grid)
+    assert len(result.log) == full_grid
     for pref in RULE_PREFERENCES.values():
-        mean, _ = evaluate(pref, SMALL, replicate_draws(SMALL, 2, target))
-        assert result.best.objective <= mean + 1e-12
+        mean, _ = evaluate(pref, replicate_draws(SMALL, 2, target))
+        assert result.objective <= mean + 1e-12
 
 
 def test_optimize_refinement_never_hurts():
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
     draws = replicate_draws(SMALL, 2, target)
-    grid_only = optimize(SMALL, draws, budget=full_grid)
-    refined = optimize(SMALL, draws, budget=full_grid + 40)
-    assert refined.best.objective <= grid_only.best.objective + 1e-12
-    assert refined.evaluations <= full_grid + 40
+    grid_only = optimize(draws, budget=full_grid)
+    refined = optimize(draws, budget=full_grid + 40)
+    assert refined.objective <= grid_only.objective + 1e-12
+    assert len(refined.log) <= full_grid + 40
     # refinement keeps weights inside [0, 1]
     for rec in refined.log:
-        assert 0.0 <= rec.level_weight <= 1.0
-        assert 0.0 <= rec.difference_weight <= 1.0
+        assert 0.0 <= rec.preference.level_weight <= 1.0
+        assert 0.0 <= rec.preference.difference_weight <= 1.0
 
 
 def test_optimize_log_round_trip(tmp_path):
     target = _small_target()
-    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=5)
+    result = optimize(replicate_draws(SMALL, 2, target), budget=5)
     log_path = tmp_path / "log.csv"
     log_to_csv(result.log, log_path)
     lines = log_path.read_text().strip().splitlines()
     assert lines[0] == "level,level_weight,difference,difference_weight,replicate,js"
-    assert len(lines) == 1 + 2 * result.evaluations
+    assert len(lines) == 1 + 2 * len(result.log)
     json_path = tmp_path / "best.json"
     result_to_json(result, json_path)
     import json
 
     payload = json.loads(json_path.read_text())
-    assert payload["evaluations"] == result.evaluations
-    assert payload["best"]["level"] == result.best.preference.level
+    assert payload["evaluations"] == len(result.log) == 5
+    assert payload["replicates"] == 2
+    assert payload["best"]["level"] == result.best.level
 
 
 def test_eval_log_writes_one_row_per_replicate_of_a_refined_fit(tmp_path):
@@ -378,15 +371,16 @@ def test_eval_log_writes_one_row_per_replicate_of_a_refined_fit(tmp_path):
     # not grid values; the log file holds one row per (record, replicate)
     target = _small_target()
     full_grid = len(LEVEL_GRID) ** 2 * len(WEIGHT_GRID) ** 2
-    result = optimize(SMALL, replicate_draws(SMALL, 2, target), budget=full_grid + 20)
-    assert result.evaluations > full_grid
+    result = optimize(replicate_draws(SMALL, 2, target), budget=full_grid + 20)
+    assert len(result.log) > full_grid
     path = tmp_path / "eval_log.csv"
     log_to_csv(result.log, path)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["level", "level_weight", "difference", "difference_weight", "replicate", "js"])
     for rec in result.log:
+        p = rec.preference
         for r, v in enumerate(rec.js):
-            writer.writerow([rec.level, repr(rec.level_weight), rec.difference,
-                             repr(rec.difference_weight), r, repr(v)])
+            writer.writerow([p.level, repr(p.level_weight), p.difference,
+                             repr(p.difference_weight), r, repr(v)])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
