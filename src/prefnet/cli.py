@@ -30,7 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from stat import S_ISREG
@@ -62,6 +62,7 @@ from .netmetrics import (
     js_divergence,
     NetworkPatterns,
     PatternDistribution,
+    SummaryStats,
 )
 from .optimizer import log_to_csv, optimize, replicate_draws, result_to_json
 from .scenario import (
@@ -673,7 +674,9 @@ def cmd_report(args) -> int:
             f"({best['evaluations']} evaluations)"
         )
     if (run_dir / "summary.json").is_file():
-        report["summary"] = _read_object(run_dir / "summary.json")
+        report["summary"] = _read_object(
+            run_dir / "summary.json", {f.name: _NUMBER for f in fields(SummaryStats)}
+        )
     if (run_dir / "risk.json").is_file():
         risk = _read_object(
             run_dir / "risk.json",

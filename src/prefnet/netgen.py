@@ -157,15 +157,15 @@ def pair_draws(scenario: Scenario, replicates: int = 1) -> PairDraws:
     n = scenario.node_count
     sigma = scenario.noise_sigma
     policy = RngPolicy(scenario.master_seed)
-    cols = np.arange(n, dtype=np.int32)
     rows_per_block = max(1, _DRAW_BLOCK // n)
-    blocks = [cols[r0 : r0 + rows_per_block] for r0 in range(0, n, rows_per_block)]
+    blocks = [np.arange(r0, min(r0 + rows_per_block, n), dtype=np.int32)
+              for r0 in range(0, n, rows_per_block)]
+    sizes = [int((n - 1 - rows).sum()) for rows in blocks]
     met_bits = []  # met_bits[r][b]: replicate r's encounters in block b
     for r in range(replicates):
         encounter = policy.stream("encounter", r)
         met_bits.append([
-            np.packbits(encounter.random(int((n - 1 - rows).sum())) < scenario.encounter_rate)
-            for rows in blocks
+            np.packbits(encounter.random(size) < scenario.encounter_rate) for size in sizes
         ])
     met = np.array([sum(int(np.bitwise_count(b).sum()) for b in bits) for bits in met_bits])
     shape = (replicates, int(met.max()))
@@ -174,18 +174,20 @@ def pair_draws(scenario: Scenario, replicates: int = 1) -> PairDraws:
     jitter = np.full(shape, -np.inf)
     noise = [policy.stream("noise", r) for r in range(replicates)]
     at = [0] * replicates
-    for b, rows in enumerate(blocks):
-        # nonzero() reads the block's part of the upper triangle row-major,
-        # which is pair order.
-        bi, bj = np.nonzero(cols > rows[:, None])
-        bi = rows[bi]
+    for b, (rows, size) in enumerate(zip(blocks, sizes)):
+        # Row i of the block holds the pairs (i, i + 1) ... (i, n - 1) from
+        # flat index `starts` on, so the met pair at flat index f of the
+        # block is (i, f - starts + i + 1); a search of the sorted met
+        # indices for each row's start counts the row's met pairs.
+        starts = np.cumsum(n - 1 - rows) - (n - 1 - rows)
         for r in range(replicates):
-            hit = np.unpackbits(met_bits[r][b], count=bi.shape[0]).view(bool)
-            block = slice(at[r], at[r] + np.count_nonzero(hit))
-            i[r, block] = bi[hit] + r * n
-            j[r, block] = bj[hit] + r * n
+            flat = np.flatnonzero(np.unpackbits(met_bits[r][b], count=size))
+            per_row = np.diff(np.searchsorted(flat, starts), append=flat.shape[0])
+            block = slice(at[r], at[r] + flat.shape[0])
+            i[r, block] = np.repeat(rows + r * n, per_row)
+            j[r, block] = flat - np.repeat(starts - rows - 1 - r * n, per_row)
             if sigma > 0:
-                drawn = noise[r].normal(0.0, sigma, hit.shape[0])[hit]
+                drawn = noise[r].normal(0.0, sigma, size).take(flat)
                 if not np.isfinite(drawn).all():
                     raise ValueError(
                         f"noise_sigma: {sigma!r} draws a jitter beyond the float range"

@@ -116,6 +116,23 @@ def _bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=1, bitorder="little")
 
 
+def _pushed(n: int, run: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """The (n,) words whose bit b marks the neighbours of source b, for
+    up to 64 sources of degrees `deg` whose neighbour lists, in order, are
+    `run`: each (neighbour, source) entry sets one bit of an n x 64 bit
+    matrix, packed to one word per node."""
+    hit = np.zeros((n, _BFS_BLOCK), dtype=bool)
+    hit[run, np.repeat(np.arange(deg.shape[0], dtype=np.uint8), deg)] = True
+    return np.packbits(hit, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+def _pull(chunks, frontier: np.ndarray, reach: np.ndarray) -> None:
+    """Set reach[v], for each node v with neighbours, to the OR of its
+    neighbours' frontier words, a chunk of `chunks` at a time."""
+    for nodes, pull, local_starts in chunks:
+        reach[nodes] = np.bitwise_or.reduceat(frontier[pull], local_starts)
+
+
 def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
     """All-pairs shortest path lengths as a matrix of the smallest
     unsigned integer type that holds n, zero diagonal; unreachable pairs
@@ -123,24 +140,27 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
 
     Bit-parallel breadth-first search: sources go 64 at a time, and node v
     holds one uint64 word whose bit b says whether source s0 + b has
-    reached it. With the neighbour lists in CSR form, one level is a
+    reached it. With the neighbour lists in CSR form, one level pulls: a
     segmented OR of the frontier words over each node's neighbours, minus
-    the bits already seen. The bits new at level L get length L, kept as
-    bit planes (plane k holds bit k of each new bit's length) and unpacked
-    once per block. A block ends at the first level that sets no new bit;
-    bits never set are unreachable pairs.
+    the bits already seen. Level 1 of a block whose sources hold few of
+    the entries pushes from their lists instead (Beamer et al., SC 2012).
+    The bits new at level L get length L, kept as bit planes (plane k
+    holds bit k of each new bit's length) and unpacked once per block. A
+    block ends once every node has seen all of its sources, or at the
+    first level that sets no new bit; bits never set are unreachable pairs.
     """
     n = net.node_count
     # Indexing converts int32 indices to intp; converting once here is
     # cheaper than converting at every level.
     nbr = net.neighbours.astype(np.intp)
     deg = net.degrees
+    ends = np.cumsum(deg)
     dist = np.empty((n, n), dtype=np.min_scalar_type(n))
     # reduceat misreads an empty segment, so only nodes with neighbours
     # pull, a chunk of nodes at a time: a new chunk starts at the node
     # whose list holds each multiple of _GATHER_BLOCK.
     active = np.flatnonzero(deg)
-    starts = (np.cumsum(deg) - deg)[active]
+    starts = (ends - deg)[active]
     bounds = np.append(starts, nbr.shape[0]).tolist()
     marks = np.arange(_GATHER_BLOCK, nbr.shape[0], _GATHER_BLOCK)
     holders = np.searchsorted(starts, marks, side="right") - 1
@@ -155,14 +175,19 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
         width = min(_BFS_BLOCK, n - s0)
         seen = np.zeros(n, dtype=np.uint64)
         seen[s0 : s0 + width] = source_bit[:width]
-        frontier = seen.copy()
-        reach = np.zeros(n, dtype=np.uint64)
+        every = np.bitwise_or.reduce(source_bit[:width])
+        # The block's own neighbour lists are one run of `nbr`. Where they
+        # hold at most a quarter of it, level 1 pushes from them and
+        # reads no other entry; else it pulls, as every later level does.
+        run = slice(ends[s0] - deg[s0], ends[s0 + width - 1])
+        if 4 * (run.stop - run.start) <= nbr.shape[0]:
+            reach = _pushed(n, nbr[run], deg[s0 : s0 + width])
+        else:
+            reach = np.zeros(n, dtype=np.uint64)
+            _pull(chunks, seen, reach)
         planes: list[np.ndarray] = []
-        level = 0
+        level = 1
         while True:
-            level += 1
-            for nodes, pull, local_starts in chunks:
-                reach[nodes] = np.bitwise_or.reduceat(frontier[pull], local_starts)
             frontier = reach & ~seen
             if not frontier.any():
                 break
@@ -172,6 +197,10 @@ def shortest_path_matrix(net: NetworkSnapshot) -> np.ndarray:
             for k, plane in enumerate(planes):
                 if level >> k & 1:
                     plane |= frontier
+            if seen.min() == every:  # every node has seen every source
+                break
+            level += 1
+            _pull(chunks, frontier, reach)
         block = np.zeros((n, _BFS_BLOCK), dtype=dist.dtype)
         for k, plane in enumerate(planes):
             block += _bits(plane).astype(dist.dtype) << k

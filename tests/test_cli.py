@@ -1,7 +1,9 @@
 """Command-line behaviour: artifacts, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -15,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prefnet import cli, netmetrics
-from prefnet.artifacts import write_json
+from prefnet.artifacts import read_json, write_json
 from prefnet.cli import main
 from prefnet.scenario import (
     CounterStream, load_scenario, Preference, Rule, save_scenario, Scenario,
@@ -937,6 +939,80 @@ def test_report_rejects_a_malformed_run_file(tmp_path, capsys, name, payload, fi
     assert main(["report", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: {field}")
     assert not (tmp_path / "report.json").exists()
+
+
+@st.composite
+def _edge_scenarios(draw):
+    """The --set fields of a small scenario drawn at the edges of its
+    ranges: one or two nodes, no seeds, a zero horizon, no encounters."""
+    n = draw(st.sampled_from([1, 2, 3, 12]))
+    return {
+        "node_count": n,
+        "edge_budget": draw(st.integers(0, n * (n - 1) // 2)),
+        "seed_count": draw(st.integers(0, n)),
+        "horizon": draw(st.sampled_from([0, 1, 6])),
+        "encounter_rate": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "noise_sigma": draw(st.sampled_from([0.0, 0.005])),
+        "transmissibility": draw(st.sampled_from([0.0, 0.8, 1.0])),
+        "master_seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _finite(value) -> bool:
+    """Whether every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_edge_scenarios())
+@example({"node_count": 1, "edge_budget": 0, "seed_count": 0, "horizon": 0,
+          "encounter_rate": 0.0, "noise_sigma": 0.0, "transmissibility": 0.0, "master_seed": 0})
+@example({"node_count": 2, "edge_budget": 1, "seed_count": 2, "horizon": 0,
+          "encounter_rate": 1.0, "noise_sigma": 0.005, "transmissibility": 1.0, "master_seed": 1})
+def test_every_json_file_a_command_writes_parses_with_read_json(options):
+    # generate, epidemic, a one-cell sweep and a 3-evaluation optimize; a
+    # fixed target keeps the n=1 scenarios valid for the last two
+    overrides = [arg for key, value in options.items() for arg in ("--set", f"{key}={value}")]
+    target = ["--target", "ba:4,1"]
+    commands = [["generate"], ["epidemic"],
+                ["sweep", "--shapes", "U", "--rules", "P+", "--taus", "0.5", *target],
+                ["optimize", "--budget", "3", "--replicates", "2", *target]]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # budgets above the met pairs warn
+        for k, command in enumerate(commands):
+            out = Path(tmp) / str(k)
+            assert main([*command, *overrides, "--out", str(out)]) == 0
+            documents = sorted(out.rglob("*.json"))
+            assert documents
+            for path in documents:
+                assert _finite(read_json(path)), path
+
+
+def test_report_checks_every_summary_field(tmp_path, capsys):
+    # A hand-made run directory whose summary.json holds a number that
+    # overflows to infinity: report exits 1 naming that file and field, and
+    # writes no report.json.
+    (tmp_path / "manifest.json").write_text('{"command": "generate", "version": "1"}',
+                                            encoding="utf-8")
+    summary = {f.name: 1 for f in dataclasses.fields(netmetrics.SummaryStats)}
+    text = json.dumps(summary).replace('"degree_avg": 1', '"degree_avg": 1e999')
+    (tmp_path / "summary.json").write_text(text, encoding="utf-8")
+    assert main(["report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {tmp_path / 'summary.json'}: degree_avg: expected a finite number, got inf")
+    assert not (tmp_path / "report.json").exists()
+    # every field is checked, the last one too
+    (tmp_path / "summary.json").write_text(json.dumps({**summary, "path_min": "1"}),
+                                           encoding="utf-8")
+    assert main(["report", str(tmp_path)]) == 1
+    assert "summary.json: path_min: expected a finite number" in capsys.readouterr().err
+    (tmp_path / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    assert main(["report", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "report.json")["summary"] == summary
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

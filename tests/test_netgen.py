@@ -369,6 +369,35 @@ def test_pair_draws_row_does_not_depend_on_replicate_count(sigma):
     assert draws[3].met.min() < draws[3].met.max()  # the last draws have pads
 
 
+@pytest.mark.parametrize("replicates, sigma, rate", [
+    (1, 0.005, 0.8), (3, 0.005, 0.8), (3, 0.0, 0.8), (1, 0.005, 0.0), (3, 0.0, 0.0),
+    (1, 0.0, 1.0), (3, 0.005, 1.0),
+])
+def test_pair_draws_over_row_blocks_equal_one_draw_over_all_pairs(replicates, sigma, rate):
+    # n = 700 takes 93 rows a block, so the pairs go in eight blocks, the
+    # last of 49 rows; the draws must equal one uniform and one Gaussian
+    # per pair of np.triu_indices, drawn in one call per replicate.
+    n = 700
+    sc = Scenario(node_count=n, edge_budget=1000, encounter_rate=rate, noise_sigma=sigma,
+                  master_seed=3)
+    draws = pair_draws(sc, replicates)
+    iu, ju = np.triu_indices(n, 1)
+    policy = RngPolicy(3)
+    met_counts = []
+    for r in range(replicates):
+        met = policy.stream("encounter", r).random(iu.shape[0]) < rate
+        jitter = policy.stream("noise", r).normal(0.0, sigma, iu.shape[0])[met] if sigma > 0 else 0.0
+        count = int(met.sum())
+        met_counts.append(count)
+        assert draws.i[r, :count].tobytes() == (iu[met] + r * n).astype(np.int32).tobytes()
+        assert draws.j[r, :count].tobytes() == (ju[met] + r * n).astype(np.int32).tobytes()
+        want = np.broadcast_to(np.asarray(jitter, dtype=np.float64), (count,))
+        assert draws.jitter[r, :count].tobytes() == want.tobytes()
+        assert np.isneginf(draws.jitter[r, count:]).all()
+    assert draws.met.tolist() == met_counts
+    assert draws.i.shape == (replicates, max(met_counts))
+
+
 def test_age_code_slots_score_each_code_in_use_once():
     ages = np.array([5, 0, 5, 89])
     sc = Scenario(node_count=4, edge_budget=2, encounter_rate=0.5, master_seed=3)
@@ -689,6 +718,56 @@ def test_save_network_needs_no_template_on_the_paper_density(tmp_path, monkeypat
     save_network(net, path)
     assert templated == []
     assert path.read_bytes() == b"i,j,gamma\n" + _rows_text(net.edges, net.gamma)
+
+
+def _short_strengths(kind, places, seed, count=4096):
+    """`count` strengths of either sign, 1e-4 <= |g| < 1e16 unless
+    rounding leaves that range, whose repr is short or lies next to a
+    decimal half: `places` significant digits ("digits"), `round(x,
+    places)` ("round"), k / 2**m ("dyadic", exact, many of them a decimal
+    half at a shorter scale), or 17-digit values in [1, 2) ("seventeen")."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-4, 16, count)
+    if kind == "digits":
+        gamma = np.array([float(f"{v:.{places}g}") for v in x.tolist()])
+    elif kind == "round":
+        gamma = np.array([round(v, places) for v in (x / 10.0 ** (places - 3)).tolist()])
+    elif kind == "dyadic":
+        gamma = rng.integers(1, 2**20, count) / 2.0 ** rng.integers(0, 14, count)
+    else:
+        gamma = 1.0 + rng.random(count)
+    return gamma * rng.choice([-1.0, 1.0], count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["digits", "round", "dyadic", "seventeen"]), st.integers(1, 15),
+       st.integers(0, 2**32 - 1))
+@example("digits", 2, 0)
+@example("round", 3, 1)
+def test_edge_rows_write_short_and_half_way_strengths_as_their_repr(kind, places, seed):
+    # Each of 0.125 and 2.5 (exact decimal halves), 0.35 and 0.45 (halves
+    # on a known side of their double) and the first 60 drawn values goes
+    # as a block of one row, so that each takes its own path; then the
+    # 4096 drawn values go as one block.
+    gamma = _short_strengths(kind, places, seed)
+    ids = np.random.default_rng(seed).integers(0, 10 ** np.arange(1, 19).repeat(228)[:4096])
+    edges = np.stack([ids, ids // 3], axis=1)
+    singles = np.concatenate(([0.125, -2.5, 0.35, 0.45], gamma[:60]))
+    for k in range(singles.shape[0]):
+        assert artifacts.edge_rows(edges[k : k + 1], singles[k : k + 1]) == _rows_text(
+            edges[k : k + 1], singles[k : k + 1])
+    assert artifacts.edge_rows(edges, gamma) == _rows_text(edges, gamma)
+
+
+def test_shortest_digits_break_a_dropped_half_by_the_residual_sign():
+    # 0.35 and 2.675 lie below their decimal text and 0.45 above it, so
+    # each 16-digit D ends in a 5 and zeros while the product's side of D
+    # is known, and the step down goes on past it. 0.125 and 2.5 are
+    # exact: their half is a true tie, which goes to the % template.
+    digits, scale = artifacts._shortest(np.array([0.35, 2.675, 0.45]))
+    assert digits.tolist() == [35, 2675, 45] and scale.tolist() == [2, 3, 2]
+    for exact in (0.125, 2.5):
+        assert artifacts._shortest(np.array([exact])) is None
 
 
 def test_edge_list_rejects_short_row(tmp_path):

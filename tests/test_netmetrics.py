@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prefnet import netmetrics
 from prefnet.features import make_population
 from prefnet.netgen import ba_target, generate_network, NetworkSnapshot, pair_draws
 from prefnet.netmetrics import (
@@ -171,6 +172,14 @@ _GRAPH_CASES = dict(
 @example(n=150, kind="chain", density=0.0, isolate=False, seed=6)
 @example(n=0, kind="empty", density=0.0, isolate=False, seed=7)
 @example(n=100, kind="empty", density=0.0, isolate=False, seed=8)
+# Dense graphs over several source blocks, where every block stops as soon
+# as each node has seen all of its sources; with a third of the nodes cut
+# off no block can stop early, and the last block, which pushes its first
+# level, holds degree-0 sources (node 128 at n=129; 2 of 192..199 at n=200).
+@example(n=129, kind="random", density=0.6, isolate=False, seed=9)
+@example(n=200, kind="random", density=0.6, isolate=False, seed=9)
+@example(n=129, kind="random", density=0.6, isolate=True, seed=10)
+@example(n=200, kind="random", density=0.6, isolate=True, seed=9)
 def test_shortest_path_matrix_matches_networkx(n, kind, density, isolate, seed):
     net = _random_graph(n, kind, density, isolate, seed)
     matrix = shortest_path_matrix(net)
@@ -191,6 +200,31 @@ def test_clustering_values_match_networkx(n, kind, density, isolate, seed):
     net = _random_graph(n, kind, density, isolate, seed)
     theirs = nx.clustering(_to_nx(net))
     assert clustering_values(net).tolist() == [theirs[v] for v in range(n)]
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_dense_blocks_push_level_one_and_stop_after_level_two(monkeypatch, cut):
+    # n = 320 at density 0.6 has diameter 2, and each of its five blocks
+    # holds a fifth of the neighbour entries: level 1 pushes from the
+    # block's own lists, level 2 pulls, and the block stops there. With
+    # one node cut off, no block can stop early, so each pulls a third,
+    # empty level.
+    net = _random_graph(320, "random", 0.6, False, 11)
+    if cut:
+        keep = (net.edges != 0).all(axis=1)
+        net = NetworkSnapshot(320, net.edges[keep], net.gamma[keep])
+    pulls = []
+    real = netmetrics._pull
+    monkeypatch.setattr(netmetrics, "_pull", lambda *args: pulls.append(1) or real(*args))
+    matrix = shortest_path_matrix(net)
+    adjacency = np.zeros((320, 320), dtype=np.int64)
+    adjacency[net.edges[:, 0], net.edges[:, 1]] = adjacency[net.edges[:, 1], net.edges[:, 0]] = 1
+    expected = np.where(adjacency @ adjacency > 0, 2, 320)
+    expected[adjacency == 1] = 1
+    np.fill_diagonal(expected, 0)
+    assert np.array_equal(matrix, expected)
+    assert (matrix[1:, 1:] <= 2).all()
+    assert len(pulls) == (10 if cut else 5)
 
 
 def test_shortest_path_matrix_on_sparse_h_minus_net():
