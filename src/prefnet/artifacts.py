@@ -7,9 +7,10 @@ byte-identical everywhere.
 
 An edge list row reads `f"{i},{j},{g!r}\\n"`: every strength in
 `network.csv` is its `repr` text. `edge_rows` writes a block of rows with
-numpy, computing each strength's shortest round-trip digits exactly; a
-block holding a value the kernel does not decide goes through the `%`
-template `_repr_rows` instead, which calls `repr` itself.
+numpy, computing each strength's shortest round-trip digits exactly. A
+block holding a value that `repr` must decide itself goes through the `%`
+template `_repr_rows` instead: a non-finite value, |g| outside [1e-4,
+1e16), a 16-digit value >= 2**53, or a true 16- or 17-digit tie.
 """
 
 from __future__ import annotations
@@ -138,67 +139,57 @@ def _shortest(a):
     At the scale of 16 significant digits the check D / 10**s == a is
     exact, as D < 2**53 and 10**s are both doubles. Where 16 digits fail
     the nearest 17-digit value is the answer. Where they hold, the rows
-    step down to shorter scales while their digits still hold: the nearest
-    integer to a * 10**(s - j) is the 16-digit D rounded at 10**j, except
-    where the part dropped is exactly half a unit, where the sign of the
-    16-digit residual a * 10**s - D decides. A product at exactly half
-    between two integers, or a half whose residual's sign cannot be told,
-    ends the attempt: `repr` breaks such ties itself, and every
-    non-integer power of two, whose rounding interval is lopsided, meets
-    one on the way down.
+    step down to shorter scales while their digits still hold, rounding
+    the 16-digit D half-up at each unit. Half an ulp of a is under 1.11
+    units of the 16th digit, and a unit below 16 digits is at least 10 of
+    them, so the farther candidate is at least 5 such units from a and
+    only the nearer one can hold; at a dropped half both are at least 4.5
+    away and neither can, whether or not the interval is the lopsided one
+    of a power of two. A 16- or 17-digit product at exactly half between
+    two integers, a true tie, ends the attempt: `repr` breaks it itself.
     """
     if not (a.min() >= _BOUNDS[0] and a.max() < _BOUNDS[-1]):  # NaN fails both
         return None
     # The scale of 16 significant digits: a in [1e(15 - scale), 1e(16 - scale)).
     scale = 20 - np.searchsorted(_BOUNDS, a, side="right")
-    digits, frac = _nearest(a, scale)
-    if (frac == 0.5).any() or (digits >= 2**53).any():
+    digits, tie = _nearest(a, scale)
+    if tie.any() or (digits >= 2**53).any():
         return None
     live = digits / _TEN_F[scale] == a
     if not live.all():
         out = np.flatnonzero(~live)
-        d, f = _nearest(a[out], scale[out] + 1)
-        if (f == 0.5).any():
+        d, tie = _nearest(a[out], scale[out] + 1)
+        if tie.any():
             return None
         digits[out] = d
         scale[out] += 1
-    # Only the rows still live step down. With D + r the exact a * 10**s,
-    # `sign` is the sign of r: +1 where D rounded down (0 < frac < 1/2),
-    # -1 where it rounded up, 0 where frac == 0 leaves it unknown. Then
-    # (D + r) / unit rounds up exactly where 2 * (D mod unit) + sign >
-    # unit, and a sum equal to unit is a half on an unknown side.
+    # Only the rows still live step down.
     rows = np.flatnonzero(live & (scale > 0))
     top, s, target = digits[rows], scale[rows], a[rows]
-    sign = np.where(frac[rows] > 0.5, -1, frac[rows] > 0)
     unit = 1
     while rows.shape[0]:
         unit *= 10
-        d, twice = np.divmod(top, unit)
-        twice *= 2
-        twice += sign
-        if (twice == unit).any():
-            return None
-        d += twice > unit
+        d, rest = np.divmod(top, unit)
+        # Half-up; `>` would do as well, as at a half neither candidate holds.
+        d += 2 * rest >= unit
         s -= 1
         held = d / _TEN_F[s] == target
         digits[rows[held]] = d[held]
         scale[rows[held]] = s[held]
         held &= s > 0
-        rows, top, s, sign, target = rows[held], top[held], s[held], sign[held], target[held]
+        rows, top, s, target = rows[held], top[held], s[held], target[held]
     return digits, scale
 
 
 def _nearest(a, s):
     """The integer D nearest a * 10**s for doubles a > 0 and 0 <= s <= 22
-    with product below 2**57, and f in [0, 1), a rounding of the product's
-    fractional part: f > 1/2 where D rounds up, f == 1/2 where the
-    distance to D cannot be told from 1/2, and f == 0 where the product
-    may lie either side of D.
+    with product below 2**57, and where the product's distance to D cannot
+    be told from 1/2, a tie.
 
     With p + e the exact product, p's integer part plus a rounding of
     (p - floor(p)) + e decides the nearest; the rounding is monotone, so
-    it can turn a fraction off 1/2 into exactly 1/2 (flagged), or off 0
-    into exactly 0, but never across either.
+    it can turn a fraction off 1/2 into exactly 1/2 (a tie), but never
+    across it.
     """
     p, e = _two_product(a, s)
     whole = p.astype(np.int64)
@@ -208,7 +199,7 @@ def _nearest(a, s):
     ahead = p.astype(np.int64)
     p -= ahead
     whole += ahead - 16
-    return whole + (p > 0.5), p
+    return whole + (p > 0.5), p == 0.5
 
 
 def _two_product(a, s):

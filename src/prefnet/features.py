@@ -61,10 +61,9 @@ def group_counts(shape: AgeShape, node_count: int) -> np.ndarray:
     scaled = template * node_count
     counts = scaled // REFERENCE_SIZE
     remainder = int(node_count - counts.sum())
-    if remainder > 0:
-        # Largest fractional parts win the leftover slots; ties to lower index.
-        order = np.lexsort((np.arange(GROUP_COUNT), -(scaled % REFERENCE_SIZE)))
-        counts[order[:remainder]] += 1
+    # Largest fractional parts win the leftover slots; ties to lower index.
+    order = np.lexsort((np.arange(GROUP_COUNT), -(scaled % REFERENCE_SIZE)))
+    counts[order[:remainder]] += 1
     return counts
 
 
@@ -79,12 +78,9 @@ def sample_ages(counts: np.ndarray, stream: np.random.Generator) -> np.ndarray:
         raise ValueError(f"expected {GROUP_COUNT} group counts, got shape {counts.shape}")
     if (counts < 0).any():
         raise ValueError("group counts must be non-negative")
-    parts = []
-    for g, n in enumerate(counts):
-        if n > 0:
-            parts.append(g * GROUP_WIDTH + stream.integers(0, GROUP_WIDTH, size=int(n)))
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
+    parts = [
+        g * GROUP_WIDTH + stream.integers(0, GROUP_WIDTH, size=n) for g, n in enumerate(counts)
+    ]
     return np.concatenate(parts).astype(np.int64)
 
 

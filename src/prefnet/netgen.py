@@ -400,5 +400,5 @@ def load_edge_list(path) -> NetworkSnapshot:
         edges = np.zeros((0, 2), dtype=np.int64)
         gamma = np.zeros(0)
     n = int(edges.max()) + 1 if edges.size else 0
-    order = _sorted_edge_order(edges) if edges.size else np.zeros(0, dtype=np.int64)
+    order = _sorted_edge_order(edges)
     return NetworkSnapshot(n, edges[order], gamma[order])

@@ -310,9 +310,9 @@ def analyze(net: NetworkSnapshot) -> NetworkPatterns:
 
     cc_counts, _ = np.histogram(cc, bins=CLUSTERING_BINS, range=(0.0, 1.0))
     path_support, path_counts = np.unique(lengths, return_counts=True)
-    path_mass = (
-        path_counts / lengths.shape[0] if have_pairs else path_counts.astype(np.float64)
-    )
+    path_mass = path_counts / lengths.shape[0]
+    # With no nodes the clustering distribution is empty, as the degree one is.
+    cc_mass = cc_counts / n if n else cc_counts[:0]
     summary = SummaryStats(
         node_count=n,
         edge_count=net.edge_count,
@@ -326,7 +326,7 @@ def analyze(net: NetworkSnapshot) -> NetworkPatterns:
         clustering_std=float(cc.std()) if n else 0.0,
         clustering_max=float(cc.max()) if n else 0.0,
         clustering_min=float(cc.min()) if n else 0.0,
-        fake_paths=int((lengths == n).sum()) if have_pairs else 0,
+        fake_paths=int((lengths == n).sum()),
         path_avg=float(lengths.mean()) if have_pairs else 0.0,
         path_std=float(lengths.std()) if have_pairs else 0.0,
         path_max=int(lengths.max()) if have_pairs else 0,
@@ -335,9 +335,7 @@ def analyze(net: NetworkSnapshot) -> NetworkPatterns:
     return NetworkPatterns(
         summary=summary,
         degree=degree_distribution(net),
-        clustering=PatternDistribution(
-            "clustering", np.arange(CLUSTERING_BINS), cc_counts / n
-        ),
+        clustering=PatternDistribution("clustering", np.arange(cc_mass.shape[0]), cc_mass),
         path_length=PatternDistribution("path_length", path_support, path_mass),
     )
 

@@ -107,6 +107,20 @@ def test_sample_ages_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_sample_ages_draws_nothing_for_empty_groups():
+    # An empty group draws nothing and leaves the stream where it was, so
+    # the ages equal a draw of only the non-empty groups.
+    counts = np.array([0, 3, 0, 0, 2, 0, 0, 0, 4])
+    stream = RngPolicy(3).stream("feature-gen")
+    want = [g * 10 + stream.integers(0, 10, size=n) for g, n in enumerate(counts) if n]
+    ages = sample_ages(counts, RngPolicy(3).stream("feature-gen"))
+    assert ages.dtype == np.int64 and np.array_equal(ages, np.concatenate(want))
+    stream = RngPolicy(3).stream("feature-gen")
+    none = sample_ages(np.zeros(GROUP_COUNT, dtype=np.int64), stream)
+    assert none.dtype == np.int64 and none.shape == (0,)
+    assert stream.integers(0, 10) == RngPolicy(3).stream("feature-gen").integers(0, 10)
+
+
 def test_population_features_and_groups():
     # the scenario fixes the shape, the size and the "feature-gen" stream;
     # its rule and preference do not touch the ages

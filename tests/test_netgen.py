@@ -663,9 +663,10 @@ def _count_template_blocks(monkeypatch) -> list:
 
 def _kernel_edges():
     """10**k for k in -4..16 and the doubles one and two ulps either side,
-    non-integer powers of two, exact decimal halves, integers around
-    2**53 and 1e16, zeros, subnormals and non-finite values: each edge of
-    the block encoder's domain, of either sign."""
+    non-integer powers of two, exact decimal halves (the kernel decides
+    them) and true ties at 16 and 17 digits (it leaves them to repr),
+    integers around 2**53 and 1e16, zeros, subnormals and non-finite
+    values: each edge of the block encoder's domain, of either sign."""
     tens = [float(f"1e{k}") for k in range(-4, 17)]
     near = [np.nextafter(t, direction, dtype=np.float64) for t in tens for direction in (0.0, np.inf)]
     near += [np.nextafter(t, direction) for t, direction in zip(near, [0.0, np.inf] * len(tens))]
@@ -692,8 +693,9 @@ def test_edge_rows_writes_random_doubles_as_their_repr(monkeypatch):
     # 240000 doubles of random mantissa and sign, 1e-4 <= |g| < 1e16, in
     # blocks of 256 by magnitude, so that the values the kernel leaves to
     # the template share blocks: those whose 16-digit value is at least
-    # 2**53, and above 1e12 the exact decimal halves. The kernel decides
-    # most blocks, and each must read as repr writes it.
+    # 2**53, and above 1e12 the true ties at 16 or 17 digits. The kernel
+    # decides most blocks (all but 28 % of the rows), and each must read
+    # as repr writes it.
     rng = np.random.default_rng(2024)
     count = 240_000
     gamma = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-4, 16, count)
@@ -707,11 +709,20 @@ def test_edge_rows_writes_random_doubles_as_their_repr(monkeypatch):
     assert sum(templated) < 0.35 * count
 
 
-@pytest.mark.parametrize("n, budget", [(90, 1400), (1000, 174607)], ids=["paper", "n1000"])
-def test_save_network_needs_no_template_on_the_paper_density(tmp_path, monkeypatch, n, budget):
-    # The kernel decides every gamma of the default network and of an
-    # n=1000 one at the paper's edge density: none falls back to repr.
-    sc = Scenario(node_count=n, edge_budget=budget, master_seed=0)
+@pytest.mark.parametrize(
+    "n, budget, rule, sigma",
+    [(90, 1400, Rule.PH, 0.005), (1000, 174607, Rule.PH, 0.005),
+     (1000, 174607, Rule.H_MINUS, 0.0), (1000, 174607, Rule.P_PLUS, 0.0)],
+    ids=["paper", "n1000", "n1000-H-minus-sigma0", "n1000-P-plus-sigma0"],
+)
+def test_save_network_needs_no_template_on_the_paper_density(
+    tmp_path, monkeypatch, n, budget, rule, sigma
+):
+    # The kernel decides every gamma of the default network and of n=1000
+    # ones at the paper's edge density: none falls back to repr. Without
+    # noise the strengths of a pure rule repeat a few short values, many
+    # of them decimal halves at a shorter scale, such as 0.125.
+    sc = Scenario(node_count=n, edge_budget=budget, rule=rule, noise_sigma=sigma, master_seed=0)
     net = generate_network(make_population(sc), sc, pair_draws(sc))
     templated = _count_template_blocks(monkeypatch)
     path = tmp_path / "net.csv"
@@ -759,15 +770,16 @@ def test_edge_rows_write_short_and_half_way_strengths_as_their_repr(kind, places
     assert artifacts.edge_rows(edges, gamma) == _rows_text(edges, gamma)
 
 
-def test_shortest_digits_break_a_dropped_half_by_the_residual_sign():
-    # 0.35 and 2.675 lie below their decimal text and 0.45 above it, so
-    # each 16-digit D ends in a 5 and zeros while the product's side of D
-    # is known, and the step down goes on past it. 0.125 and 2.5 are
-    # exact: their half is a true tie, which goes to the % template.
-    digits, scale = artifacts._shortest(np.array([0.35, 2.675, 0.45]))
-    assert digits.tolist() == [35, 2675, 45] and scale.tolist() == [2, 3, 2]
-    for exact in (0.125, 2.5):
-        assert artifacts._shortest(np.array([exact])) is None
+def test_shortest_decides_exact_halves():
+    # 0.125, 2.5, 0.5, 0.75 and 12.5 are exact, so stepping their digits
+    # down meets a true decimal half; 0.35 and 2.675 lie below their text
+    # and 0.45 above it. At such a half both candidates are too far from
+    # the double to read back as it, so the step down stops at the digits
+    # before it however the half is rounded.
+    a = np.array([0.125, 2.5, 0.5, 0.75, 12.5, 0.35, 2.675, 0.45])
+    digits, scale = artifacts._shortest(a)
+    assert list(zip(digits.tolist(), scale.tolist())) == [
+        (125, 3), (25, 1), (5, 1), (75, 2), (125, 1), (35, 2), (2675, 3), (45, 2)]
 
 
 def test_edge_list_rejects_short_row(tmp_path):

@@ -303,6 +303,21 @@ def test_summarize_empty_graph():
     assert stats.path_min == n and stats.path_max == n
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1])
+def test_summarize_network_without_pairs(n):
+    # No pair of nodes: the path figures read 0 and the path pattern is
+    # empty, without a warning; so is every pattern of an empty network.
+    patterns = analyze(_net(n, []))
+    stats = patterns.summary
+    assert (stats.node_count, stats.unconnected_count, stats.clustering_avg) == (n, n, 0.0)
+    assert (stats.fake_paths, stats.path_avg, stats.path_std) == (0, 0.0, 0.0)
+    assert (stats.path_max, stats.path_min) == (0, 0)
+    assert patterns.path_length.support.size == 0 and patterns.path_length.mass.size == 0
+    assert patterns.degree.mass.tolist() == [1.0] * n
+    assert patterns.clustering.mass.tolist() == ([1.0] + [0.0] * 19) * n
+
+
 def test_summarize_complete_graph():
     n = 5
     net = _net(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
